@@ -28,7 +28,7 @@ from groupwalk.construction import (
     new_state,
     run_construction,
 )
-from groupwalk.diagnostics import control_experiment, nondisjointness_report
+from groupwalk.diagnostics import TVReport, control_experiment, nondisjointness_report
 from groupwalk.errors import BudgetError, GroupwalkError, SpecMismatchError
 from groupwalk.groups import GSet, parse_group
 from groupwalk.measures import delta
@@ -206,7 +206,8 @@ def cmd_certify(args) -> int:
     return EXIT_USAGE if refuted else EXIT_OK
 
 
-def cmd_tv_curve(args) -> int:
+def _report(args, stem: str) -> TVReport:
+    """Build nu, run the non-disjointness report, write `<stem>.csv` and `<stem>.json`."""
     cfg = _config_from(args)
     state = _build_state(cfg)
     nu = build_measure(state, mode=cfg.mode)
@@ -223,32 +224,20 @@ def cmd_tv_curve(args) -> int:
         fingerprint=cfg.fingerprint(),
         seed=cfg.seed,
     )
-    _write(_out_path(cfg, "tv-curve.csv"), rep.to_csv())
-    _write(_out_path(cfg, "tv-curve.json"), rep.to_json())
+    _write(_out_path(cfg, f"{stem}.csv"), rep.to_csv())
+    _write(_out_path(cfg, f"{stem}.json"), rep.to_json())
+    return rep
+
+
+def cmd_tv_curve(args) -> int:
+    rep = _report(args, "tv-curve")
     last = rep.per_n_min[-1]
     print(f"n={last[0]} min_t d_n={last[1]:.6f} bracket={last[2]:.6f}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    cfg = _config_from(args)
-    state = _build_state(cfg)
-    nu = build_measure(state, mode=cfg.mode)
-    mu = delta(state.group, mode=cfg.mode)
-    S = GSet.from_texts(state.group, cfg.catalogue[0][0])
-    rep = nondisjointness_report(
-        mu,
-        S,
-        nu,
-        n_max=cfg.n_max,
-        budget=cfg.budget_atoms,
-        slack=cfg.slack,
-        threads=cfg.threads,
-        fingerprint=cfg.fingerprint(),
-        seed=cfg.seed,
-    )
-    _write(_out_path(cfg, "report.csv"), rep.to_csv())
-    _write(_out_path(cfg, "report.json"), rep.to_json())
+    rep = _report(args, "report")
     print(f"bound={rep.bound} slack={rep.slack} verdict={rep.verdict.upper()}")
     return EXIT_OK if rep.verdict == "pass" else EXIT_INCONCLUSIVE
 

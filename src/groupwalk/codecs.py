@@ -5,7 +5,7 @@ single unsigned 64-bit code, so large measures can live in numpy arrays and
 right-multiplication by a fixed element becomes a handful of vector ops.
 Codes are an implementation detail: any element a codec cannot represent
 (word too long, coordinate out of range) is flagged through the `ok` masks
-and handled by the dict fallback path in the measures module.
+and handled by the dict side channel in the measures module.
 
 Free-group codes store the word reversed (last letter in the low bits) with
 the length in the top subfield, so appending or cancelling one letter is a
@@ -25,21 +25,21 @@ def _u(x: int) -> np.uint64:
     return np.uint64(x)
 
 
-class FreeGroupCodec:
+class FreeCodec:
     """Reduced words of a free group in one bit field.
 
     Layout (within `width` bits): [length : lbits][letters, last at bit 0].
     """
 
-    def __init__(self, rank: int, width: int = 63, lbits: int = 6):
-        self.rank = rank
+    lbits = 6
+
+    def __init__(self, group, width: int = 63):
         self.width = width
-        self.lbits = lbits
-        self.letter_bits = max(1, (2 * rank - 1).bit_length())
-        self.shift_len = width - lbits
+        self.letter_bits = max(1, (2 * group.rank - 1).bit_length())
+        self.shift_len = width - self.lbits
         self.max_len = self.shift_len // self.letter_bits
-        if self.max_len < 4 or self.max_len >= (1 << lbits):
-            raise SpecMismatchError(f"free codec layout infeasible: rank {rank}, width {width}")
+        if self.max_len < 4 or self.max_len >= (1 << self.lbits):
+            raise SpecMismatchError(f"free codec layout infeasible: rank {group.rank}, width {width}")
         self._val_mask = _u((1 << self.shift_len) - 1)
         self._letter_mask = _u((1 << self.letter_bits) - 1)
 
@@ -69,7 +69,7 @@ class FreeGroupCodec:
             for i in range(n)
         )
 
-    def mul_right_letter(self, codes: np.ndarray, letter: int):
+    def _mul_right_letter(self, codes: np.ndarray, letter: int):
         """Append one letter (with free cancellation) to every code."""
         b = _u(self.letter_bits)
         sl = _u(self.shift_len)
@@ -81,36 +81,60 @@ class FreeGroupCodec:
         cancelled = ((n - _u(1)) << sl) | (val >> b)
         return np.where(cancel, cancelled, appended), ok
 
-
-class BiasedIntCodec:
-    """One integer coordinate, stored biased so the field stays unsigned."""
-
-    def __init__(self, width: int = 62):
-        self.width = width
-        self.bias = 1 << (width - 1)
-        self.limit = 1 << width
-
-    def encode_one(self, m: int) -> int | None:
-        v = m + self.bias
-        return v if 0 <= v < self.limit else None
-
-    def decode_one(self, code: int) -> int:
-        return code - self.bias
-
-    def mul_right_value(self, codes: np.ndarray, m: int):
-        s = codes.astype(np.int64) + m
-        ok = (s >= 0) & (s < self.limit)
-        return s.astype(U64), ok
+    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+        """codes * y elementwise; second array marks representable results."""
+        ok = np.ones(len(codes), dtype=bool)
+        out = codes
+        for letter in y:
+            out, o = self._mul_right_letter(out, letter)
+            ok &= o
+        return out, ok
 
 
-class CyclicCodec:
+class AbelianCodec:
+    """Integer coordinates in equal fields, each stored biased so it stays unsigned."""
+
+    def __init__(self, group, coord_width: int | None = None):
+        d = group.rank
+        w = coord_width if coord_width is not None else 62 // d
+        if w < 10:
+            raise SpecMismatchError(f"abelian codec infeasible for rank {d}")
+        self._bias = 1 << (w - 1)
+        self._limit = 1 << w
+        self._shifts = [w * (d - 1 - i) for i in range(d)]
+        self._mask = _u((1 << w) - 1)
+        self.width = w * d
+
+    def encode_one(self, x) -> int | None:
+        code = 0
+        for sh, v in zip(self._shifts, x):
+            f = v + self._bias
+            if not 0 <= f < self._limit:
+                return None
+            code |= f << sh
+        return code
+
+    def decode_one(self, code: int):
+        return tuple(((code >> sh) & int(self._mask)) - self._bias for sh in self._shifts)
+
+    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+        ok = np.ones(len(codes), dtype=bool)
+        out = np.zeros_like(codes)
+        for sh, v in zip(self._shifts, y):
+            s = ((codes >> _u(sh)) & self._mask).astype(np.int64) + v
+            ok &= (s >= 0) & (s < self._limit)
+            out |= s.astype(U64) << _u(sh)
+        return out, ok
+
+
+class CyclicGroupCodec:
     """Residues mod n, stored directly."""
 
-    def __init__(self, n: int):
-        if n >= (1 << 61):
+    def __init__(self, group):
+        if group.n >= (1 << 61):
             raise SpecMismatchError("cyclic codec limited to n < 2**61")
-        self.n = n
-        self.width = max(1, (n - 1).bit_length())
+        self.n = group.n
+        self.width = max(1, (group.n - 1).bit_length())
 
     def encode_one(self, v: int) -> int | None:
         return v
@@ -118,117 +142,12 @@ class CyclicCodec:
     def decode_one(self, code: int) -> int:
         return int(code)
 
-    def mul_right_value(self, codes: np.ndarray, v: int):
+    def mul_right(self, codes: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
         out = (codes + _u(v % self.n)) % _u(self.n)
         return out, np.ones(len(codes), dtype=bool)
 
 
-class GroupCodec:
-    """Public face: encode/decode elements of `group`, vectorized right-mul."""
-
-    def __init__(self, group):
-        self.group = group
-
-    def encode_one(self, x) -> int | None:
-        raise NotImplementedError
-
-    def decode_one(self, code: int):
-        raise NotImplementedError
-
-    def encode_many(self, elements) -> tuple[np.ndarray, list]:
-        """Pack what fits; returns (codes, leftovers). Order preserved."""
-        codes, left = [], []
-        for x in elements:
-            c = self.encode_one(x)
-            if c is None:
-                left.append(x)
-            else:
-                codes.append(c)
-        return np.array(codes, dtype=U64), left
-
-    def decode_many(self, codes) -> list:
-        return [self.decode_one(int(c)) for c in codes]
-
-    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-        """codes * y elementwise; second array marks representable results."""
-        raise NotImplementedError
-
-
-class FreeCodec(GroupCodec):
-    def __init__(self, group, width: int = 63):
-        super().__init__(group)
-        self._f = FreeGroupCodec(group.rank, width=width)
-        self.max_len = self._f.max_len
-
-    def encode_one(self, x):
-        return self._f.encode_one(x)
-
-    def decode_one(self, code):
-        return self._f.decode_one(code)
-
-    def mul_right(self, codes, y):
-        ok = np.ones(len(codes), dtype=bool)
-        out = codes
-        for letter in y:
-            out, o = self._f.mul_right_letter(out, letter)
-            ok &= o
-        return out, ok
-
-
-class AbelianCodec(GroupCodec):
-    def __init__(self, group, coord_width: int | None = None):
-        super().__init__(group)
-        d = group.rank
-        w = coord_width if coord_width is not None else 62 // d
-        if w < 10:
-            raise SpecMismatchError(f"abelian codec infeasible for rank {d}")
-        self._coords = [BiasedIntCodec(w) for _ in range(d)]
-        self._shifts = [w * (d - 1 - i) for i in range(d)]
-        self._mask = _u((1 << w) - 1)
-        self.width = w * d
-
-    def encode_one(self, x):
-        code = 0
-        for c, sh, v in zip(self._coords, self._shifts, x):
-            f = c.encode_one(v)
-            if f is None:
-                return None
-            code |= f << sh
-        return code
-
-    def decode_one(self, code):
-        return tuple(
-            c.decode_one((code >> sh) & int(self._mask))
-            for c, sh in zip(self._coords, self._shifts)
-        )
-
-    def mul_right(self, codes, y):
-        ok = np.ones(len(codes), dtype=bool)
-        out = np.zeros_like(codes)
-        for c, sh, v in zip(self._coords, self._shifts, y):
-            field, o = c.mul_right_value((codes >> _u(sh)) & self._mask, v)
-            ok &= o
-            out |= field << _u(sh)
-        return out, ok
-
-
-class CyclicGroupCodec(GroupCodec):
-    def __init__(self, group):
-        super().__init__(group)
-        self._c = CyclicCodec(group.n)
-        self.width = self._c.width
-
-    def encode_one(self, x):
-        return self._c.encode_one(x)
-
-    def decode_one(self, code):
-        return self._c.decode_one(code)
-
-    def mul_right(self, codes, y):
-        return self._c.mul_right_value(codes, y)
-
-
-class ProductCodec(GroupCodec):
+class ProductCodec:
     """Component codecs in disjoint bit fields, factor 0 in the high bits.
 
     Exactly one free factor may act as the flexible field soaking up the
@@ -236,46 +155,37 @@ class ProductCodec(GroupCodec):
     """
 
     def __init__(self, group):
-        super().__init__(group)
         from groupwalk import groups
 
-        widths: list[int | None] = []
+        subs: list = []
         for f in group.factors:
             if isinstance(f, groups.FreeGroup):
-                widths.append(None)  # flexible
+                subs.append(None)  # flexible, sized below
             elif isinstance(f, groups.FreeAbelian):
-                widths.append(16 * f.rank)
+                subs.append(AbelianCodec(f, coord_width=16))
             elif isinstance(f, groups.CyclicGroup):
-                widths.append(CyclicCodec(f.n).width)
+                subs.append(CyclicGroupCodec(f))
             else:
                 raise SpecMismatchError("no packed codec for this factor")
-        if widths.count(None) > 1:
+        if subs.count(None) > 1:
             raise SpecMismatchError("at most one free factor can be packed")
-        fixed = sum(w for w in widths if w is not None)
-        if None in widths:
+        fixed = sum(s.width for s in subs if s is not None)
+        if None in subs:
             flex = 63 - fixed
             if flex < 20:
                 raise SpecMismatchError("not enough width for the free factor")
-            widths = [flex if w is None else w for w in widths]
+            subs = [FreeCodec(f, width=flex) if s is None else s for f, s in zip(group.factors, subs)]
         elif fixed > 63:
             raise SpecMismatchError("product codec exceeds 63 bits")
-        self._subs = []
-        for f, w in zip(group.factors, widths):
-            if isinstance(f, groups.FreeGroup):
-                self._subs.append(FreeCodec(f, width=w))
-            elif isinstance(f, groups.FreeAbelian):
-                self._subs.append(AbelianCodec(f, coord_width=16))
-            else:
-                self._subs.append(CyclicGroupCodec(f))
-        self._widths = widths
+        self._subs = subs
         self._shifts = []
-        acc = sum(widths)
-        for w in widths:
-            acc -= w
+        acc = sum(s.width for s in subs)
+        for s in subs:
+            acc -= s.width
             self._shifts.append(acc)
-        self._masks = [_u((1 << w) - 1) for w in widths]
+        self._masks = [_u((1 << s.width) - 1) for s in subs]
 
-    def encode_one(self, x):
+    def encode_one(self, x) -> int | None:
         code = 0
         for sub, sh, xi in zip(self._subs, self._shifts, x):
             c = sub.encode_one(xi)
@@ -284,13 +194,13 @@ class ProductCodec(GroupCodec):
             code |= c << sh
         return code
 
-    def decode_one(self, code):
+    def decode_one(self, code: int):
         return tuple(
             sub.decode_one((code >> sh) & int(m))
             for sub, sh, m in zip(self._subs, self._shifts, self._masks)
         )
 
-    def mul_right(self, codes, y):
+    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
         ok = np.ones(len(codes), dtype=bool)
         out = np.zeros_like(codes)
         for sub, sh, m, yi in zip(self._subs, self._shifts, self._masks, y):
@@ -300,7 +210,7 @@ class ProductCodec(GroupCodec):
         return out, ok
 
 
-def codec_for(group) -> GroupCodec | None:
+def codec_for(group) -> FreeCodec | AbelianCodec | CyclicGroupCodec | ProductCodec | None:
     """Best packed codec for the group, or None when only dicts will do."""
     from groupwalk import groups
 

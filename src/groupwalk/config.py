@@ -71,7 +71,7 @@ class RunConfig:
         return digest[:16]
 
     def resolved(self) -> "RunConfig":
-        """Fill group/catalogue/mode defaults from the preset, if one is named."""
+        """Fill group/catalogue defaults from the preset, if one is named."""
         if self.preset is None:
             return self
         from groupwalk.presets import get_preset

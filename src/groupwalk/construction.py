@@ -352,7 +352,7 @@ def construction_step(state: ConstructionState, product_cap: int | None = None) 
             P = product_power(state.A, i, cap)
             C = conjugate_set(GSet(g, frozenset(rest)), P, cap)
         except BudgetError as exc:
-            raise BudgetError(str(exc), stage=f"stage {i}") from exc
+            raise BudgetError(str(exc), stage=i) from exc
         truncated = P.truncated or C.truncated
         conjugates |= C.elements
 
@@ -361,7 +361,7 @@ def construction_step(state: ConstructionState, product_cap: int | None = None) 
     try:
         F = folner_set(H, B, Fraction(1, i))
     except BudgetError as exc:
-        raise BudgetError(str(exc), stage=f"stage {i}") from exc
+        raise BudgetError(str(exc), stage=i) from exc
     defect = invariance_defect(g, B, F)
 
     new_A = GSet(

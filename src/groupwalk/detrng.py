@@ -71,7 +71,3 @@ class CounterRng:
         """Random-access uniforms at arbitrary counters (vectorized)."""
         c = counters.astype(np.uint64)
         return (_mix64_np(c ^ np.uint64(self.key)) >> np.uint64(11)) * np.float64(2.0**-53)
-
-    def integers_at(self, counter: int, bound: int) -> int:
-        """One integer in [0, bound) at the given counter."""
-        return int(self.uniform_at(counter) * bound)

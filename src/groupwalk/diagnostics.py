@@ -47,6 +47,41 @@ class TVCurve:
         return min(p.value for p in self.points)
 
 
+def _tv_steps(
+    mu: SparseMeasure,
+    ts: list,
+    nu: SparseMeasure,
+    n_max: int,
+    budget: int | None,
+    threads: int,
+    stop,
+) -> tuple[list[list[TVPoint]], bool, bool]:
+    """Step rho_n = mu * nu^{*n} from n = 0 up to n_max, evaluating d_n(t) for every t in ts.
+
+    `stop(points)` sees step n's points (one per t, in ts order) and returns
+    True to end the run there. Returns (per-step point lists, budget_flag,
+    stopped); a refused convolution ends the run with budget_flag set.
+    """
+    rho = mu
+    rows: list[list[TVPoint]] = []
+    n = 0
+    while True:
+        points = []
+        for t in ts:
+            v, br = tv_left_translate(rho, t)
+            points.append(TVPoint(n, float(v), float(br)))
+        rows.append(points)
+        if stop(points):
+            return rows, False, True
+        if n >= n_max:
+            return rows, False, False
+        try:
+            rho = convolve(rho, nu, budget=budget, threads=threads)
+        except BudgetError:
+            return rows, True, False
+        n += 1
+
+
 def tv_curve(
     mu: SparseMeasure,
     t,
@@ -61,24 +96,13 @@ def tv_curve(
         raise SpecMismatchError("n_max must be >= 1")
     g = mu.group
     g.validate(t)
-    t_text = g.element_to_text(t)
-    rho = mu
-    v, br = tv_left_translate(rho, t)
-    points = [TVPoint(0, float(v), float(br))]
-    budget_flag = False
-    stopped = False
-    for n in range(1, n_max + 1):
-        try:
-            rho = convolve(rho, nu, budget=budget, threads=threads)
-        except BudgetError:
-            budget_flag = True
-            break
-        v, br = tv_left_translate(rho, t)
-        points.append(TVPoint(n, float(v), float(br)))
-        if stop_below is not None and float(v) <= stop_below:
-            stopped = True
-            break
-    return TVCurve(t_text, tuple(points), budget_flag, stopped)
+
+    def stop(points):
+        p = points[0]
+        return stop_below is not None and p.n > 0 and p.value <= stop_below
+
+    rows, budget_flag, stopped = _tv_steps(mu, [t], nu, n_max, budget, threads, stop)
+    return TVCurve(g.element_to_text(t), tuple(r[0] for r in rows), budget_flag, stopped)
 
 
 @dataclass(frozen=True)
@@ -160,41 +184,27 @@ def nondisjointness_report(
         raise SpecMismatchError("S lives on a different group")
     t_list = S.sorted_elements()
     bound = 2.0 * (1.0 - 1.0 / len(S)) * float(mu.total_mass())
-    rho = mu
-    rows: dict = {g.element_to_text(t): [] for t in t_list}
-    per_n_min: list[tuple[int, float, float]] = []
-    budget_flag = False
-    stopped = False
-    passing = False
-    n = 0
-    while True:
-        best_v, best_br = None, None
-        for t in t_list:
-            v, br = tv_left_translate(rho, t)
-            rows[g.element_to_text(t)].append(TVPoint(n, float(v), float(br)))
-            if best_v is None or float(v) < best_v:
-                best_v, best_br = float(v), float(br)
-        per_n_min.append((n, best_v, best_br))
-        if best_v <= bound + slack + best_br:
-            passing = True
-            if stop_below is not None and best_v <= stop_below:
-                stopped = True
-                break
-            if stop_below is None and best_v <= bound + slack:
-                # bound met by the raw value: nothing left to demonstrate
-                stopped = True
-                break
-        if n >= n_max:
-            break
-        try:
-            rho = convolve(rho, nu, budget=budget, threads=threads)
-        except BudgetError:
-            budget_flag = True
-            break
-        n += 1
+
+    def best(points):
+        return min(points, key=lambda p: p.value)  # first minimum, in t order
+
+    def meets(p):
+        return p.value <= bound + slack + p.bracket
+
+    def stop(points):
+        p = best(points)
+        if not meets(p):
+            return False
+        if stop_below is not None:
+            return p.value <= stop_below
+        # bound met by the raw value: nothing left to demonstrate
+        return p.value <= bound + slack
+
+    rows, budget_flag, stopped = _tv_steps(mu, t_list, nu, n_max, budget, threads, stop)
+    mins = [best(r) for r in rows]
     curves = tuple(
-        TVCurve(t_text, tuple(points), budget_flag, stopped)
-        for t_text, points in rows.items()
+        TVCurve(g.element_to_text(t), tuple(r[i] for r in rows), budget_flag, stopped)
+        for i, t in enumerate(t_list)
     )
     return TVReport(
         group_text=g.spec_text(),
@@ -205,8 +215,8 @@ def nondisjointness_report(
         n_max=n_max,
         budget=budget,
         curves=curves,
-        per_n_min=tuple(per_n_min),
-        verdict="pass" if passing else "inconclusive",
+        per_n_min=tuple((p.n, p.value, p.bracket) for p in mins),
+        verdict="pass" if any(meets(p) for p in mins) else "inconclusive",
         fingerprint=fingerprint,
         seed=seed,
     )

@@ -10,10 +10,11 @@ lies within ``value +- bracket``.
 Two arithmetic modes, never mixed:
 
 * ``"exact"`` - Fraction weights, dict storage, bit-exact results;
-* ``"float"`` - float64 weights; small convolutions run on dicts in
-  canonical order, large ones on a packed int64 numpy kernel (see
-  `groupwalk.codecs`) with overflowing atoms spilled to a dict side
-  channel, so results are identical for any worker count.
+* ``"float"`` - float64 weights; on groups with a packed codec (see
+  `groupwalk.codecs`) every convolution runs on an int64 numpy kernel,
+  with atoms the codec cannot hold spilled to a dict side channel, so
+  results are identical for any worker count. Groups without a codec
+  convolve on dicts in canonical order.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -22,6 +23,7 @@ family's lexicographic rank); all tie-breaks reduce to it.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -30,8 +32,8 @@ import numpy as np
 from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import GSet, Group
 
-_FAST_PAIR_CUTOFF = 200_000  # at or below this, the dict path is used
 _FLUSH_ROWS = 1 << 22  # pending-row threshold before a dedup flush
+_TASKS_PER_THREAD = 2  # mul_right results in flight per worker thread
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 
 
@@ -316,7 +318,7 @@ def prune_to_budget(mu: SparseMeasure, budget: int) -> SparseMeasure:
     if not mu.is_packed:
         kept, pruned = _prune_dict(mu.group, mu._data, budget, mu.mode)
         return SparseMeasure.from_items(mu.group, kept, mu.mode, lost_mass=mu.lost_mass + pruned)
-    codes, masses, _, side, pruned = _select_top(
+    codes, masses, side, pruned = _select_top(
         mu.group, mu._codes, mu._masses, {}, budget
     )
     assert not side
@@ -327,13 +329,12 @@ def _select_top(group: Group, codes: np.ndarray, masses: np.ndarray, side: dict,
     """Top-`budget` atoms across the packed pool and the dict side pool.
 
     Ties at the cutoff mass are resolved by spiral order (packed ties are
-    decoded first). Returns (codes, masses, kept_flags_unused, side_kept,
-    pruned_mass).
+    decoded first). Returns (codes, masses, side_kept, pruned_mass).
     """
     codec = group.codec()
     total = len(codes) + len(side)
     if total <= budget:
-        return codes, masses, None, side, 0.0
+        return codes, masses, side, 0.0
     side_items = sorted(side.items(), key=lambda kv: group.sort_key(kv[0]))
     all_masses = np.concatenate(
         [masses, np.array([m for _, m in side_items], dtype=np.float64)]
@@ -370,7 +371,7 @@ def _select_top(group: Group, codes: np.ndarray, masses: np.ndarray, side: dict,
     side_kept.update((x, m) for x, m, c in kept_tied if c is None)
     kept_sum = float(np.sum(new_masses)) + math.fsum(side_kept.values())
     pruned = grand - kept_sum
-    return new_codes, new_masses, None, side_kept, max(pruned, 0.0)
+    return new_codes, new_masses, side_kept, max(pruned, 0.0)
 
 
 # -- convolution -----------------------------------------------------------
@@ -413,6 +414,21 @@ def _convolve_exact(mu: SparseMeasure, nu: SparseMeasure) -> dict:
     return {z: Fraction(n, den) for z, n in acc.items()}
 
 
+def _mul_right_windowed(pool, codec, codes: np.ndarray, ys: list, window: int):
+    """codec.mul_right(codes, y) for each y in order, at most `window` in flight.
+
+    Each result holds len(codes) rows, so the window bounds the memory the
+    workers can run ahead of the consumer.
+    """
+    pending: deque = deque()
+    for y in ys:
+        pending.append(pool.submit(codec.mul_right, codes, y))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def _convolve_fast(
     mu: SparseMeasure, nu: SparseMeasure, budget: int | None, threads: int
 ) -> SparseMeasure:
@@ -438,15 +454,13 @@ def _convolve_fast(
         pend_masses = [acc_masses]
         pend_rows = 0
 
-    def one_atom(y):
-        return codec.mul_right(mu_codes, y)
-
+    ys = [y for y, _ in nu_items]
     if threads > 1 and len(nu_items) > 1:
         pool = ThreadPoolExecutor(max_workers=threads)
-        results = pool.map(one_atom, [y for y, _ in nu_items])
+        results = _mul_right_windowed(pool, codec, mu_codes, ys, threads * _TASKS_PER_THREAD)
     else:
         pool = None
-        results = (one_atom(y) for y, _ in nu_items)
+        results = (codec.mul_right(mu_codes, y) for y in ys)
 
     try:
         for (y, wy), (out, ok) in zip(nu_items, results):
@@ -470,11 +484,18 @@ def _convolve_fast(
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
+    # an atom the codec cannot hold times y can land back in codec range;
+    # those products join the packed pool so that no element is split
+    # across both pools when the budget ranks atoms
+    back = {z: c for z in side if (c := codec.encode_one(z)) is not None}
+    if back:
+        pend_codes.append(np.array(list(back.values()), dtype=np.uint64))
+        pend_masses.append(np.array([side.pop(z) for z in back], dtype=np.float64))
     flush()
 
     lost = _propagated_lost(mu, nu)
     if budget is not None and len(acc_codes) + len(side) > budget:
-        acc_codes, acc_masses, _, side, pruned = _select_top(
+        acc_codes, acc_masses, side, pruned = _select_top(
             g, acc_codes, acc_masses, side, budget
         )
         lost += pruned
@@ -495,18 +516,19 @@ def convolve(
     budget: int | None = None,
     threads: int = 1,
 ) -> SparseMeasure:
-    """mu * nu with budget pruning; fast path for large float convolutions.
+    """mu * nu with budget pruning.
 
-    The dict path and `convolve_reference` perform bit-identical float
-    arithmetic; the packed path differs only in summation grouping and is
-    byte-reproducible for any `threads` value.
+    Float measures on a group with a packed codec take the packed kernel,
+    which differs from `convolve_reference` only in summation grouping and
+    is byte-reproducible for any `threads` value; without a codec the float
+    route is `convolve_reference` itself.
     """
     _check_compat(mu, nu)
     if budget is not None and budget < 1:
         raise BudgetError(f"budget must be >= 1, got {budget}")
     pairs = len(mu) * len(nu)
     if pairs > _PAIR_LIMIT:
-        raise BudgetError(f"convolution of {len(mu)} x {len(nu)} atoms refused", stage="convolve")
+        raise BudgetError(f"convolution of {len(mu)} x {len(nu)} atoms refused")
     g = mu.group
     if mu.mode == "exact":
         acc = _convolve_exact(mu, nu)
@@ -515,7 +537,7 @@ def convolve(
             acc, pruned = _prune_dict(g, acc, budget, "exact")
             lost = lost + pruned
         return SparseMeasure.from_items(g, acc, "exact", lost_mass=lost)
-    if g.codec() is None or pairs <= _FAST_PAIR_CUTOFF:
+    if g.codec() is None:
         return convolve_reference(mu, nu, budget)
     return _convolve_fast(mu, nu, budget, threads)
 

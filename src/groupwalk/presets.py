@@ -1,9 +1,8 @@
 """Shipped experiment presets.
 
-Each preset fixes a group, a catalogue of (S, H) pairs, and the default
-budgets that make the experiment run on a laptop. `f2-control` is not a
-construction preset at all — it is the free-group control walk and is
-handled by `diagnostics.control_experiment`.
+Each preset fixes a group, a catalogue of (S, H) pairs and a stage count.
+`f2-control` is not a construction preset at all — it is the free-group
+control walk and is handled by `diagnostics.control_experiment`.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ class Preset:
     group_text: str
     catalogue: tuple[tuple[tuple[str, ...], str], ...]  # (S texts, embedding)
     stages: int
-    n_max: int
-    mode: str
-    budget_atoms: int | None
-    t_texts: tuple[str, ...]
     alpha: str = "harmonic"
     certificate_radius: int = 3
 
@@ -42,20 +37,12 @@ PRESETS: dict[str, Preset] = {
         group_text="product(free(2), free-abelian(1))",
         catalogue=(((("(e|(1))",)), "center"),),
         stages=32,
-        n_max=40,
-        mode="float",
-        budget_atoms=2_000_000,
-        t_texts=("(e|(1))",),
     ),
     "z-amenable": Preset(
         name="z-amenable",
         group_text="free-abelian(1)",
         catalogue=(((("(1)",)), "whole"),),
         stages=50,
-        n_max=50,
-        mode="exact",
-        budget_atoms=None,
-        t_texts=("(1)",),
     ),
     # the free-group control is a plain SRW, not a construction: no catalogue
     "f2-control": Preset(
@@ -63,10 +50,6 @@ PRESETS: dict[str, Preset] = {
         group_text="free(2)",
         catalogue=(),
         stages=0,
-        n_max=10,
-        mode="exact",
-        budget_atoms=None,
-        t_texts=("a",),
     ),
 }
 

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from groupwalk import (
     AlphaSchedule,
     AmenableSubgroup,
+    BudgetError,
     ConstructionState,
     FreeAbelian,
     GSet,
@@ -174,6 +175,17 @@ def test_generic_conjugation_path_on_lamplighter():
     d = nu.as_dict()
     for x, m in d.items():
         assert d[g.inv(x)] == m
+
+
+def test_budget_error_names_the_stage_once():
+    # a product cap below |A_i| makes stage i refuse its product set
+    state = new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic"), product_cap=2)
+    with pytest.raises(BudgetError) as info:
+        run_construction(state, 5)
+    exc = info.value
+    assert isinstance(exc.stage, int)
+    assert str(exc).startswith(f"stage {exc.stage}: ")
+    assert str(exc).count("stage ") == 1
 
 
 def test_state_json_round_trip(f2xz_state):

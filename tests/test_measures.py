@@ -182,8 +182,8 @@ def test_budget_prune_propagates_through_convolution():
 
 
 def test_fast_path_agrees_with_reference():
-    # two 500-atom float measures push past the pair cutoff onto the packed
-    # kernel; the result must match the plain dict computation
+    # two 500-atom float measures on the packed kernel, with two worker
+    # threads; the result must match the plain dict computation
     items1 = [((i,), 1.0 / 500) for i in range(-249, 251)]
     mu = SparseMeasure.from_items(Z, items1, mode="float")
     items2 = [((3 * i,), 1.0 / 500) for i in range(-249, 251)]
@@ -193,6 +193,81 @@ def test_fast_path_agrees_with_reference():
     v, _ = tv_distance(fast, ref)
     assert v < 1e-12
     assert len(fast) == len(ref)
+
+
+def _reduced_word(first, rest):
+    # a reduced word in F2: each letter is one of the three that do not
+    # cancel the letter before it
+    w = [(1, -1, 2, -2)[first]]
+    for r in rest:
+        w.append([l for l in (1, -1, 2, -2) if l != -w[-1]][r])
+    return tuple(w)
+
+
+# up to 40 letters: past both the 20-letter free field of the F2 x Z codec
+# and the 28-letter F2 codec, so the overflow side dict is exercised
+long_words = st.one_of(
+    st.just(()),
+    *(
+        st.builds(_reduced_word, st.integers(0, 3), st.lists(st.integers(0, 2), min_size=lo, max_size=hi))
+        for lo, hi in ((0, 5), (18, 39))
+    ),
+)
+# central coordinates at the edges of the 16-bit field overflow as well
+centrals = st.one_of(st.integers(-3, 3), st.sampled_from([-32768, 32767, 40000]))
+float_masses = st.floats(min_value=1e-3, max_value=1.0)
+float_lost = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5))
+
+
+def float_measures(elements, group):
+    return st.builds(
+        lambda items, lost: SparseMeasure.from_items(group, items, "float", lost_mass=lost),
+        st.lists(st.tuples(elements, float_masses), min_size=1, max_size=10),
+        float_lost,
+    )
+
+
+@pytest.mark.parametrize(
+    "group, elements",
+    [(F2, long_words), (F2xZ, st.tuples(long_words, st.tuples(centrals)))],
+    ids=["F2", "F2xZ"],
+)
+def test_float_convolve_matches_reference(group, elements):
+    measures = float_measures(elements, group)
+
+    @given(measures, measures, st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def check(mu, nu, budget):
+        got = convolve(mu, nu)
+        want = convolve_reference(mu, nu)
+        g, w = got.as_dict(), want.as_dict()
+        assert set(g) == set(w)
+        for x, m in w.items():
+            assert g[x] == pytest.approx(m, abs=1e-12)
+        assert got.lost_mass == pytest.approx(want.lost_mass, abs=1e-12)
+
+        pruned = convolve(mu, nu, budget=budget)
+        assert len(pruned) == min(budget, len(w))
+        kept = pruned.as_dict()
+        dropped = [m for x, m in w.items() if x not in kept]
+        assert not dropped or min(w[x] for x in kept) >= max(dropped) - 1e-12
+        assert pruned.total_mass() + pruned.lost_mass == pytest.approx(
+            want.total_mass() + want.lost_mass, abs=1e-12
+        )
+
+    check()
+
+
+def test_budget_ranks_an_atom_reached_from_both_pools_once():
+    # (e|(30000)) gets 0.15 from a product of in-range atoms and 0.15 from
+    # an atom beyond the 16-bit central field; merged it is the heaviest
+    mu = SparseMeasure.from_items(
+        F2xZ, [(((), (40000,)), 0.3), (((), (0,)), 0.3), (((1,), (0,)), 0.4)], "float"
+    )
+    nu = SparseMeasure.from_items(F2xZ, [(((), (-10000,)), 0.5), (((), (30000,)), 0.5)], "float")
+    got = convolve(mu, nu, budget=2).as_dict()
+    assert got == convolve_reference(mu, nu, budget=2).as_dict()
+    assert got[((), (30000,))] == 0.3
 
 
 def test_convolve_threads_do_not_change_bytes(f2xz_nu):
