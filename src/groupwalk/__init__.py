@@ -28,7 +28,6 @@ from groupwalk.measures import (
     delta,
     prune,
     translate_left,
-    translate_right,
     tv_distance,
     uniform,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "convolve",
     "convolve_reference",
     "translate_left",
-    "translate_right",
     "tv_distance",
     "prune",
     "AmenableSubgroup",

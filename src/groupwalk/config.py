@@ -39,7 +39,7 @@ class RunConfig:
     catalogue: tuple[tuple[tuple[str, ...], str], ...] = ()
     alpha: str = "harmonic"
     seed: int = 20260813
-    stages: int = 32
+    stages: int | None = None  # None: the preset's stage count, else 32
     budget_atoms: int | None = 2_000_000
     product_cap: int = 1_000_000
     trials: int = 10_000
@@ -71,9 +71,9 @@ class RunConfig:
         return digest[:16]
 
     def resolved(self) -> "RunConfig":
-        """Fill group/catalogue defaults from the preset, if one is named."""
+        """Fill group, catalogue and stage-count defaults from the preset, if one is named."""
         if self.preset is None:
-            return self
+            return self if self.stages is not None else replace(self, stages=32)
         from groupwalk.presets import get_preset
 
         p = get_preset(self.preset)
@@ -82,6 +82,8 @@ class RunConfig:
             out = replace(out, group=p.group_text)
         if not out.catalogue:
             out = replace(out, catalogue=p.catalogue)
+        if out.stages is None:
+            out = replace(out, stages=p.stages)
         return out
 
 

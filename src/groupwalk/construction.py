@@ -182,15 +182,6 @@ class VisibilityCatalogue:
         edges = np.cumsum([float(w) for w in self.weights])
         return np.minimum(np.searchsorted(edges, u, side="right"), len(self.entries) - 1)
 
-    def schedule(self, i: int) -> CatalogueEntry:
-        return self.entries[self.draw_index(i)]
-
-
-def schedule_next(cat: VisibilityCatalogue, i: int):
-    """(R_i, H_i) for stage i under the catalogue's seeded sampler."""
-    entry = cat.schedule(i)
-    return entry.S, entry.H
-
 
 @dataclass(frozen=True)
 class StageRecord:

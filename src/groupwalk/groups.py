@@ -80,10 +80,12 @@ class Group:
         raise NotImplementedError
 
     def codec(self):
-        """Packed int64 codec for the vectorized kernel, or None."""
-        from groupwalk import codecs
+        """Packed int64 codec for the vectorized kernel, or None; built once per group."""
+        if not hasattr(self, "_codec_cache"):
+            from groupwalk import codecs
 
-        return codecs.codec_for(self)
+            self._codec_cache = codecs.codec_for(self)
+        return self._codec_cache
 
     def conjugate(self, a, b):
         """b^-1 a b."""

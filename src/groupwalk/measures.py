@@ -9,12 +9,18 @@ lies within ``value +- bracket``.
 
 Two arithmetic modes, never mixed:
 
-* ``"exact"`` - Fraction weights, dict storage, bit-exact results;
+* ``"exact"`` - Fraction weights, bit-exact results;
 * ``"float"`` - float64 weights; on groups with a packed codec (see
-  `groupwalk.codecs`) every convolution runs on an int64 numpy kernel,
-  with atoms the codec cannot hold spilled to a dict side channel, so
-  results are identical for any worker count. Groups without a codec
+  `groupwalk.codecs`) every convolution runs on a uint64 numpy kernel,
+  so results are identical for any worker count. Groups without a codec
   convolve on dicts in canonical order.
+
+Every measure has one storage layout: a packed pool of sorted uint64
+codes with float64 masses, plus a side dict. One placement rule decides
+where an atom goes. In float mode an atom the group's codec can encode
+goes in the pool; every other atom goes in the side dict: all atoms of
+an exact measure or of a codec-less group, and atoms whose word or
+coordinate does not fit the codec's fields.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -36,9 +42,20 @@ _FLUSH_ROWS = 1 << 22  # pending-row threshold before a dedup flush
 _TASKS_PER_THREAD = 2  # mul_right results in flight per worker thread
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 
+# the empty pool, shared so exact measures skip two array allocations each;
+# read-only, so sharing is safe
+_NO_CODES = np.zeros(0, dtype=np.uint64)
+_NO_MASSES = np.zeros(0, dtype=np.float64)
+_NO_CODES.flags.writeable = False
+_NO_MASSES.flags.writeable = False
+
 
 def _zero(mode: str):
     return Fraction(0) if mode == "exact" else 0.0
+
+
+def _mass_sum(values, mode: str):
+    return sum(values, Fraction(0)) if mode == "exact" else math.fsum(values)
 
 
 def _coerce_mass(m, mode: str):
@@ -54,9 +71,17 @@ def _coerce_mass(m, mode: str):
 
 
 class SparseMeasure:
-    """Finitely supported measure; see the module docstring for the contract."""
+    """Finitely supported measure; see the module docstring for the contract.
 
-    __slots__ = ("group", "mode", "lost_mass", "_data", "_codes", "_masses")
+    Every measure stores its atoms in a packed pool, `_codes` (uint64,
+    strictly ascending) with `_masses` (float64), and a dict `_side`. The
+    placement rule: in float mode an atom the group's codec can encode lives
+    in the pool, and every other atom lives in `_side`. So exact measures
+    and measures on codec-less groups keep every atom in `_side`, and no
+    element is ever in both.
+    """
+
+    __slots__ = ("group", "mode", "lost_mass", "_codes", "_masses", "_side")
 
     def __init__(self, group: Group, mode: str = "float", *, lost_mass=None):
         if mode not in ("float", "exact"):
@@ -64,9 +89,9 @@ class SparseMeasure:
         self.group = group
         self.mode = mode
         self.lost_mass = _zero(mode) if lost_mass is None else _coerce_mass(lost_mass, mode)
-        self._data: dict | None = {}
-        self._codes: np.ndarray | None = None
-        self._masses: np.ndarray | None = None
+        self._codes: np.ndarray = _NO_CODES
+        self._masses: np.ndarray = _NO_MASSES
+        self._side: dict = {}
 
     # -- constructors --------------------------------------------------
 
@@ -82,97 +107,55 @@ class SparseMeasure:
                 data[x] = data.get(x, _zero(mode)) + m
         for x in data:
             group.validate(x)
-        mu._data = data
-        return mu
-
-    @classmethod
-    def _from_packed(cls, group: Group, codes: np.ndarray, masses: np.ndarray, lost_mass=0.0) -> "SparseMeasure":
-        mu = cls(group, "float", lost_mass=lost_mass)
-        mu._data = None
-        mu._codes = codes
-        mu._masses = masses
-        return mu
-
-    # -- basic queries ---------------------------------------------------
-
-    @property
-    def is_packed(self) -> bool:
-        return self._data is None
-
-    def __len__(self) -> int:
-        return len(self._codes) if self.is_packed else len(self._data)
-
-    def total_mass(self):
-        if self.is_packed:
-            return float(np.sum(self._masses))
-        if self.mode == "exact":
-            return sum(self._data.values(), Fraction(0))
-        return math.fsum(self._data.values())
-
-    def mass_of(self, x):
-        self.group.validate(x)
-        if not self.is_packed:
-            return self._data.get(x, _zero(self.mode))
-        code = self.group.codec().encode_one(x)
-        if code is None:
-            return 0.0
-        i = np.searchsorted(self._codes, np.uint64(code))
-        if i < len(self._codes) and self._codes[i] == np.uint64(code):
-            return float(self._masses[i])
-        return 0.0
-
-    def as_dict(self) -> dict:
-        if not self.is_packed:
-            return dict(self._data)
-        codec = self.group.codec()
-        return {
-            codec.decode_one(int(c)): float(m)
-            for c, m in zip(self._codes, self._masses)
-        }
-
-    def items_canonical(self) -> list:
-        d = self._data if not self.is_packed else self.as_dict()
-        return sorted(d.items(), key=lambda kv: self.group.sort_key(kv[0]))
-
-    def support_sorted(self) -> list:
-        return [x for x, _ in self.items_canonical()]
-
-    def scaled(self, c) -> "SparseMeasure":
-        c = _coerce_mass(c, self.mode)
-        if c < 0:
-            raise SpecMismatchError("scale factor must be >= 0")
-        if self.is_packed:
-            return SparseMeasure._from_packed(
-                self.group, self._codes.copy(), self._masses * c, self.lost_mass * c
-            )
-        return SparseMeasure.from_items(
-            self.group,
-            {x: m * c for x, m in self._data.items()},
-            self.mode,
-            lost_mass=self.lost_mass * c,
-        )
-
-    # -- representations -------------------------------------------------
-
-    def _packed_view(self):
-        """(codes sorted ascending, masses, leftover dict items)."""
-        if self.is_packed:
-            return self._codes, self._masses, []
-        codec = self.group.codec()
+        codec = group.codec() if mode == "float" else None
         if codec is None:
-            raise SpecMismatchError(f"no packed codec for {self.group.spec_text()}")
-        codes, masses, left = [], [], []
-        for x, m in self._data.items():
+            mu._side = data
+            return mu
+        codes, masses = [], []
+        for x, m in data.items():
             c = codec.encode_one(x)
             if c is None:
-                left.append((x, m))
+                mu._side[x] = m
             else:
                 codes.append(c)
                 masses.append(m)
         codes = np.array(codes, dtype=np.uint64)
-        masses = np.array(masses, dtype=np.float64)
         order = np.argsort(codes, kind="stable")
-        return codes[order], masses[order], left
+        mu._codes = codes[order]
+        mu._masses = np.array(masses, dtype=np.float64)[order]
+        return mu
+
+    @classmethod
+    def _from_pool(
+        cls, group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, lost_mass
+    ) -> "SparseMeasure":
+        """Float measure from atoms already placed: `codes` sorted, `side` holding the rest."""
+        mu = cls(group, "float", lost_mass=lost_mass)
+        mu._codes = codes
+        mu._masses = masses
+        mu._side = side
+        return mu
+
+    # -- basic queries ---------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._codes) + len(self._side)
+
+    def total_mass(self):
+        if self.mode == "exact":
+            return sum(self._side.values(), Fraction(0))
+        return float(np.sum(self._masses)) + math.fsum(self._side.values())
+
+    def as_dict(self) -> dict:
+        if not len(self._codes):
+            return dict(self._side)
+        decode = self.group.codec().decode_one
+        out = dict(zip(map(decode, self._codes.tolist()), self._masses.tolist()))
+        out.update(self._side)
+        return out
+
+    def items_canonical(self) -> list:
+        return sorted(self.as_dict().items(), key=lambda kv: self.group.sort_key(kv[0]))
 
     # -- serialization -----------------------------------------------------
 
@@ -288,25 +271,22 @@ def _prune_dict(group: Group, data: dict, budget: int, mode: str):
     ranked = sorted(data.items(), key=lambda kv: group.sort_key(kv[0]))
     ranked.sort(key=lambda kv: kv[1], reverse=True)  # stable: spiral order within ties
     kept = dict(ranked[:budget])
-    dropped = [m for _, m in ranked[budget:]]
-    pruned = sum(dropped, Fraction(0)) if mode == "exact" else math.fsum(dropped)
-    return kept, pruned
+    return kept, _mass_sum([m for _, m in ranked[budget:]], mode)
 
 
 def prune(mu: SparseMeasure, min_mass) -> SparseMeasure:
     """Move every atom with mass < min_mass to the lost_mass ledger."""
     if min_mass < 0:
         raise SpecMismatchError("prune threshold must be >= 0")
-    if mu.is_packed:
-        keep = mu._masses >= min_mass
-        pruned = float(np.sum(mu._masses[~keep]))
-        return SparseMeasure._from_packed(
-            mu.group, mu._codes[keep], mu._masses[keep], mu.lost_mass + pruned
-        )
-    kept = {x: m for x, m in mu._data.items() if m >= min_mass}
-    dropped = [m for m in mu._data.values() if m < min_mass]
-    pruned = sum(dropped, Fraction(0)) if mu.mode == "exact" else math.fsum(dropped)
-    return SparseMeasure.from_items(mu.group, kept, mu.mode, lost_mass=mu.lost_mass + pruned)
+    side = {x: m for x, m in mu._side.items() if m >= min_mass}
+    pruned = _mass_sum([m for m in mu._side.values() if m < min_mass], mu.mode)
+    if mu.mode == "exact":
+        return SparseMeasure.from_items(mu.group, side, "exact", lost_mass=mu.lost_mass + pruned)
+    keep = mu._masses >= min_mass
+    pruned += float(np.sum(mu._masses[~keep]))
+    return SparseMeasure._from_pool(
+        mu.group, mu._codes[keep], mu._masses[keep], side, mu.lost_mass + pruned
+    )
 
 
 def prune_to_budget(mu: SparseMeasure, budget: int) -> SparseMeasure:
@@ -315,14 +295,13 @@ def prune_to_budget(mu: SparseMeasure, budget: int) -> SparseMeasure:
         raise BudgetError(f"budget must be >= 1, got {budget}")
     if len(mu) <= budget:
         return mu
-    if not mu.is_packed:
-        kept, pruned = _prune_dict(mu.group, mu._data, budget, mu.mode)
-        return SparseMeasure.from_items(mu.group, kept, mu.mode, lost_mass=mu.lost_mass + pruned)
+    if mu.mode == "exact":
+        kept, pruned = _prune_dict(mu.group, mu._side, budget, "exact")
+        return SparseMeasure.from_items(mu.group, kept, "exact", lost_mass=mu.lost_mass + pruned)
     codes, masses, side, pruned = _select_top(
-        mu.group, mu._codes, mu._masses, {}, budget
+        mu.group, mu._codes, mu._masses, mu._side, budget
     )
-    assert not side
-    return SparseMeasure._from_packed(mu.group, codes, masses, mu.lost_mass + pruned)
+    return SparseMeasure._from_pool(mu.group, codes, masses, side, mu.lost_mass + pruned)
 
 
 def _select_top(group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, budget: int):
@@ -434,7 +413,7 @@ def _convolve_fast(
 ) -> SparseMeasure:
     g = mu.group
     codec = g.codec()
-    mu_codes, mu_masses, mu_left = mu._packed_view()
+    mu_codes, mu_masses = mu._codes, mu._masses
     nu_items = nu.items_canonical()
 
     acc_codes = np.array([], dtype=np.uint64)
@@ -476,7 +455,7 @@ def _convolve_fast(
                     x = codec.decode_one(int(mu_codes[i]))
                     z = g.mul(x, y)
                     side[z] = side.get(z, 0.0) + float(mu_masses[i]) * wy
-            for x, mx in mu_left:
+            for x, mx in mu._side.items():
                 z = g.mul(x, y)
                 side[z] = side.get(z, 0.0) + mx * wy
             if pend_rows >= _FLUSH_ROWS:
@@ -485,8 +464,8 @@ def _convolve_fast(
         if pool is not None:
             pool.shutdown(wait=True)
     # an atom the codec cannot hold times y can land back in codec range;
-    # those products join the packed pool so that no element is split
-    # across both pools when the budget ranks atoms
+    # the placement rule sends those products to the packed pool, so no
+    # element is split across both pools when the budget ranks atoms
     back = {z: c for z in side if (c := codec.encode_one(z)) is not None}
     if back:
         pend_codes.append(np.array(list(back.values()), dtype=np.uint64))
@@ -499,15 +478,7 @@ def _convolve_fast(
             g, acc_codes, acc_masses, side, budget
         )
         lost += pruned
-    if side:
-        data = {
-            codec.decode_one(int(c)): float(m)
-            for c, m in zip(acc_codes, acc_masses)
-        }
-        for x, m in side.items():
-            data[x] = data.get(x, 0.0) + m
-        return SparseMeasure.from_items(g, data, "float", lost_mass=lost)
-    return SparseMeasure._from_packed(g, acc_codes, acc_masses, lost)
+    return SparseMeasure._from_pool(g, acc_codes, acc_masses, side, lost)
 
 
 def convolve(
@@ -551,19 +522,7 @@ def translate_left(g_el, mu: SparseMeasure) -> SparseMeasure:
     grp.validate(g_el)
     return SparseMeasure.from_items(
         grp,
-        [(grp.mul(g_el, x), m) for x, m in (mu._data or mu.as_dict()).items()],
-        mu.mode,
-        lost_mass=mu.lost_mass,
-    )
-
-
-def translate_right(mu: SparseMeasure, g_el) -> SparseMeasure:
-    """Pushforward by right multiplication."""
-    grp = mu.group
-    grp.validate(g_el)
-    return SparseMeasure.from_items(
-        grp,
-        [(grp.mul(x, g_el), m) for x, m in (mu._data or mu.as_dict()).items()],
+        [(grp.mul(g_el, x), m) for x, m in mu.as_dict().items()],
         mu.mode,
         lost_mass=mu.lost_mass,
     )
@@ -572,15 +531,16 @@ def translate_right(mu: SparseMeasure, g_el) -> SparseMeasure:
 def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     """tv_distance(translate_left(t, mu), mu) without materializing the translate.
 
-    For central t on a packed measure this is a single vectorized pass
-    (t*x = x*t); otherwise it falls back to the dict route.
+    For central t on a measure held wholly in the packed pool this is a
+    single vectorized pass (t*x = x*t); otherwise it falls back to
+    translating and comparing two measures.
     """
     grp = mu.group
     grp.validate(t)
     bracket = mu.lost_mass + mu.lost_mass
     if t == grp.identity:
         return (_zero(mu.mode), bracket)
-    if mu.is_packed and grp.is_central(t):
+    if not mu._side and len(mu._codes) and grp.is_central(t):
         codec = grp.codec()
         shifted, ok = codec.mul_right(mu._codes, t)
         cat = np.concatenate([shifted[ok], mu._codes])
@@ -603,28 +563,11 @@ def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
     """
     _check_compat(mu, nu)
     bracket = mu.lost_mass + nu.lost_mass
-    if mu.mode == "exact":
-        keys = set(mu._data) | set(nu._data)
-        z = Fraction(0)
-        value = sum((abs(mu._data.get(k, z) - nu._data.get(k, z)) for k in keys), z)
-        return value, bracket
-    if (mu.is_packed or nu.is_packed) and mu.group.codec() is not None:
-        mc, mm, ml = mu._packed_view()
-        nc, nm, nl = nu._packed_view()
-        cat = np.concatenate([mc, nc])
-        w = np.concatenate([mm, -nm])
-        uniq, inv = np.unique(cat, return_inverse=True)
-        sums = np.bincount(inv, weights=w, minlength=len(uniq))
-        value = float(np.sum(np.abs(sums)))
-        if ml or nl:
-            left: dict = {}
-            for x, m in ml:
-                left[x] = left.get(x, 0.0) + m
-            for x, m in nl:
-                left[x] = left.get(x, 0.0) - m
-            value += math.fsum(abs(v) for v in left.values())
-        return value, bracket
-    md, nd = mu._data, nu._data
-    keys = sorted(set(md) | set(nd), key=mu.group.sort_key)
-    value = math.fsum(abs(md.get(k, 0.0) - nd.get(k, 0.0)) for k in keys)
+    md, nd = mu._side, nu._side
+    zero = _zero(mu.mode)
+    value = _mass_sum([abs(md.get(k, zero) - nd.get(k, zero)) for k in md.keys() | nd.keys()], mu.mode)
+    if mu.mode == "float":
+        uniq, inv = np.unique(np.concatenate([mu._codes, nu._codes]), return_inverse=True)
+        w = np.concatenate([mu._masses, -nu._masses])
+        value += float(np.sum(np.abs(np.bincount(inv, weights=w, minlength=len(uniq)))))
     return value, bracket

@@ -54,6 +54,11 @@ def test_preset_resolution():
     cfg = parse_config_text("preset = f2xz").resolved()
     assert cfg.group == "product(free(2), free-abelian(1))"
     assert cfg.catalogue == ((("(e|(1))",), "center"),)
+    assert cfg.stages == 32
+    # the preset's stage count applies unless the config names its own
+    assert parse_config_text("", preset="z-amenable").resolved().stages == 50
+    assert parse_config_text("", preset="z-amenable", stages=7).resolved().stages == 7
+    assert parse_config_text("group = free(2)").resolved().stages == 32
 
 
 # -- commands ----------------------------------------------------------------

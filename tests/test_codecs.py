@@ -109,6 +109,12 @@ def test_lamplighter_has_no_codec():
     assert codec_for(Lamplighter()) is None
 
 
+def test_group_builds_its_codec_once():
+    assert F2xZ.codec() is F2xZ.codec()
+    lamp = Lamplighter()
+    assert lamp.codec() is None and lamp.codec() is None
+
+
 def test_codec_for_infeasible_product():
     # two free factors cannot share one 64-bit word at useful depth
     g = DirectProduct((FreeGroup(2), FreeGroup(2)))

@@ -23,7 +23,7 @@ from groupwalk import (
     run_construction,
 )
 from groupwalk.amenable import invariance_defect
-from groupwalk.construction import mc_limsup_check, schedule_next
+from groupwalk.construction import mc_limsup_check
 from groupwalk.presets import preset_state
 
 Z = FreeAbelian(1)
@@ -107,13 +107,6 @@ def test_weighted_schedule_frequencies():
     draws = cat.draw_index_array(np.arange(1, 40_001))
     frac = float(np.mean(draws == 0))
     assert abs(frac - 0.75) < 0.01
-
-
-def test_schedule_next_returns_catalogue_pair():
-    cat = _z_catalogue()
-    R, H = schedule_next(cat, 1)
-    assert R.elements == frozenset([(1,)])
-    assert H.embedding == "whole"
 
 
 # -- the stage recursion -----------------------------------------------------
