@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,11 +104,7 @@ def _catalogue(cfg: RunConfig) -> VisibilityCatalogue:
     if not cfg.catalogue:
         raise SpecMismatchError("config has no catalogue entries and no preset")
     entries = tuple(
-        make_entry(
-            GSet.from_texts(g, s_texts),
-            AmenableSubgroup(g, embedding),
-            radius=cfg.certificate_radius,
-        )
+        make_entry(GSet.from_texts(g, s_texts), AmenableSubgroup(g, embedding))
         for s_texts, embedding in cfg.catalogue
     )
     return VisibilityCatalogue(entries, seed=cfg.seed)
@@ -191,10 +188,9 @@ def cmd_certify(args) -> int:
     for s_texts, embedding in cfg.catalogue:
         S = GSet.from_texts(g, s_texts)
         H = AmenableSubgroup(g, embedding)
-        c = certify_visibility(S, H, radius=cfg.certificate_radius)
+        c = certify_visibility(S, H)
         certs.append(json.loads(c.to_json()))
-        status = f"{c.verdict} ({c.mode})"
-        print(f"S={{{', '.join(sorted(s_texts))}}} H={embedding}: {status}")
+        print(f"S={{{', '.join(sorted(s_texts))}}} H={embedding}: {c.verdict}")
         if c.verdict != "pass":
             refuted += 1
     doc = {
@@ -257,9 +253,10 @@ def cmd_control(args) -> int:
         args.group = "free(2)" if canon == "free-group-srw" else "free-abelian(1)"
     cfg = _config_from(args)
     stages = args.stages if args.stages is not None else 50
-    rep = control_experiment(
-        canon, fingerprint=cfg.fingerprint(), seed=cfg.seed, stages=stages
-    )
+    rep = control_experiment(canon, seed=cfg.seed, stages=stages, n_max=args.n_max)
+    # fingerprint the stage count and horizon that ran, not the config defaults
+    fp = replace(cfg, stages=stages, n_max=rep.n_max).fingerprint()
+    rep = replace(rep, fingerprint=fp)
     _write(_out_path(cfg, "control.csv"), rep.to_csv())
     _write(_out_path(cfg, "control.json"), rep.to_json())
     print(f"control={name} floor: {rep.control_floor} verdict={rep.verdict.upper()}")

@@ -25,7 +25,6 @@ _INT_FIELDS = {
     "horizon",
     "n_max",
     "warmup",
-    "certificate_radius",
     "threads",
 }
 _FLOAT_FIELDS = {"eps", "slack"}
@@ -49,7 +48,6 @@ class RunConfig:
     warmup: int = 4
     mode: str = "float"
     slack: float = 0.5
-    certificate_radius: int = 3
     threads: int = 1
     out_dir: str = "results"
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupwalk.amenable import AmenableSubgroup, VisibilityCertificate, certify_visibility, folner_set, invariance_defect
+from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set, invariance_defect
 from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import GSet, Group, conjugate_set, enumerate_element, parse_group, product_power
@@ -119,41 +119,29 @@ def mc_limsup_check(
 
 @dataclass(frozen=True)
 class CatalogueEntry:
-    """A certified (S, H) pair the schedule can draw."""
+    """An (S, H) pair the schedule can draw; build it with `make_entry`."""
 
     S: GSet
     H: AmenableSubgroup
-    certificate: VisibilityCertificate
 
 
-def make_entry(S: GSet, H: AmenableSubgroup, radius: int = 0) -> CatalogueEntry:
-    cert = certify_visibility(S, H, radius)
-    if cert.verdict != "pass":
-        raise SpecMismatchError(
-            f"set is not visible through {H.describe()} (witness {cert.witness})"
-        )
-    return CatalogueEntry(S, H, cert)
+def make_entry(S: GSet, H: AmenableSubgroup) -> CatalogueEntry:
+    """The entry (S, H), refused unless S meets every conjugate of H."""
+    if certify_visibility(S, H).verdict != "pass":
+        raise SpecMismatchError(f"set is not visible through {H.describe()}")
+    return CatalogueEntry(S, H)
 
 
 @dataclass(frozen=True)
 class VisibilityCatalogue:
-    """Finite certified catalogue plus a seeded full-support schedule sampler."""
+    """Finite certified catalogue plus a seeded uniform schedule sampler."""
 
     entries: tuple[CatalogueEntry, ...]
     seed: int
-    weights: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if not self.entries:
             raise SpecMismatchError("catalogue must be non-empty")
-        if self.weights is not None:
-            if len(self.weights) != len(self.entries):
-                raise SpecMismatchError("one weight per entry required")
-            if any(w <= 0 for w in self.weights):
-                raise SpecMismatchError("schedule must have full support: weights > 0")
-            total = sum(self.weights, Fraction(0))
-            if total != 1:
-                raise SpecMismatchError("weights must sum to 1")
 
     def _rng(self) -> CounterRng:
         return CounterRng(self.seed, "schedule")
@@ -163,24 +151,12 @@ class VisibilityCatalogue:
         if i < 1:
             raise SpecMismatchError("stage index must be >= 1")
         u = self._rng().uniform_at(i)
-        if self.weights is None:
-            return min(int(u * len(self.entries)), len(self.entries) - 1)
-        acc = Fraction(0)
-        for j, w in enumerate(self.weights):
-            acc += w
-            if u < acc:
-                return j
-        return len(self.entries) - 1
+        return min(int(u * len(self.entries)), len(self.entries) - 1)
 
     def draw_index_array(self, stages: np.ndarray) -> np.ndarray:
         """Vectorized draw_index over an array of stage indices."""
         u = self._rng().uniforms_at(stages)
-        if self.weights is None:
-            return np.minimum(
-                (u * len(self.entries)).astype(np.int64), len(self.entries) - 1
-            )
-        edges = np.cumsum([float(w) for w in self.weights])
-        return np.minimum(np.searchsorted(edges, u, side="right"), len(self.entries) - 1)
+        return np.minimum((u * len(self.entries)).astype(np.int64), len(self.entries) - 1)
 
 
 @dataclass(frozen=True)
@@ -221,16 +197,9 @@ class ConstructionState:
         cat = {
             "seed": self.catalogue.seed,
             "entries": [
-                {
-                    "S": e.S.to_texts(),
-                    "H": e.H.embedding,
-                    "radius": e.certificate.radius,
-                }
+                {"S": e.S.to_texts(), "H": e.H.embedding}
                 for e in self.catalogue.entries
             ],
-            "weights": None
-            if self.catalogue.weights is None
-            else [f"{w.numerator}/{w.denominator}" for w in self.catalogue.weights],
         }
         return json.dumps(
             {
@@ -264,20 +233,20 @@ class ConstructionState:
         if d.get("format") != "groupwalk-state 1":
             raise SpecMismatchError("not a groupwalk-state v1 payload")
         g = parse_group(d["group"])
+        cat_doc = d["catalogue"]
+        # older checkpoints also write a null schedule field here, and a null
+        # "radius" per entry (ignored); a non-null setting this code does not
+        # read must stop the resume rather than be silently dropped
+        unread = sorted(
+            k for k, v in cat_doc.items() if k not in ("seed", "entries") and v is not None
+        )
+        if unread:
+            raise SpecMismatchError(f"checkpoint catalogue sets unsupported keys {unread}")
         entries = tuple(
-            make_entry(
-                GSet.from_texts(g, e["S"]),
-                AmenableSubgroup(g, e["H"]),
-                e.get("radius") or 0,
-            )
-            for e in d["catalogue"]["entries"]
+            make_entry(GSet.from_texts(g, e["S"]), AmenableSubgroup(g, e["H"]))
+            for e in cat_doc["entries"]
         )
-        weights = d["catalogue"]["weights"]
-        cat = VisibilityCatalogue(
-            entries,
-            d["catalogue"]["seed"],
-            None if weights is None else tuple(Fraction(w) for w in weights),
-        )
+        cat = VisibilityCatalogue(entries, cat_doc["seed"])
         records = tuple(
             StageRecord(
                 i=r["i"],

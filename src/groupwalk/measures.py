@@ -289,21 +289,6 @@ def prune(mu: SparseMeasure, min_mass) -> SparseMeasure:
     )
 
 
-def prune_to_budget(mu: SparseMeasure, budget: int) -> SparseMeasure:
-    """Restrict mu to its `budget` heaviest atoms, moving the rest to lost_mass."""
-    if budget < 1:
-        raise BudgetError(f"budget must be >= 1, got {budget}")
-    if len(mu) <= budget:
-        return mu
-    if mu.mode == "exact":
-        kept, pruned = _prune_dict(mu.group, mu._side, budget, "exact")
-        return SparseMeasure.from_items(mu.group, kept, "exact", lost_mass=mu.lost_mass + pruned)
-    codes, masses, side, pruned = _select_top(
-        mu.group, mu._codes, mu._masses, mu._side, budget
-    )
-    return SparseMeasure._from_pool(mu.group, codes, masses, side, mu.lost_mass + pruned)
-
-
 def _select_top(group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, budget: int):
     """Top-`budget` atoms across the packed pool and the dict side pool.
 

@@ -28,7 +28,6 @@ class Preset:
     catalogue: tuple[tuple[tuple[str, ...], str], ...]  # (S texts, embedding)
     stages: int
     alpha: str = "harmonic"
-    certificate_radius: int = 3
 
 
 PRESETS: dict[str, Preset] = {
@@ -79,7 +78,7 @@ def preset_catalogue(name: str, seed: int) -> VisibilityCatalogue:
     for s_texts, embedding in p.catalogue:
         S = GSet.from_texts(g, s_texts)
         H = AmenableSubgroup(g, embedding)
-        entries.append(make_entry(S, H, radius=p.certificate_radius))
+        entries.append(make_entry(S, H))
     return VisibilityCatalogue(tuple(entries), seed=seed)
 
 

@@ -48,6 +48,8 @@ def test_config_rejects_unknown_keys():
         parse_config_text("stages = three\npreset = f2xz")
     with pytest.raises(SpecMismatchError):
         parse_config_text("")  # neither preset nor group
+    with pytest.raises(SpecMismatchError):
+        parse_config_text("preset = f2xz\ncertificate_radius = 3")  # a removed key
 
 
 def test_preset_resolution():
@@ -77,26 +79,32 @@ def test_construct_writes_deterministic_artifacts(tmp_path):
     assert mu.total_mass() == pytest.approx(6 / 7)
 
 
-def test_construct_resume_round_trip(tmp_path):
+def test_construct_resume_round_trip(tmp_path, capsys):
     base = ["construct", "--preset", "f2xz", "--seed", "5"]
     assert main(base + ["--stages", "4", "--out", str(tmp_path / "p1")]) == 0
-    assert (
-        main(
-            base
-            + [
-                "--stages",
-                "9",
-                "--resume",
-                str(tmp_path / "p1" / "state.json"),
-                "--out",
-                str(tmp_path / "p2"),
-            ]
-        )
-        == 0
-    )
     assert main(base + ["--stages", "9", "--out", str(tmp_path / "p3")]) == 0
-    assert sha(tmp_path / "p2" / "measure.txt") == sha(tmp_path / "p3" / "measure.txt")
-    assert sha(tmp_path / "p2" / "state.json") == sha(tmp_path / "p3" / "state.json")
+
+    # checkpoints from before the catalogue was just (S, H) also carry a
+    # null "radius" per entry and a null "weights" on the catalogue
+    doc = json.loads((tmp_path / "p1" / "state.json").read_text())
+    for e in doc["state"]["catalogue"]["entries"]:
+        e["radius"] = None
+    doc["state"]["catalogue"]["weights"] = None
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(doc))
+    for name, ckpt in (("p2", tmp_path / "p1" / "state.json"), ("p4", older)):
+        rc = main(base + ["--stages", "9", "--resume", str(ckpt), "--out", str(tmp_path / name)])
+        assert rc == 0
+        assert sha(tmp_path / name / "measure.txt") == sha(tmp_path / "p3" / "measure.txt")
+        assert sha(tmp_path / name / "state.json") == sha(tmp_path / "p3" / "state.json")
+
+    # a weighted schedule must not resume as a uniform one
+    doc["state"]["catalogue"]["weights"] = ["3/4", "1/4"]
+    older.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(base + ["--stages", "9", "--resume", str(older), "--out", str(tmp_path / "p5")])
+    assert rc == 1
+    assert "weights" in capsys.readouterr().err
 
 
 def test_folner_command(capsys):
@@ -123,7 +131,7 @@ def test_certify_command(tmp_path, capsys):
     rc = main(["certify", "--preset", "f2xz", "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "pass (structural)" in out
+    assert "H=center: pass\n" in out
     doc = json.loads((tmp_path / "certificates.json").read_text())
     assert doc["certificates"][0]["verdict"] == "pass"
     assert "fingerprint" in doc
@@ -194,6 +202,21 @@ def test_control_command(tmp_path):
     rows = (tmp_path / "control.csv").read_text().strip().splitlines()
     assert rows[1] == "t,n,value,bracket"
     assert rows[2].startswith("a,0,2.0")
+
+
+def test_control_fingerprints_what_it_runs(tmp_path):
+    # the amenable control runs 50 stages and n_max 50 unless told
+    # otherwise, so naming either explicitly is the same run
+    fps = set()
+    for name, extra in (("default", []), ("stages", ["--stages", "50"]), ("n", ["--n-max", "50"])):
+        assert main(["control", "amenable-sanity", "--out", str(tmp_path / name)] + extra) == 0
+        fps.add(json.loads((tmp_path / name / "control.json").read_text())["fingerprint"])
+    assert len(fps) == 1
+    # --n-max reaches the control: the free walk stops at n = 3
+    out = tmp_path / "free3"
+    assert main(["control", "free-group-srw", "--n-max", "3", "--out", str(out)]) == 0
+    rows = (out / "control.csv").read_text().strip().splitlines()
+    assert [r.split(",")[1] for r in rows[2:]] == ["0", "1", "2", "3"]
 
 
 def test_couple_command(tmp_path):

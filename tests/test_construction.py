@@ -99,16 +99,6 @@ def test_schedule_deterministic_and_consistent():
     assert list(arr) == idx
 
 
-def test_weighted_schedule_frequencies():
-    e = _z_catalogue().entries[0]
-    cat = VisibilityCatalogue(
-        (e, e), seed=11, weights=(Fraction(3, 4), Fraction(1, 4))
-    )
-    draws = cat.draw_index_array(np.arange(1, 40_001))
-    frac = float(np.mean(draws == 0))
-    assert abs(frac - 0.75) < 0.01
-
-
 # -- the stage recursion -----------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from groupwalk import (
     tv_distance,
     uniform,
 )
-from groupwalk.measures import prune_to_budget, tv_left_translate
+from groupwalk.measures import tv_left_translate
 
 F2 = FreeGroup(2)
 Z = FreeAbelian(1)
@@ -224,8 +224,9 @@ def test_prune_threshold(case):
 
 @given(f2_measures, st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
-def test_prune_to_budget_keeps_heaviest(mu, budget):
-    out = prune_to_budget(mu, budget)
+def test_budgeted_convolve_keeps_heaviest(mu, budget):
+    # mu * delta(e) is mu itself, so this isolates the exact budget pruning
+    out = convolve(mu, delta(F2, mode="exact"), budget=budget)
     assert len(out) <= budget
     if len(mu) > budget:
         kept_min = min(out.as_dict().values())
