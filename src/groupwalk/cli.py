@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set
-from groupwalk.config import RunConfig, load_config, parse_config_text
+from groupwalk.config import RunConfig, config_file_values, load_config, parse_config_text
 from groupwalk.construction import (
     AlphaSchedule,
     ConstructionState,
@@ -252,8 +252,12 @@ def cmd_control(args) -> int:
     if args.group is None and args.preset is None:
         args.group = "free(2)" if canon == "free-group-srw" else "free-abelian(1)"
     cfg = _config_from(args)
-    stages = args.stages if args.stages is not None else 50
-    rep = control_experiment(canon, seed=cfg.seed, stages=stages, n_max=args.n_max)
+    # a flag beats the config file; with neither, the control's own defaults
+    # (50 stages; n_max 10 or 50) apply rather than the RunConfig ones
+    in_file = config_file_values(args.config) if args.config else {}
+    stages = next(v for v in (args.stages, in_file.get("stages"), 50) if v is not None)
+    n_max = args.n_max if args.n_max is not None else in_file.get("n_max")
+    rep = control_experiment(canon, seed=cfg.seed, stages=stages, n_max=n_max)
     # fingerprint the stage count and horizon that ran, not the config defaults
     fp = replace(cfg, stages=stages, n_max=rep.n_max).fingerprint()
     rep = replace(rep, fingerprint=fp)

@@ -86,6 +86,24 @@ class RunConfig:
 
 
 def parse_config_text(text: str, **overrides) -> RunConfig:
+    values = _parse_values(text)
+    values.update({k: v for k, v in overrides.items() if v is not None})
+    try:
+        return RunConfig(**values)
+    except TypeError as exc:
+        raise SpecMismatchError(str(exc)) from None
+
+
+def load_config(path: str | Path, **overrides) -> RunConfig:
+    return parse_config_text(Path(path).read_text(), **overrides)
+
+
+def config_file_values(path: str | Path) -> dict:
+    """The keys a config file sets, with their values, before any default applies."""
+    return _parse_values(Path(path).read_text())
+
+
+def _parse_values(text: str) -> dict:
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -99,15 +117,7 @@ def parse_config_text(text: str, **overrides) -> RunConfig:
         if key not in {f.name for f in fields(RunConfig)}:
             raise SpecMismatchError(f"config line {lineno}: unknown key {key!r}")
         values[key] = _coerce(key, val)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise SpecMismatchError(str(exc)) from None
-
-
-def load_config(path: str | Path, **overrides) -> RunConfig:
-    return parse_config_text(Path(path).read_text(), **overrides)
+    return values
 
 
 def _coerce(key: str, val: str):

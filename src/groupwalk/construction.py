@@ -1,9 +1,10 @@
 """The iterative thickening pipeline producing the mixing measure.
 
 Starting from A_1 = {e}, stage i draws a catalogue entry (R_i, H_i),
-conjugates R_i by the i-fold product set of the current A_i, intersects
-with H_i, symmetrizes, asks the amenable toolkit for a Folner set F_i of
-quality 1/i, and grows A_{i+1} = A_i union F_i union {c_i, c_i^-1} where
+conjugates R_i by A_i, i times over (the same set as conjugating by the
+i-fold product set of A_i, which is never listed), intersects with H_i,
+symmetrizes, asks the amenable toolkit for a Folner set F_i of quality
+1/i, and grows A_{i+1} = A_i union F_i union {c_i, c_i^-1} where
 (c_i) is the spiral enumeration of the whole group. After k stages the
 truncated measure
 
@@ -14,9 +15,11 @@ lost_mass ledger, never into renormalization.
 
 Elements of R_i that are central in the ambient group skip the
 conjugation stage entirely (their conjugate set is themselves), which
-keeps the flagship presets exact and fast; only non-central elements pay
-for product_power, and any truncation there is recorded per stage so the
-state can report through which stage the product-set premise is honest.
+keeps the flagship presets exact and fast; only non-central elements are
+conjugated by A_i, i times, each round capped at `product_cap` elements.
+A capped round keeps a subset of the true set, and the truncation is
+recorded per stage so the state can report through which stage the
+conjugate sets are complete.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set, invariance_defect
 from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
-from groupwalk.groups import GSet, Group, conjugate_set, enumerate_element, parse_group, product_power
+from groupwalk.groups import GSet, Group, enumerate_element, iterated_conjugate_set, parse_group
 from groupwalk.measures import SparseMeasure
 from groupwalk.mcstats import wilson_interval
 
@@ -167,7 +170,7 @@ class StageRecord:
     B: GSet  # symmetrized conjugate set intersected with H_i
     F: GSet
     defect: int  # |B F \ F|, exact
-    truncated: bool  # any product/conjugation truncation at this stage
+    truncated: bool  # any conjugation round at this stage was capped
 
 
 @dataclass(frozen=True)
@@ -177,6 +180,8 @@ class ConstructionState:
     alpha: AlphaSchedule
     A: GSet
     records: tuple[StageRecord, ...]
+    # bound on each round's conjugate set when R_i is conjugated by A_i,
+    # i times; a stage whose round exceeds it keeps a radius and is truncated
     product_cap: int = _DEFAULT_PRODUCT_CAP
 
     @property
@@ -309,11 +314,10 @@ def construction_step(state: ConstructionState, product_cap: int | None = None) 
     conjugates = set(central)
     if rest:
         try:
-            P = product_power(state.A, i, cap)
-            C = conjugate_set(GSet(g, frozenset(rest)), P, cap)
+            C = iterated_conjugate_set(GSet(g, frozenset(rest)), state.A, i, cap)
         except BudgetError as exc:
             raise BudgetError(str(exc), stage=i) from exc
-        truncated = P.truncated or C.truncated
+        truncated = C.truncated
         conjugates |= C.elements
 
     B0 = frozenset(x for x in conjugates if H.contains(x))

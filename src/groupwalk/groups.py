@@ -732,3 +732,30 @@ def conjugate_set(A: GSet, B: GSet, cap: int | None = None) -> GSet:
         out = set(_truncate_to_radius(g, out, cap))
         truncated = True
     return GSet(g, frozenset(out), truncated)
+
+
+def iterated_conjugate_set(R: GSet, A: GSet, k: int, cap: int | None = None) -> GSet:
+    """{p^-1 r p : r in R, p in product_power(A, k)}, without forming A^k.
+
+    Conjugating by a_1 ... a_k is conjugating by a_1, then by a_2, ..., then
+    by a_k, so k rounds of `conjugate_set(., A, cap)` give the set exactly,
+    and each round holds about as many elements as the result rather than
+    |A|^k products. A round over the cap (or over the pair guard) truncates
+    to a word-length radius, so the result is always a subset of the true
+    set, with the truncated flag set. A round that changes nothing is a
+    fixed point, and the loop stops there.
+    """
+    cap = _DEFAULT_BALL_CAP if cap is None else cap
+    if cap < len(A):
+        raise BudgetError(f"conjugation cap {cap} < |A| = {len(A)}")
+    g = R.group
+    cur = R
+    for _ in range(k):
+        if len(cur) * len(A) > _PAIR_GUARD:
+            kept = _truncate_to_radius(g, set(cur.elements), _PAIR_GUARD // len(A))
+            cur = GSet(g, kept, True)
+        nxt = conjugate_set(cur, A, cap)
+        if nxt.elements == cur.elements:
+            return nxt
+        cur = nxt
+    return cur

@@ -219,6 +219,28 @@ def test_control_fingerprints_what_it_runs(tmp_path):
     assert [r.split(",")[1] for r in rows[2:]] == ["0", "1", "2", "3"]
 
 
+def test_control_reads_n_max_and_stages_from_config(tmp_path):
+    cfg = tmp_path / "free.cfg"
+    cfg.write_text("group = free(2)\nn_max = 3\n")
+    out = tmp_path / "file"
+    assert main(["control", "free-group-srw", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "control.csv").read_text().strip().splitlines()
+    assert [r.split(",")[1] for r in rows[2:]] == ["0", "1", "2", "3"]
+    # a command-line flag still wins over the file
+    out = tmp_path / "flag"
+    main(["control", "free-group-srw", "--config", str(cfg), "--n-max", "2", "--out", str(out)])
+    rows = (out / "control.csv").read_text().strip().splitlines()
+    assert [r.split(",")[1] for r in rows[2:]] == ["0", "1", "2"]
+    # stages from the file run, and fingerprint, like the same flag
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("stages = 10\nn_max = 4\n")
+    runs = []
+    for name, extra in (("zfile", ["--config", str(cfg)]), ("zflag", ["--stages", "10", "--n-max", "4"])):
+        main(["control", "amenable-sanity", "--out", str(tmp_path / name)] + extra)
+        runs.append((tmp_path / name / "control.csv").read_text())
+    assert runs[0] == runs[1]
+
+
 def test_couple_command(tmp_path):
     rc = main(
         [

@@ -160,6 +160,19 @@ def test_generic_conjugation_path_on_lamplighter():
         assert d[g.inv(x)] == m
 
 
+def test_lamplighter_stage_five_is_complete_at_the_bench_cap():
+    # 600 is just above |A_5| = 514: listing the product set A_5^5 under
+    # that cap truncated stage 5, conjugating by A_5 five times does not
+    g = Lamplighter()
+    capped = run_construction(
+        new_state(g, _lamp_catalogue(), AlphaSchedule("harmonic"), product_cap=600), 5
+    )
+    assert capped.honest_through() == 5
+    full = run_construction(new_state(g, _lamp_catalogue(), AlphaSchedule("harmonic")), 5)
+    assert capped.records[-1].B.elements == full.records[-1].B.elements
+    assert capped.records[-1].F.elements == full.records[-1].F.elements
+
+
 def test_budget_error_names_the_stage_once():
     # a product cap below |A_i| makes stage i refuse its product set
     state = new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic"), product_cap=2)

@@ -19,6 +19,8 @@ from groupwalk import (
     parse_group,
     product_power,
 )
+from groupwalk import groups
+from groupwalk.groups import iterated_conjugate_set
 
 F2 = FreeGroup(2)
 Z2 = FreeAbelian(2)
@@ -191,6 +193,35 @@ def test_conjugate_set_oracle(data):
         F2.mul(F2.mul(F2.inv(a), r), a) for r in R.elements for a in A.elements
     )
     assert got.elements == want
+
+
+@pytest.mark.parametrize("g", [F2, F2xZ, LAMP], ids=lambda g: g.spec_text())
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_iterated_conjugation_matches_product_power(g, data):
+    R = GSet(g, frozenset(data.draw(st.lists(elements(g), min_size=1, max_size=3))))
+    A = GSet(g, frozenset(data.draw(st.lists(elements(g), max_size=3))) | {g.identity})
+    i = data.draw(st.integers(1, 4))
+    want = conjugate_set(R, product_power(A, i))
+    got = iterated_conjugate_set(R, A, i)
+    assert got.elements == want.elements and not got.truncated
+    # e is in A, so the rounds only grow: a cap is exceeded by some round
+    # exactly when the whole set exceeds it
+    cap = data.draw(st.integers(len(A), len(A) + 6))
+    capped = iterated_conjugate_set(R, A, i, cap)
+    assert capped.elements <= want.elements
+    assert len(capped) <= cap
+    assert capped.truncated == (len(want) > cap)
+
+
+def test_iterated_conjugation_pair_guard_truncates(monkeypatch):
+    R = GSet(F2, frozenset([(1,)]))
+    A = GSet(F2, frozenset([(), (1,), (-1,), (2,), (-2,)]))
+    want = conjugate_set(R, product_power(A, 3))
+    monkeypatch.setattr(groups, "_PAIR_GUARD", 20)
+    got = iterated_conjugate_set(R, A, 3)
+    assert got.truncated
+    assert got.elements < want.elements
 
 
 @given(data=st.data())
