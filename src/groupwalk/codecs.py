@@ -10,6 +10,11 @@ and handled by the dict side channel in the measures module.
 Free-group codes store the word reversed (last letter in the low bits) with
 the length in the top subfield, so appending or cancelling one letter is a
 fixed shift. Integer coordinates are stored biased to keep codes unsigned.
+
+`line_bits` is the width of a codec's lowest field when that field is one
+biased integer coordinate, else None. Right-multiplying by an element that
+is the identity outside that field adds a constant to the field, so the
+measures module can convolve such elements as a dense 1-D kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ class FreeCodec:
     """
 
     lbits = 6
+    line_bits = None
 
     def __init__(self, group, width: int = 63):
         self.width = width
@@ -104,6 +110,7 @@ class AbelianCodec:
         self._shifts = [w * (d - 1 - i) for i in range(d)]
         self._mask = _u((1 << w) - 1)
         self.width = w * d
+        self.line_bits = w
 
     def encode_one(self, x) -> int | None:
         code = 0
@@ -129,6 +136,8 @@ class AbelianCodec:
 
 class CyclicGroupCodec:
     """Residues mod n, stored directly."""
+
+    line_bits = None
 
     def __init__(self, group):
         if group.n >= (1 << 61):
@@ -184,6 +193,7 @@ class ProductCodec:
             acc -= s.width
             self._shifts.append(acc)
         self._masks = [_u((1 << s.width) - 1) for s in subs]
+        self.line_bits = subs[-1].line_bits
 
     def encode_one(self, x) -> int | None:
         code = 0

@@ -298,11 +298,10 @@ def new_state(
     )
 
 
-def construction_step(state: ConstructionState, product_cap: int | None = None) -> ConstructionState:
+def construction_step(state: ConstructionState) -> ConstructionState:
     """Run stage i = stage+1: draw (R_i, H_i), build B_i, F_i, grow A."""
     g = state.group
     i = state.stage + 1
-    cap = state.product_cap if product_cap is None else product_cap
     idx = state.catalogue.draw_index(i)
     entry = state.catalogue.entries[idx]
     R, H = entry.S, entry.H
@@ -314,7 +313,7 @@ def construction_step(state: ConstructionState, product_cap: int | None = None) 
     conjugates = set(central)
     if rest:
         try:
-            C = iterated_conjugate_set(GSet(g, frozenset(rest)), state.A, i, cap)
+            C = iterated_conjugate_set(GSet(g, frozenset(rest)), state.A, i, state.product_cap)
         except BudgetError as exc:
             raise BudgetError(str(exc), stage=i) from exc
         truncated = C.truncated

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from groupwalk.errors import BudgetError, SpecMismatchError
+from groupwalk.errors import ConvolutionRefused, SpecMismatchError
 from groupwalk.groups import GSet
 from groupwalk.measures import (
     SparseMeasure,
@@ -60,7 +60,8 @@ def _tv_steps(
 
     `stop(points)` sees step n's points (one per t, in ts order) and returns
     True to end the run there. Returns (per-step point lists, budget_flag,
-    stopped); a refused convolution ends the run with budget_flag set.
+    stopped); a convolution refused up front ends the run with budget_flag
+    set, and any other BudgetError (the accumulator cap) propagates.
     """
     rho = mu
     rows: list[list[TVPoint]] = []
@@ -77,7 +78,7 @@ def _tv_steps(
             return rows, False, False
         try:
             rho = convolve(rho, nu, budget=budget, threads=threads)
-        except BudgetError:
+        except ConvolutionRefused:
             return rows, True, False
         n += 1
 

@@ -22,6 +22,23 @@ goes in the pool; every other atom goes in the side dict: all atoms of
 an exact measure or of a codec-less group, and atoms whose word or
 coordinate does not fit the codec's fields.
 
+A float convolution mu * nu on a codec group splits nu's pool in two.
+The line shifts are the atoms equal to the identity outside the codec's
+lowest field, when that field is one biased integer coordinate
+(`line_bits`); they only move that coordinate. They take the dense route:
+each fiber of mu (atoms that agree above the field) gets a zero-padded
+block of span + K - 1 slots, and one `np.convolve` with the line shifts as
+a length-K kernel yields the products with their codes already sorted.
+Every other atom of nu takes the sort route: `mul_right` on mu's codes,
+rows flushed through `_dedup` (a stable sort, then `np.bincount`), which
+sums each code's rows in the order they were produced. The dense route is
+chosen from the inputs alone, when every product stays inside the field,
+the dense length L is at most the rows the line shifts add to the sort
+route, and L * K <= rows * log2(rows); otherwise the line shifts take the
+sort route as well. Neither route keeps an atom whose mass sums to 0, and
+a convolution whose accumulator or dense window would pass `_ACC_BYTES`
+raises BudgetError.
+
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
 """
@@ -35,12 +52,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupwalk.errors import BudgetError, SpecMismatchError
+from groupwalk.errors import BudgetError, ConvolutionRefused, SpecMismatchError
 from groupwalk.groups import GSet, Group
 
 _FLUSH_ROWS = 1 << 22  # pending-row threshold before a dedup flush
 _TASKS_PER_THREAD = 2  # mul_right results in flight per worker thread
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
+_ACC_BYTES = 1 << 31  # refuse a convolution whose accumulator would pass this
+_ROW_BYTES = 16  # one uint64 code and one float64 mass
 
 # the empty pool, shared so exact measures skip two array allocations each;
 # read-only, so sharing is safe
@@ -393,6 +412,95 @@ def _mul_right_windowed(pool, codec, codes: np.ndarray, ys: list, window: int):
         yield pending.popleft().result()
 
 
+def _dedup(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct codes in ascending order, each with the sum of its weights.
+
+    The sort is stable, so each code's weights are summed in input order
+    whatever the flush schedule, and timsort merges the already-sorted runs
+    the kernel produces instead of re-sorting them.
+    """
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    uniq = codes[first]
+    sums = np.bincount(np.cumsum(first) - 1, weights=weights[order], minlength=len(uniq))
+    return uniq, sums
+
+
+def _check_rows(rows: int) -> None:
+    """Refuse a convolution whose working set would pass `_ACC_BYTES`."""
+    if rows * _ROW_BYTES > _ACC_BYTES:
+        raise BudgetError(
+            f"convolution needs {rows} rows ({rows * _ROW_BYTES} bytes), over the "
+            f"accumulator cap _ACC_BYTES = {_ACC_BYTES} bytes"
+        )
+
+
+def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
+    """Inputs of the dense route for mu * nu, or None when the sort route runs.
+
+    The line shifts are nu's pool atoms equal to the identity outside the
+    codec's lowest field (`line_bits`), a biased integer coordinate; they
+    form one run of nu's sorted codes. The route is taken only when every
+    mu pool atom times every line shift stays inside that field, and when
+    the dense length L = sum over fibers (span + K - 1) is at most the
+    rows the line shifts would add to the sort route, with L * K (the cost
+    of the convolution) at most rows * log2(rows) (the cost of sorting them).
+    """
+    codec = mu.group.codec()
+    b = codec.line_bits
+    if b is None or not len(mu._codes):
+        return None
+    field = (1 << b) - 1
+    e = codec.encode_one(mu.group.identity)
+    lo, hi = np.searchsorted(
+        nu._codes, np.array([(e >> b) << b, ((e >> b) + 1) << b], dtype=np.uint64)
+    ).tolist()
+    if lo == hi:
+        return None
+    z = (nu._codes[lo:hi] & np.uint64(field)).astype(np.int64) - (e & field)
+    z_min, z_max = int(z[0]), int(z[-1])
+    K = z_max - z_min + 1
+    pos = (mu._codes & np.uint64(field)).astype(np.int64)
+    fibers = mu._codes >> np.uint64(b)
+    starts = np.flatnonzero(np.concatenate([[True], fibers[1:] != fibers[:-1]]))
+    ends = np.append(starts[1:], len(pos)) - 1
+    if int(pos[starts].min()) + z_min < 0 or int(pos[ends].max()) + z_max > field:
+        return None
+    blocks = pos[ends] - pos[starts] + K
+    L = int(blocks.sum())
+    rows = len(pos) * (hi - lo)
+    if L > rows or L * K > rows * math.log2(rows):
+        return None
+    kernel = np.zeros(K)
+    kernel[z - z_min] = nu._masses[lo:hi]
+    return slice(lo, hi), kernel, z_min, pos, starts, blocks
+
+
+def _convolve_lines(mu: SparseMeasure, plan) -> tuple[np.ndarray, np.ndarray]:
+    """mu's pool times nu's line shifts as one dense 1-D convolution.
+
+    Each fiber of mu (the codes above the lowest field) gets a zero-padded
+    block of `span + K - 1` slots, so one `np.convolve` over all blocks
+    never carries mass from one fiber into the next. The codes come out
+    sorted; slots whose mass is not > 0 (holes and underflow) are dropped.
+    """
+    _, kernel, z_min, pos, starts, blocks = plan
+    L = int(blocks.sum())
+    _check_rows(L)
+    offsets = np.cumsum(blocks) - blocks
+    shift = pos[starts] - offsets  # field value minus slot, per fiber
+    fiber_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(pos))))
+    window = np.zeros(L)
+    window[pos - shift[fiber_of]] = mu._masses
+    dense = np.convolve(window, kernel)[:L]
+    keep = np.flatnonzero(dense > 0)
+    f = np.searchsorted(offsets, keep, side="right") - 1
+    base = mu._codes[starts] - pos[starts].astype(np.uint64)  # the fiber, field zeroed
+    return base[f] + (keep + shift[f] + z_min).astype(np.uint64), dense[keep]
+
+
 def _convolve_fast(
     mu: SparseMeasure, nu: SparseMeasure, budget: int | None, threads: int
 ) -> SparseMeasure:
@@ -410,16 +518,25 @@ def _convolve_fast(
 
     def flush():
         nonlocal acc_codes, acc_masses, pend_codes, pend_masses, pend_rows
-        cat_c = np.concatenate(pend_codes)
-        cat_m = np.concatenate(pend_masses)
-        acc_codes, inv = np.unique(cat_c, return_inverse=True)
-        acc_masses = np.bincount(inv, weights=cat_m, minlength=len(acc_codes))
+        acc_codes, acc_masses = _dedup(np.concatenate(pend_codes), np.concatenate(pend_masses))
         pend_codes = [acc_codes]
         pend_masses = [acc_masses]
         pend_rows = 0
 
-    ys = [y for y, _ in nu_items]
-    if threads > 1 and len(nu_items) > 1:
+    def add(codes, masses):
+        nonlocal pend_rows
+        _check_rows(len(acc_codes) + pend_rows + len(codes))
+        pend_codes.append(codes)
+        pend_masses.append(masses)
+        pend_rows += len(codes)
+
+    plan = _line_plan(mu, nu)
+    lines = set()
+    if plan is not None:
+        lines = {codec.decode_one(c) for c in nu._codes[plan[0]].tolist()}
+        add(*_convolve_lines(mu, plan))
+    ys = [y for y, _ in nu_items if y not in lines]
+    if threads > 1 and len(ys) > 1:
         pool = ThreadPoolExecutor(max_workers=threads)
         results = _mul_right_windowed(pool, codec, mu_codes, ys, threads * _TASKS_PER_THREAD)
     else:
@@ -427,19 +544,17 @@ def _convolve_fast(
         results = (codec.mul_right(mu_codes, y) for y in ys)
 
     try:
-        for (y, wy), (out, ok) in zip(nu_items, results):
-            if bool(ok.all()):
-                pend_codes.append(out)
-                pend_masses.append(mu_masses * wy)
-                pend_rows += len(out)
-            else:
-                pend_codes.append(out[ok])
-                pend_masses.append(mu_masses[ok] * wy)
-                pend_rows += int(np.count_nonzero(ok))
-                for i in np.nonzero(~ok)[0]:
-                    x = codec.decode_one(int(mu_codes[i]))
-                    z = g.mul(x, y)
-                    side[z] = side.get(z, 0.0) + float(mu_masses[i]) * wy
+        for y, wy in nu_items:
+            if y not in lines:
+                out, ok = next(results)
+                if bool(ok.all()):
+                    add(out, mu_masses * wy)
+                else:
+                    add(out[ok], mu_masses[ok] * wy)
+                    for i in np.nonzero(~ok)[0]:
+                        x = codec.decode_one(int(mu_codes[i]))
+                        z = g.mul(x, y)
+                        side[z] = side.get(z, 0.0) + float(mu_masses[i]) * wy
             for x, mx in mu._side.items():
                 z = g.mul(x, y)
                 side[z] = side.get(z, 0.0) + mx * wy
@@ -453,9 +568,15 @@ def _convolve_fast(
     # element is split across both pools when the budget ranks atoms
     back = {z: c for z in side if (c := codec.encode_one(z)) is not None}
     if back:
-        pend_codes.append(np.array(list(back.values()), dtype=np.uint64))
-        pend_masses.append(np.array([side.pop(z) for z in back], dtype=np.float64))
+        add(
+            np.array(list(back.values()), dtype=np.uint64),
+            np.array([side.pop(z) for z in back], dtype=np.float64),
+        )
     flush()
+    # products that underflow to zero are not atoms (from_items drops them too)
+    held = acc_masses > 0
+    acc_codes, acc_masses = acc_codes[held], acc_masses[held]
+    side = {z: m for z, m in side.items() if m > 0}
 
     lost = _propagated_lost(mu, nu)
     if budget is not None and len(acc_codes) + len(side) > budget:
@@ -484,7 +605,7 @@ def convolve(
         raise BudgetError(f"budget must be >= 1, got {budget}")
     pairs = len(mu) * len(nu)
     if pairs > _PAIR_LIMIT:
-        raise BudgetError(f"convolution of {len(mu)} x {len(nu)} atoms refused")
+        raise ConvolutionRefused(f"convolution of {len(mu)} x {len(nu)} atoms refused")
     g = mu.group
     if mu.mode == "exact":
         acc = _convolve_exact(mu, nu)
@@ -528,10 +649,10 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     if not mu._side and len(mu._codes) and grp.is_central(t):
         codec = grp.codec()
         shifted, ok = codec.mul_right(mu._codes, t)
-        cat = np.concatenate([shifted[ok], mu._codes])
-        w = np.concatenate([mu._masses[ok], -mu._masses])
-        uniq, inv = np.unique(cat, return_inverse=True)
-        sums = np.bincount(inv, weights=w, minlength=len(uniq))
+        _, sums = _dedup(
+            np.concatenate([shifted[ok], mu._codes]),
+            np.concatenate([mu._masses[ok], -mu._masses]),
+        )
         value = float(np.sum(np.abs(sums)))
         # atoms pushed out of codec range sit at positions the packed union
         # cannot see; each contributes its whole mass to the difference
@@ -552,7 +673,8 @@ def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
     zero = _zero(mu.mode)
     value = _mass_sum([abs(md.get(k, zero) - nd.get(k, zero)) for k in md.keys() | nd.keys()], mu.mode)
     if mu.mode == "float":
-        uniq, inv = np.unique(np.concatenate([mu._codes, nu._codes]), return_inverse=True)
-        w = np.concatenate([mu._masses, -nu._masses])
-        value += float(np.sum(np.abs(np.bincount(inv, weights=w, minlength=len(uniq)))))
+        _, sums = _dedup(
+            np.concatenate([mu._codes, nu._codes]), np.concatenate([mu._masses, -nu._masses])
+        )
+        value += float(np.sum(np.abs(sums)))
     return value, bracket

@@ -1,7 +1,15 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from groupwalk.construction import build_measure
 from groupwalk.presets import preset_state
+
+# `ci` prints a @reproduce_failure blob with every falsifying example;
+# select it with HYPOTHESIS_PROFILE=ci
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from groupwalk import measures
 from groupwalk.cli import main
 from groupwalk.config import RunConfig, parse_config_text
 from groupwalk.errors import SpecMismatchError
@@ -323,3 +324,19 @@ def test_threads_do_not_change_artifacts(tmp_path):
         outs.append(out)
     assert sha(outs[0] / "report.csv") == sha(outs[1] / "report.csv")
     assert sha(outs[0] / "report.json") == sha(outs[1] / "report.json")
+
+
+def test_accumulator_cap_exits_2(tmp_path, monkeypatch, capsys):
+    # a 16-byte cap holds one row, so the first convolution step passes it
+    monkeypatch.setattr(measures, "_ACC_BYTES", 16)
+    rc = main(["report", "--preset", "f2xz", "--stages", "4", "--n-max", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "accumulator cap _ACC_BYTES = 16 bytes" in capsys.readouterr().err
+
+
+def test_zero_budget_exits_2(tmp_path, capsys):
+    # convolve refuses budget 0; only the up-front pair-limit refusal ends a
+    # curve early, so this is a budget error, not an inconclusive report
+    rc = main(["report", "--preset", "f2xz", "--stages", "2", "--budget-atoms", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "budget must be >= 1" in capsys.readouterr().err

@@ -119,3 +119,11 @@ def test_codec_for_infeasible_product():
     # two free factors cannot share one 64-bit word at useful depth
     g = DirectProduct((FreeGroup(2), FreeGroup(2)))
     assert codec_for(g) is None
+
+
+def test_line_bits_is_the_width_of_a_lowest_integer_field():
+    assert codec_for(F2xZ).line_bits == 16
+    assert codec_for(FreeAbelian(1)).line_bits == 62
+    assert codec_for(F2).line_bits is None
+    assert codec_for(CyclicGroup(5)).line_bits is None
+    assert codec_for(DirectProduct((FreeAbelian(1), FreeGroup(2)))).line_bits is None

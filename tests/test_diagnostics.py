@@ -10,11 +10,13 @@ from groupwalk import (
     SpecMismatchError,
     build_measure,
     control_experiment,
+    convolve,
     delta,
     nondisjointness_report,
     tv_curve,
     uniform,
 )
+from groupwalk.measures import _line_plan
 from groupwalk.presets import preset_state
 
 Z = FreeAbelian(1)
@@ -123,3 +125,29 @@ def test_control_aliases():
     assert control_experiment("f2-control", seed=1).verdict == "pass"
     with pytest.raises(SpecMismatchError):
         control_experiment("no-such-control")
+
+
+@pytest.mark.parametrize(
+    "preset, stages, budget, n_max, t",
+    [("f2xz", 6, 300, 4, ((), (1,))), ("z-amenable", 12, 20, 8, (1,))],
+    ids=["f2xz", "z-amenable"],
+)
+def test_budgeted_float_curve_is_within_brackets_of_exact(preset, stages, budget, n_max, t):
+    # the soundness oracle: |d_n(float, budgeted) - d_n(exact, unbudgeted)|
+    # <= bracket_float + bracket_exact at every n (plus float rounding)
+    state = preset_state(preset, seed=20260813, stages=stages)
+    nu = build_measure(state, mode="float")
+    nu_exact = build_measure(state, mode="exact")
+    g = state.group
+    fast = tv_curve(delta(g), t, nu, n_max=n_max, budget=budget).points
+    exact = tv_curve(delta(g, mode="exact"), t, nu_exact, n_max=n_max).points
+    assert len(fast) == len(exact) == n_max + 1
+    for f, e in zip(fast, exact):
+        assert abs(f.value - e.value) <= f.bracket + e.bracket + 1e-12
+    if preset == "f2xz":
+        # every step after the first meets the dense route's conditions
+        rho, dense = delta(g), []
+        for _ in range(n_max):
+            dense.append(_line_plan(rho, nu) is not None)
+            rho = convolve(rho, nu, budget=budget)
+        assert dense == [False] + [True] * (n_max - 1)

@@ -20,7 +20,7 @@ from groupwalk import (
     tv_distance,
     uniform,
 )
-from groupwalk.measures import tv_left_translate
+from groupwalk.measures import _line_plan, tv_left_translate
 
 F2 = FreeGroup(2)
 Z = FreeAbelian(1)
@@ -260,17 +260,58 @@ def test_fast_path_agrees_with_reference():
     assert len(fast) == len(ref)
 
 
+@st.composite
+def line_pairs(draw):
+    """(mu, nu) on F2 x Z that meet the dense route's conditions: mu holds
+    one to three fibers (free words) of 18-24 central coordinates out of a
+    24-wide window, so fibers have holes; nu holds three to six line shifts
+    out of a 9-wide kernel, so the kernel can be sparse, plus a few other atoms."""
+    fibers = draw(st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=3))
+    mu_items = {}
+    for first, rest in enumerate(fibers):
+        base = draw(st.integers(-100, 100))
+        for off in draw(st.sets(st.integers(0, 23), min_size=18)):
+            mu_items[(_reduced_word(first, rest), (base + off,))] = draw(float_masses)
+    shifts = draw(st.sets(st.integers(-4, 4), min_size=3, max_size=6))
+    nu_items = {((), (z,)): draw(float_masses) for z in shifts}
+    for x in draw(st.lists(st.tuples(long_words.filter(bool), st.tuples(centrals)), max_size=3)):
+        nu_items[x] = draw(float_masses)
+    return (
+        SparseMeasure.from_items(F2xZ, mu_items, "float", lost_mass=draw(float_lost)),
+        SparseMeasure.from_items(F2xZ, nu_items, "float"),
+        True,
+    )
+
+
+def _leaves_line_field(mu, nu):
+    """Some pool atom of mu times some line shift of nu leaves the 16-bit central field."""
+    decode = F2xZ.codec().decode_one
+    cs = [decode(c)[1][0] for c in mu._codes.tolist()]
+    zs = [x[1][0] for x in map(decode, nu._codes.tolist()) if x[0] == ()]
+    return any(not -32768 <= c + z <= 32767 for c in cs for z in zs)
+
+
+def _random_pairs(measures):
+    return st.tuples(measures, measures, st.just(False))
+
+
 @pytest.mark.parametrize(
-    "group, elements",
-    [(F2, long_words), (F2xZ, st.tuples(long_words, st.tuples(centrals)))],
+    "group, pairs",
+    [
+        (F2, _random_pairs(float_measures(long_words, F2))),
+        (F2xZ, st.one_of(_random_pairs(f2xz_float_measures), line_pairs())),
+    ],
     ids=["F2", "F2xZ"],
 )
-def test_float_convolve_matches_reference(group, elements):
-    measures = float_measures(elements, group)
-
-    @given(measures, measures, st.integers(1, 12))
+def test_float_convolve_matches_reference(group, pairs):
+    @given(pairs, st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
-    def check(mu, nu, budget):
+    def check(pair, budget):
+        mu, nu, dense = pair
+        if dense:
+            assert _line_plan(mu, nu) is not None
+        if group is F2xZ and _leaves_line_field(mu, nu):
+            assert _line_plan(mu, nu) is None  # edge of the field: the sort route
         got = convolve(mu, nu)
         want = convolve_reference(mu, nu)
         g, w = got.as_dict(), want.as_dict()
@@ -293,6 +334,25 @@ def test_float_convolve_matches_reference(group, elements):
         )
 
     check()
+
+
+def test_products_that_underflow_to_zero_are_dropped():
+    # 1e-200 * 1e-200 is 0.0, and from_items keeps no zero atom, so neither
+    # kernel route may: the first pair takes the sort route (with a side
+    # atom), the second the dense route
+    tiny = 1e-200
+    sort_pair = (
+        SparseMeasure.from_items(F2xZ, [(((1,), (0,)), tiny), (((), (40000,)), tiny)], "float"),
+        SparseMeasure.from_items(F2xZ, [(((2,), (0,)), tiny)], "float"),
+    )
+    line_pair = (
+        SparseMeasure.from_items(F2xZ, [(((1,), (c,)), tiny) for c in range(40)], "float"),
+        SparseMeasure.from_items(F2xZ, [(((), (z,)), tiny) for z in (-1, 0, 1)], "float"),
+    )
+    assert _line_plan(*sort_pair) is None and _line_plan(*line_pair) is not None
+    for mu, nu in (sort_pair, line_pair):
+        assert convolve_reference(mu, nu).as_dict() == {}
+        assert convolve(mu, nu).as_dict() == {}
 
 
 def test_budget_ranks_an_atom_reached_from_both_pools_once():
