@@ -26,7 +26,6 @@ from groupwalk.measures import (
     convolve,
     convolve_reference,
     delta,
-    prune,
     translate_left,
     tv_distance,
     uniform,
@@ -54,7 +53,6 @@ from groupwalk.walk import (
     WalkModel,
     empirical_increment_law,
     estimate_M,
-    sample_path,
 )
 
 __all__ = [
@@ -80,7 +78,6 @@ __all__ = [
     "convolve_reference",
     "translate_left",
     "tv_distance",
-    "prune",
     "AmenableSubgroup",
     "folner_set",
     "certify_visibility",
@@ -93,7 +90,6 @@ __all__ = [
     "run_construction",
     "build_measure",
     "WalkModel",
-    "sample_path",
     "empirical_increment_law",
     "estimate_M",
     "DecompositionReport",

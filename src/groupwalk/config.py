@@ -56,6 +56,8 @@ class RunConfig:
             raise SpecMismatchError(f"mode must be float or exact, got {self.mode!r}")
         if self.threads < 1:
             raise SpecMismatchError("threads must be >= 1")
+        if self.budget_atoms is not None and self.budget_atoms < 1:
+            raise SpecMismatchError(f"budget_atoms must be >= 1, got {self.budget_atoms}")
         if self.preset is None and self.group is None:
             raise SpecMismatchError("config needs either a preset or a group")
 

@@ -35,7 +35,6 @@ from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import GSet, Group, enumerate_element, iterated_conjugate_set, parse_group
 from groupwalk.measures import SparseMeasure
-from groupwalk.mcstats import wilson_interval
 
 _DEFAULT_PRODUCT_CAP = 10**6
 
@@ -46,8 +45,8 @@ class AlphaSchedule:
 
     The harmonic rule has tail P(K >= n) = 1/n, so records of the sampled
     stage sequence outrun their index infinitely often almost surely
-    (infinite-mean tails); the geometric rule deliberately fails that and
-    exists so the Monte Carlo check below has something to flag.
+    (infinite-mean tails); the geometric rule deliberately fails that:
+    its tail 2^-(n-1) is summable, so K_l > l happens only finitely often.
     """
 
     name: str = "harmonic"
@@ -86,38 +85,6 @@ class AlphaSchedule:
         else:
             k = np.ceil(-np.log2(safe))
         return np.maximum(1.0, k).astype(np.int64)
-
-
-def mc_limsup_check(
-    alpha: AlphaSchedule, trials: int, length: int, c: int, seed: int
-) -> dict:
-    """Estimate P(exists l <= length with K_l > l + c) for i.i.d. stage draws.
-
-    Returns the empirical fraction with a Wilson 95% interval. For the
-    harmonic rule the exact value is 1 - prod_{l<=length} (1 - 1/(l+c+1)),
-    which telescopes to 1 - (c+1)/(length+c+1).
-    """
-    if trials < 1 or length < 1 or c < 0:
-        raise SpecMismatchError("trials, length >= 1 and c >= 0 required")
-    rng = CounterRng(seed, "limsup")
-    hits = 0
-    batch = 512
-    thresholds = np.arange(1, length + 1, dtype=np.int64) + c
-    for start in range(0, trials, batch):
-        n = min(batch, trials - start)
-        u = rng.uniforms((start) * length, n * length).reshape(n, length)
-        k = alpha.sample_k_array(u)
-        hits += int(np.count_nonzero((k > thresholds).any(axis=1)))
-        del u, k
-    lo, hi = wilson_interval(hits, trials)
-    return {
-        "rule": alpha.name,
-        "trials": trials,
-        "length": length,
-        "c": c,
-        "fraction": hits / trials,
-        "wilson95": [lo, hi],
-    }
 
 
 @dataclass(frozen=True)

@@ -56,14 +56,6 @@ class CounterRng:
     def __init__(self, seed: int, *labels: int | str):
         self.key = derive(seed, *labels)
 
-    def bits(self, start: int, count: int) -> np.ndarray:
-        counters = np.arange(start, start + count, dtype=np.uint64)
-        return _mix64_np(counters ^ np.uint64(self.key))
-
-    def uniforms(self, start: int, count: int) -> np.ndarray:
-        """float64 uniforms on [0, 1), 53 significant bits."""
-        return (self.bits(start, count) >> np.uint64(11)) * np.float64(2.0**-53)
-
     def uniform_at(self, counter: int) -> float:
         return (mix64((counter ^ self.key) & _MASK) >> 11) * 2.0**-53
 

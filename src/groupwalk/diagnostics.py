@@ -43,9 +43,6 @@ class TVCurve:
     budget_flag: bool = False  # convolution refused: curve truncated early
     stopped_early: bool = False  # optional early-stop threshold reached
 
-    def min_value(self) -> float:
-        return min(p.value for p in self.points)
-
 
 def _tv_steps(
     mu: SparseMeasure,
@@ -253,63 +250,60 @@ def control_experiment(
     raise SpecMismatchError(f"unknown control preset {preset!r}")
 
 
+def _control_report(
+    nu: SparseMeasure,
+    t,
+    n_max: int,
+    slack: float,
+    passes,
+    floor: str,
+    fingerprint: str,
+    seed: int | None,
+    stop_below: float | None = None,
+) -> TVReport:
+    """The one-curve report of a control: d_n(t) from delta(e), judged by `passes({n: d_n})`."""
+    g = nu.group
+    curve = tv_curve(delta(g, mode="exact"), t, nu, n_max=n_max, stop_below=stop_below)
+    return TVReport(
+        group_text=g.spec_text(),
+        mu_desc="delta(e)",
+        S_texts=(g.element_to_text(t),),
+        bound=0.0,
+        slack=slack,
+        n_max=n_max,
+        budget=None,
+        curves=(curve,),
+        per_n_min=tuple((p.n, p.value, p.bracket) for p in curve.points),
+        verdict="pass" if passes({p.n: p.value for p in curve.points}) else "fail",
+        control_floor=floor,
+        fingerprint=fingerprint,
+        seed=seed,
+    )
+
+
 def _control_free(fingerprint: str, seed: int | None, n_max: int) -> TVReport:
     from groupwalk.groups import FreeGroup
 
     F2 = FreeGroup(2)
-    gens = GSet(F2, frozenset([(1,), (-1,), (2,), (-2,)]))
-    nu = uniform(gens, mode="exact")
-    mu = delta(F2, mode="exact")
-    t = (1,)
-    curve = tv_curve(mu, t, nu, n_max=n_max)
-    d = {p.n: p.value for p in curve.points}
-    ok = d[1] == 2.0 and d[n_max] >= 1.0
-    per_n_min = tuple((p.n, p.value, p.bracket) for p in curve.points)
-    return TVReport(
-        group_text=F2.spec_text(),
-        mu_desc="delta(e)",
-        S_texts=("a",),
-        bound=0.0,
-        slack=0.0,
-        n_max=n_max,
-        budget=None,
-        curves=(curve,),
-        per_n_min=per_n_min,
-        verdict="pass" if ok else "fail",
-        control_floor=f"d_1 = 2 and d_{n_max} >= 1.0 (free walk must stay far)",
-        fingerprint=fingerprint,
-        seed=seed,
+    nu = uniform(GSet(F2, frozenset([(1,), (-1,), (2,), (-2,)])), mode="exact")
+    return _control_report(
+        nu, (1,), n_max, 0.0,
+        lambda d: d[1] == 2.0 and d[n_max] >= 1.0,
+        f"d_1 = 2 and d_{n_max} >= 1.0 (free walk must stay far)",
+        fingerprint, seed,
     )
 
 
 def _control_amenable(
     fingerprint: str, seed: int | None, stages: int, n_max: int
 ) -> TVReport:
+    from groupwalk.construction import build_measure
     from groupwalk.presets import preset_state
 
     st = preset_state("z-amenable", seed=seed if seed is not None else 20260813, stages=stages)
-    from groupwalk.construction import build_measure
-
-    nu = build_measure(st, mode="exact")
-    g = st.group
-    mu = delta(g, mode="exact")
-    t = (1,)
-    curve = tv_curve(mu, t, nu, n_max=n_max, stop_below=0.2 - 1e-12)
-    values = [p.value for p in curve.points]
-    ok = min(values) < 0.2
-    per_n_min = tuple((p.n, p.value, p.bracket) for p in curve.points)
-    return TVReport(
-        group_text=g.spec_text(),
-        mu_desc="delta(e)",
-        S_texts=(g.element_to_text(t),),
-        bound=0.0,
-        slack=0.2,
-        n_max=n_max,
-        budget=None,
-        curves=(curve,),
-        per_n_min=per_n_min,
-        verdict="pass" if ok else "fail",
-        control_floor=f"d_n < 0.2 for some n <= {n_max} (amenable walk must mix)",
-        fingerprint=fingerprint,
-        seed=seed,
+    return _control_report(
+        build_measure(st, mode="exact"), (1,), n_max, 0.2,
+        lambda d: min(d.values()) < 0.2,
+        f"d_n < 0.2 for some n <= {n_max} (amenable walk must mix)",
+        fingerprint, seed, stop_below=0.2 - 1e-12,
     )

@@ -16,7 +16,7 @@ deterministic tie-breaks use this single order.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from groupwalk.errors import BudgetError, SpecMismatchError
@@ -624,13 +624,6 @@ class GSet:
     @staticmethod
     def from_texts(group: Group, texts) -> "GSet":
         return GSet(group, frozenset(group.element_from_text(t) for t in texts))
-
-
-def gset(group: Group, elements, truncated: bool = False) -> GSet:
-    els = frozenset(elements)
-    for x in els:
-        group.validate(x)
-    return GSet(group, els, truncated)
 
 
 def ball(group: Group, radius: int, cap: int | None = None) -> GSet:

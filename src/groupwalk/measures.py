@@ -293,21 +293,6 @@ def _prune_dict(group: Group, data: dict, budget: int, mode: str):
     return kept, _mass_sum([m for _, m in ranked[budget:]], mode)
 
 
-def prune(mu: SparseMeasure, min_mass) -> SparseMeasure:
-    """Move every atom with mass < min_mass to the lost_mass ledger."""
-    if min_mass < 0:
-        raise SpecMismatchError("prune threshold must be >= 0")
-    side = {x: m for x, m in mu._side.items() if m >= min_mass}
-    pruned = _mass_sum([m for m in mu._side.values() if m < min_mass], mu.mode)
-    if mu.mode == "exact":
-        return SparseMeasure.from_items(mu.group, side, "exact", lost_mass=mu.lost_mass + pruned)
-    keep = mu._masses >= min_mass
-    pruned += float(np.sum(mu._masses[~keep]))
-    return SparseMeasure._from_pool(
-        mu.group, mu._codes[keep], mu._masses[keep], side, mu.lost_mass + pruned
-    )
-
-
 def _select_top(group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, budget: int):
     """Top-`budget` atoms across the packed pool and the dict side pool.
 

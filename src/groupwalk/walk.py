@@ -15,9 +15,15 @@ probability clears 1 - eps at the Wilson 95% lower bound. This event is
 sampled under the untruncated stage law (no rejection), since it concerns
 the idealized walk; only X-sampling needs the stage-k truncation.
 
-All sampling is counter-based: trial t reads fixed counter slots of a
-stream keyed by (seed, label, t), so results are independent of batching
-and worker count.
+All sampling is counter-based (random access by key and counter), so
+results are independent of batching and worker count. Two layouts remain:
+
+- increment sample s reads slots 16s..16s+15 of the stream (seed, label):
+  K attempts at 16s..16s+13, the color at 16s+14, the blue pick at
+  16s+15. A sample whose 14 K attempts all exceed k reads slots 0, 1, ...
+  of its own stream (seed, label + "-overflow", s) until one does not;
+- `estimate_M`'s trial t reads the stream (seed, "couple", t): K_l at
+  slot 2l and the color at slot 2l+1.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from groupwalk.construction import ConstructionState
 from groupwalk.detrng import CounterRng, derive, _mix64_np
-from groupwalk.errors import BudgetError, SpecMismatchError
+from groupwalk.errors import SpecMismatchError
 from groupwalk.groups import GSet
 from groupwalk.measures import SparseMeasure
 from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
@@ -37,17 +43,6 @@ from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 COLORS = ("blue", "red", "green")
 _STRIDE = 16  # counter slots per sample: K attempts 0..13, color 14, pick 15
 _MAX_K_ATTEMPTS = 14
-
-
-@dataclass(frozen=True)
-class CouplingSample:
-    """One coupled increment: stage draw, color, resulting element."""
-
-    index: int
-    K: int
-    color: str
-    X: object
-    rejections: int  # discarded K-draws above the built stage
 
 
 class WalkModel:
@@ -60,75 +55,16 @@ class WalkModel:
         self.group = state.group
         self.alpha = state.alpha
         self.k = state.stage
-        self.c = [None] + [r.c for r in state.records]
-        self.c_inv = [None] + [state.group.inv(r.c) for r in state.records]
         self.F = [None] + [r.F.sorted_elements() for r in state.records]
         # flat atom table: per stage [c_i, c_i^-1, F_i...]
         self.atom_offset = [0, 0]
         flat = []
-        for i in range(1, self.k + 1):
-            flat.append(self.c[i])
-            flat.append(self.c_inv[i])
-            flat.extend(self.F[i])
+        for r, F in zip(state.records, self.F[1:]):
+            flat.append(r.c)
+            flat.append(state.group.inv(r.c))
+            flat.extend(F)
             self.atom_offset.append(len(flat))
         self.atoms = flat
-
-
-class _Stream:
-    """Sequential view over a counter-based stream (per-trial use)."""
-
-    __slots__ = ("rng", "pos")
-
-    def __init__(self, rng: CounterRng):
-        self.rng = rng
-        self.pos = 0
-
-    def next_uniform(self) -> float:
-        u = self.rng.uniform_at(self.pos)
-        self.pos += 1
-        return u
-
-
-def trial_stream(seed: int, trial: int) -> _Stream:
-    """The documented split rule: one stream per (seed, 'trial', index)."""
-    return _Stream(CounterRng(seed, "trial", trial))
-
-
-def sample_increment(model: WalkModel, stream: _Stream, index: int = 1) -> CouplingSample:
-    """Draw one coupled increment; resamples K above the built stage."""
-    rejections = 0
-    while True:
-        K = model.alpha.sample_k(stream.next_uniform())
-        if K <= model.k:
-            break
-        rejections += 1
-        if rejections > 100_000:
-            raise BudgetError("stage rejection loop runaway (k too small?)")
-    color = COLORS[min(int(stream.next_uniform() * 3), 2)]
-    if color == "blue":
-        F = model.F[K]
-        X = F[min(int(stream.next_uniform() * len(F)), len(F) - 1)]
-    elif color == "red":
-        X = model.c[K]
-    else:
-        X = model.c_inv[K]
-    return CouplingSample(index, K, color, X, rejections)
-
-
-def sample_path(model: WalkModel, n: int, seed: int, trial: int = 0):
-    """(samples, running products): X_1..X_n i.i.d., products X_1*...*X_j."""
-    if n < 1:
-        raise SpecMismatchError("path length must be >= 1")
-    stream = trial_stream(seed, trial)
-    g = model.group
-    samples, products = [], []
-    acc = g.identity
-    for j in range(1, n + 1):
-        s = sample_increment(model, stream, index=j)
-        samples.append(s)
-        acc = g.mul(acc, s.X)
-        products.append(acc)
-    return samples, products
 
 
 def _batch_keys(seed: int, label: str, start: int, count: int) -> np.ndarray:
@@ -168,14 +104,12 @@ def _sample_atom_ids(model: WalkModel, seed: int, label: str, samples: int, batc
             K[bad] = model.alpha.sample_k_array(u2)
         else:
             for idx in np.nonzero(K > model.k)[0]:
-                aux = _Stream(CounterRng(seed, label + "-overflow", start + int(idx)))
-                while True:
-                    kk = model.alpha.sample_k(aux.next_uniform())
-                    rejections += 1
-                    if kk <= model.k:
-                        K[idx] = kk
-                        rejections -= 1
-                        break
+                aux = CounterRng(seed, label + "-overflow", start + int(idx))
+                j = 0
+                while (kk := model.alpha.sample_k(aux.uniform_at(j))) > model.k:
+                    j += 1
+                K[idx] = kk
+                rejections += j
         ucol = rng.uniforms_at(base + np.uint64(14))
         colors = np.minimum((ucol * 3).astype(np.int64), 2)
         upick = rng.uniforms_at(base + np.uint64(15))

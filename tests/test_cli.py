@@ -334,9 +334,9 @@ def test_accumulator_cap_exits_2(tmp_path, monkeypatch, capsys):
     assert "accumulator cap _ACC_BYTES = 16 bytes" in capsys.readouterr().err
 
 
-def test_zero_budget_exits_2(tmp_path, capsys):
-    # convolve refuses budget 0; only the up-front pair-limit refusal ends a
-    # curve early, so this is a budget error, not an inconclusive report
+def test_zero_budget_is_a_config_error(tmp_path, capsys):
+    # a budget below 1 is a bad config value, refused before any stage is built
     rc = main(["report", "--preset", "f2xz", "--stages", "2", "--budget-atoms", "0", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "budget must be >= 1" in capsys.readouterr().err
+    assert rc == 1
+    assert "budget_atoms must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

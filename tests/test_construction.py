@@ -23,7 +23,6 @@ from groupwalk import (
     run_construction,
 )
 from groupwalk.amenable import invariance_defect
-from groupwalk.construction import mc_limsup_check
 from groupwalk.presets import preset_state
 
 Z = FreeAbelian(1)
@@ -72,18 +71,6 @@ def test_harmonic_sampler_tail_law():
     # scalar and vector samplers agree
     for x in u[:500]:
         assert a.sample_k(float(x)) == a.sample_k_array(np.array([x]))[0]
-
-
-def test_mc_limsup_check_matches_exact_value():
-    # exact P(K_l > l + c for some l <= L) by inclusion: the events are
-    # independent across l with P = 1/(l+c+1), so the miss probability
-    # telescopes to (c+1)/(L+c+1)
-    res = mc_limsup_check(
-        AlphaSchedule("harmonic"), trials=20_000, length=200, c=5, seed=9
-    )
-    exact = 1.0 - 6.0 / 206.0
-    lo, hi = res["wilson95"]
-    assert lo <= exact <= hi
 
 
 # -- catalogue scheduling ----------------------------------------------------

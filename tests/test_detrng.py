@@ -19,17 +19,17 @@ def test_derive_is_order_sensitive():
 
 def test_counter_rng_random_access_matches_stream():
     rng = CounterRng(123, "lbl")
-    seq = rng.uniforms(0, 50)
+    seq = rng.uniforms_at(np.arange(50, dtype=np.uint64))
     assert [rng.uniform_at(i) for i in range(50)] == list(seq)
-    arr = rng.uniforms_at(np.arange(50, dtype=np.uint64))
-    assert list(arr) == list(seq)
     # offset windows agree with the full stream
-    assert list(rng.uniforms(10, 20)) == list(seq[10:30])
+    window = rng.uniforms_at(np.arange(10, 30, dtype=np.uint64))
+    assert list(window) == list(seq[10:30])
+    assert [rng.uniform_at(i) for i in range(10, 30)] == list(window)
 
 
 def test_counter_rng_uniform_range():
     rng = CounterRng(7)
-    u = rng.uniforms(0, 10_000)
+    u = rng.uniforms_at(np.arange(10_000, dtype=np.uint64))
     assert np.all(u >= 0) and np.all(u < 1)
     assert abs(float(np.mean(u)) - 0.5) < 0.02
 

@@ -9,15 +9,15 @@ from groupwalk import (
     WalkModel,
     empirical_increment_law,
     estimate_M,
-    sample_path,
     tv_distance,
 )
+from groupwalk import walk
+from groupwalk.detrng import CounterRng
 from groupwalk.walk import (
     DecompositionReport,
+    _sample_atom_ids,
     coupling_independence,
     empirical_pair_law,
-    sample_increment,
-    trial_stream,
 )
 
 
@@ -26,34 +26,67 @@ def model(f2xz_state):
     return WalkModel(f2xz_state)
 
 
-def test_paths_are_deterministic(model):
-    a, prod_a = sample_path(model, 20, seed=42, trial=3)
-    b, prod_b = sample_path(model, 20, seed=42, trial=3)
-    assert [(s.K, s.color, s.X) for s in a] == [(s.K, s.color, s.X) for s in b]
-    assert prod_a == prod_b
-    c, _ = sample_path(model, 20, seed=42, trial=4)
-    assert [(s.K, s.color) for s in a] != [(s.K, s.color) for s in c]
+def _draw(model, seed, samples, batch=1 << 18, label="increments"):
+    """Concatenated (ids, total rejections, colors) of one sampler run."""
+    parts = list(_sample_atom_ids(model, seed, label, samples, batch=batch))
+    ids = np.concatenate([p[0] for p in parts])
+    colors = np.concatenate([p[2] for p in parts])
+    return ids, sum(p[1] for p in parts), colors
 
 
-def test_running_products_multiply_out(model):
-    samples, products = sample_path(model, 12, seed=1, trial=0)
-    acc = model.group.identity
-    for s, p in zip(samples, products):
-        acc = model.group.mul(acc, s.X)
-        assert acc == p
+def _stages(model, ids):
+    # atom_offset[i] starts stage i's block for i >= 1 (atom_offset[0] is a pad)
+    return np.searchsorted(np.array(model.atom_offset), ids, side="right") - 1
+
+
+def test_atom_ids_are_deterministic_across_batches(model):
+    ids, rej, colors = _draw(model, 42, 5_000)
+    ids_b, rej_b, colors_b = _draw(model, 42, 5_000, batch=777)
+    assert np.array_equal(ids, ids_b) and np.array_equal(colors, colors_b)
+    assert rej == rej_b
+    other, _, _ = _draw(model, 43, 5_000)
+    assert not np.array_equal(ids, other)
 
 
 def test_colors_pick_the_right_atom(model):
-    stream = trial_stream(9, 0)
-    for i in range(200):
-        s = sample_increment(model, stream, index=i)
-        assert 1 <= s.K <= model.k
-        if s.color == "red":
-            assert s.X == model.c[s.K]
-        elif s.color == "green":
-            assert s.X == model.c_inv[s.K]
+    ids, _, colors = _draw(model, 9, 20_000)
+    K = _stages(model, ids)
+    assert K.min() >= 1 and K.max() <= model.k
+    slot = ids - np.array(model.atom_offset)[K]
+    assert np.all(slot[colors == 0] >= 2)
+    assert np.all(slot[colors == 1] == 0)
+    assert np.all(slot[colors == 2] == 1)
+    g = model.group
+    for i, k, col in zip(ids[:300].tolist(), K[:300].tolist(), colors[:300].tolist()):
+        record = model.state.records[k - 1]
+        if col == 0:
+            assert model.atoms[i] in record.F.elements
         else:
-            assert s.X in model.F[s.K]
+            assert model.atoms[i] == (record.c if col == 1 else g.inv(record.c))
+
+
+def test_overflow_fallback_reads_its_own_stream(model, monkeypatch):
+    # with one K attempt per slot block, every sample whose first draw
+    # exceeds k is redrawn from (seed, label + "-overflow", s) at 0, 1, ...
+    monkeypatch.setattr(walk, "_MAX_K_ATTEMPTS", 1)
+    seed, label, samples = 4, "increments", 3_000
+    ids, rej, _ = _draw(model, seed, samples, batch=1_000, label=label)
+    K = _stages(model, ids)
+    rng = CounterRng(seed, label)
+    alpha = model.alpha
+    overflowed, want_rej = 0, 0
+    for s in range(samples):
+        if alpha.sample_k(rng.uniform_at(walk._STRIDE * s)) <= model.k:
+            continue
+        overflowed += 1
+        aux = CounterRng(seed, label + "-overflow", s)
+        j = 0
+        while alpha.sample_k(aux.uniform_at(j)) > model.k:
+            j += 1
+        assert K[s] == alpha.sample_k(aux.uniform_at(j))
+        want_rej += j
+    assert overflowed > 0
+    assert rej == want_rej
 
 
 def test_empirical_law_supported_on_measure(model, f2xz_nu):
