@@ -20,19 +20,12 @@ from pathlib import Path
 
 from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set
 from groupwalk.config import RunConfig, config_file_values, load_config, parse_config_text
-from groupwalk.construction import (
-    AlphaSchedule,
-    ConstructionState,
-    VisibilityCatalogue,
-    build_measure,
-    make_entry,
-    new_state,
-    run_construction,
-)
+from groupwalk.construction import ConstructionState, build_measure, run_construction
 from groupwalk.diagnostics import TVReport, control_experiment, nondisjointness_report
 from groupwalk.errors import BudgetError, GroupwalkError, SpecMismatchError
 from groupwalk.groups import GSet, parse_group
 from groupwalk.measures import delta
+from groupwalk.presets import CONTROL_ALIASES, fresh_state
 from groupwalk.walk import estimate_M
 
 EXIT_OK = 0
@@ -99,29 +92,13 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return d / name
 
 
-def _catalogue(cfg: RunConfig) -> VisibilityCatalogue:
-    g = parse_group(cfg.group)
-    if not cfg.catalogue:
-        raise SpecMismatchError("config has no catalogue entries and no preset")
-    entries = tuple(
-        make_entry(GSet.from_texts(g, s_texts), AmenableSubgroup(g, embedding))
-        for s_texts, embedding in cfg.catalogue
-    )
-    return VisibilityCatalogue(entries, seed=cfg.seed)
-
-
 def _build_state(cfg: RunConfig, resume: str | None = None) -> ConstructionState:
-    if resume:
-        payload = json.loads(Path(resume).read_text())
-        state_doc = payload.get("state", payload)
-        state = ConstructionState.from_json(json.dumps(state_doc))
-        if state.group.spec_text() != parse_group(cfg.group).spec_text():
-            raise SpecMismatchError("checkpoint group differs from configured group")
-    else:
-        g = parse_group(cfg.group)
-        state = new_state(
-            g, _catalogue(cfg), AlphaSchedule(cfg.alpha), product_cap=cfg.product_cap
-        )
+    if not resume:
+        return fresh_state(cfg)
+    payload = json.loads(Path(resume).read_text())
+    state = ConstructionState.from_json(json.dumps(payload.get("state", payload)))
+    if state.group.spec_text() != parse_group(cfg.group).spec_text():
+        raise SpecMismatchError("checkpoint group differs from configured group")
     return run_construction(state, cfg.stages)
 
 
@@ -239,8 +216,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_control(args) -> int:
-    from groupwalk.presets import CONTROL_ALIASES
-
     name = args.control_preset or args.preset
     if name is None:
         raise SpecMismatchError("control needs a preset name")

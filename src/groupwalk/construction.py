@@ -25,7 +25,7 @@ conjugate sets are complete.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -180,15 +180,15 @@ class ConstructionState:
                 "alpha": self.alpha.name,
                 "catalogue": cat,
                 "product_cap": self.product_cap,
-                "A": g_texts(g, self.A),
+                "A": self.A.to_texts(),
                 "A_truncated": self.A.truncated,
                 "records": [
                     {
                         "i": r.i,
                         "entry": r.entry_index,
                         "c": g.element_to_text(r.c),
-                        "B": g_texts(g, r.B),
-                        "F": g_texts(g, r.F),
+                        "B": r.B.to_texts(),
+                        "F": r.F.to_texts(),
                         "F_truncated": r.F.truncated,
                         "defect": r.defect,
                         "truncated": r.truncated,
@@ -214,11 +214,9 @@ class ConstructionState:
         )
         if unread:
             raise SpecMismatchError(f"checkpoint catalogue sets unsupported keys {unread}")
-        entries = tuple(
-            make_entry(GSet.from_texts(g, e["S"]), AmenableSubgroup(g, e["H"]))
-            for e in cat_doc["entries"]
+        cat = catalogue_from_texts(
+            g, [(e["S"], e["H"]) for e in cat_doc["entries"]], cat_doc["seed"]
         )
-        cat = VisibilityCatalogue(entries, cat_doc["seed"])
         records = tuple(
             StageRecord(
                 i=r["i"],
@@ -242,8 +240,15 @@ class ConstructionState:
         )
 
 
-def g_texts(g: Group, S: GSet) -> list[str]:
-    return [g.element_to_text(x) for x in S.sorted_elements()]
+def catalogue_from_texts(g: Group, entries, seed: int) -> VisibilityCatalogue:
+    """The catalogue of `(S texts, embedding)` pairs on g, each entry certified."""
+    return VisibilityCatalogue(
+        tuple(
+            make_entry(GSet.from_texts(g, s_texts), AmenableSubgroup(g, embedding))
+            for s_texts, embedding in entries
+        ),
+        seed,
+    )
 
 
 def new_state(

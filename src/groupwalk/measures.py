@@ -10,10 +10,10 @@ lies within ``value +- bracket``.
 Two arithmetic modes, never mixed:
 
 * ``"exact"`` - Fraction weights, bit-exact results;
-* ``"float"`` - float64 weights; on groups with a packed codec (see
-  `groupwalk.codecs`) every convolution runs on a uint64 numpy kernel,
-  so results are identical for any worker count. Groups without a codec
-  convolve on dicts in canonical order.
+* ``"float"`` - float64 weights; every convolution runs on one kernel,
+  packed uint64 codes (see `groupwalk.codecs`) plus a side dict, so
+  results are identical for any worker count. A group without a codec
+  takes the same kernel with an empty pool.
 
 Every measure has one storage layout: a packed pool of sorted uint64
 codes with float64 masses, plus a side dict. One placement rule decides
@@ -297,7 +297,8 @@ def _select_top(group: Group, codes: np.ndarray, masses: np.ndarray, side: dict,
     """Top-`budget` atoms across the packed pool and the dict side pool.
 
     Ties at the cutoff mass are resolved by spiral order (packed ties are
-    decoded first). Returns (codes, masses, side_kept, pruned_mass).
+    decoded first; an empty pool, as on a codec-less group, has none).
+    Returns (codes, masses, side_kept, pruned_mass).
     """
     codec = group.codec()
     total = len(codes) + len(side)
@@ -433,9 +434,11 @@ def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
     rows the line shifts would add to the sort route, with L * K (the cost
     of the convolution) at most rows * log2(rows) (the cost of sorting them).
     """
+    if not len(mu._codes):
+        return None
     codec = mu.group.codec()
     b = codec.line_bits
-    if b is None or not len(mu._codes):
+    if b is None:
         return None
     field = (1 << b) - 1
     e = codec.encode_one(mu.group.identity)
@@ -520,7 +523,8 @@ def _convolve_fast(
     if plan is not None:
         lines = {codec.decode_one(c) for c in nu._codes[plan[0]].tolist()}
         add(*_convolve_lines(mu, plan))
-    ys = [y for y, _ in nu_items if y not in lines]
+    # an empty pool (always so without a codec) has no rows for mul_right
+    ys = [y for y, _ in nu_items if y not in lines] if len(mu_codes) else []
     if threads > 1 and len(ys) > 1:
         pool = ThreadPoolExecutor(max_workers=threads)
         results = _mul_right_windowed(pool, codec, mu_codes, ys, threads * _TASKS_PER_THREAD)
@@ -530,7 +534,7 @@ def _convolve_fast(
 
     try:
         for y, wy in nu_items:
-            if y not in lines:
+            if ys and y not in lines:
                 out, ok = next(results)
                 if bool(ok.all()):
                     add(out, mu_masses * wy)
@@ -551,7 +555,9 @@ def _convolve_fast(
     # an atom the codec cannot hold times y can land back in codec range;
     # the placement rule sends those products to the packed pool, so no
     # element is split across both pools when the budget ranks atoms
-    back = {z: c for z in side if (c := codec.encode_one(z)) is not None}
+    back = {}
+    if codec is not None:
+        back = {z: c for z in side if (c := codec.encode_one(z)) is not None}
     if back:
         add(
             np.array(list(back.values()), dtype=np.uint64),
@@ -580,10 +586,10 @@ def convolve(
 ) -> SparseMeasure:
     """mu * nu with budget pruning.
 
-    Float measures on a group with a packed codec take the packed kernel,
-    which differs from `convolve_reference` only in summation grouping and
-    is byte-reproducible for any `threads` value; without a codec the float
-    route is `convolve_reference` itself.
+    Every float measure takes the packed kernel, which differs from
+    `convolve_reference` (the test oracle) only in summation grouping and is
+    byte-reproducible for any `threads` value; on a group without a codec
+    its pool is empty and every product goes to the side dict.
     """
     _check_compat(mu, nu)
     if budget is not None and budget < 1:
@@ -599,8 +605,6 @@ def convolve(
             acc, pruned = _prune_dict(g, acc, budget, "exact")
             lost = lost + pruned
         return SparseMeasure.from_items(g, acc, "exact", lost_mass=lost)
-    if g.codec() is None:
-        return convolve_reference(mu, nu, budget)
     return _convolve_fast(mu, nu, budget, threads)
 
 

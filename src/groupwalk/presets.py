@@ -9,43 +9,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from groupwalk.amenable import AmenableSubgroup
+from groupwalk.config import RunConfig
 from groupwalk.construction import (
     AlphaSchedule,
     ConstructionState,
-    VisibilityCatalogue,
-    make_entry,
+    catalogue_from_texts,
     new_state,
+    run_construction,
 )
 from groupwalk.errors import SpecMismatchError
-from groupwalk.groups import GSet, parse_group
+from groupwalk.groups import parse_group
 
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     group_text: str
     catalogue: tuple[tuple[tuple[str, ...], str], ...]  # (S texts, embedding)
     stages: int
-    alpha: str = "harmonic"
 
 
 PRESETS: dict[str, Preset] = {
     "f2xz": Preset(
-        name="f2xz",
         group_text="product(free(2), free-abelian(1))",
         catalogue=(((("(e|(1))",)), "center"),),
         stages=32,
     ),
     "z-amenable": Preset(
-        name="z-amenable",
         group_text="free-abelian(1)",
         catalogue=(((("(1)",)), "whole"),),
         stages=50,
     ),
     # the free-group control is a plain SRW, not a construction: no catalogue
     "f2-control": Preset(
-        name="f2-control",
         group_text="free(2)",
         catalogue=(),
         stages=0,
@@ -69,30 +64,20 @@ def get_preset(name: str) -> Preset:
         ) from None
 
 
-def preset_catalogue(name: str, seed: int) -> VisibilityCatalogue:
-    p = get_preset(name)
-    if not p.catalogue:
-        raise SpecMismatchError(f"preset {name!r} is a control; it has no catalogue")
-    g = parse_group(p.group_text)
-    entries = []
-    for s_texts, embedding in p.catalogue:
-        S = GSet.from_texts(g, s_texts)
-        H = AmenableSubgroup(g, embedding)
-        entries.append(make_entry(S, H))
-    return VisibilityCatalogue(tuple(entries), seed=seed)
+def fresh_state(cfg: RunConfig) -> ConstructionState:
+    """Run the construction a resolved config describes, from stage 0 through `cfg.stages`."""
+    g = parse_group(cfg.group)
+    if not cfg.catalogue:
+        raise SpecMismatchError("config has no catalogue entries and no preset")
+    state = new_state(
+        g,
+        catalogue_from_texts(g, cfg.catalogue, cfg.seed),
+        AlphaSchedule(cfg.alpha),
+        product_cap=cfg.product_cap,
+    )
+    return run_construction(state, cfg.stages)
 
 
-def preset_state(
-    name: str,
-    seed: int,
-    stages: int | None = None,
-    product_cap: int = 1_000_000,
-) -> ConstructionState:
-    """Build and run a preset construction through its stage budget."""
-    from groupwalk.construction import run_construction
-
-    p = get_preset(name)
-    cat = preset_catalogue(name, seed)
-    alpha = AlphaSchedule(p.alpha)
-    state = new_state(parse_group(p.group_text), cat, alpha, product_cap=product_cap)
-    return run_construction(state, stages if stages is not None else p.stages)
+def preset_state(name: str, seed: int, stages: int | None = None) -> ConstructionState:
+    """Build and run a preset construction through `stages` (default: the preset's own)."""
+    return fresh_state(RunConfig(preset=name, seed=seed, stages=stages).resolved())

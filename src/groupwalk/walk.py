@@ -109,7 +109,7 @@ def _sample_atom_ids(model: WalkModel, seed: int, label: str, samples: int, batc
                 while (kk := model.alpha.sample_k(aux.uniform_at(j))) > model.k:
                     j += 1
                 K[idx] = kk
-                rejections += j
+                rejections += j + 1  # j overflow draws and the last in-stride one
         ucol = rng.uniforms_at(base + np.uint64(14))
         colors = np.minimum((ucol * 3).astype(np.int64), 2)
         upick = rng.uniforms_at(base + np.uint64(15))
@@ -325,16 +325,10 @@ def estimate_M(
         c = int(np.count_nonzero(hit_times <= m))
         lo, hi = wilson_interval(c, trials)
         curve.append((m, c / trials, lo, hi))
-    if M_star is None:
-        c = int(np.count_nonzero(hit_times <= horizon))
-        lo, hi = wilson_interval(c, trials)
-        return DecompositionReport(
-            s_texts, N, eps, trials, horizon, seed,
-            None, c / trials, (lo, hi), 1.0 - c / trials, tuple(curve), True,
-        )
-    c = int(np.count_nonzero(hit_times <= M_star))
+    # hits by M, or by the horizon when no M clears the target (failed)
+    c = int(np.count_nonzero(hit_times <= (horizon if M_star is None else M_star)))
     lo, hi = wilson_interval(c, trials)
     return DecompositionReport(
         s_texts, N, eps, trials, horizon, seed,
-        M_star, c / trials, (lo, hi), 1.0 - c / trials, tuple(curve), False,
+        M_star, c / trials, (lo, hi), 1.0 - c / trials, tuple(curve), M_star is None,
     )

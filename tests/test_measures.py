@@ -11,6 +11,7 @@ from groupwalk import (
     FreeAbelian,
     FreeGroup,
     GSet,
+    Lamplighter,
     SparseMeasure,
     convolve,
     convolve_reference,
@@ -19,11 +20,15 @@ from groupwalk import (
     tv_distance,
     uniform,
 )
+from groupwalk import measures
 from groupwalk.measures import _line_plan, tv_left_translate
 
 F2 = FreeGroup(2)
 Z = FreeAbelian(1)
 F2xZ = DirectProduct((FreeGroup(2), FreeAbelian(1)))
+# the two codec-less groups: their float measures keep every atom in the side dict
+LAMP = Lamplighter()
+Z7 = FreeAbelian(7)
 
 letters = st.integers(-2, 2).filter(lambda l: l != 0)
 words = st.lists(letters, max_size=5).map(
@@ -81,6 +86,12 @@ def float_measures(elements, group):
 
 f2xz_elements = st.tuples(long_words, st.tuples(centrals))
 f2xz_float_measures = float_measures(f2xz_elements, F2xZ)
+# lit lamps and the marker both drawn from [-4, 4]
+lamp_elements = st.tuples(
+    st.lists(st.integers(-4, 4), unique=True, max_size=4).map(lambda ls: tuple(sorted(ls))),
+    st.integers(-4, 4),
+)
+z7_elements = st.tuples(*[st.integers(-2, 2)] * 7)
 
 
 def assert_placed(mu):
@@ -284,8 +295,10 @@ def _random_pairs(measures):
     [
         (F2, _random_pairs(float_measures(long_words, F2))),
         (F2xZ, st.one_of(_random_pairs(f2xz_float_measures), line_pairs())),
+        (LAMP, _random_pairs(float_measures(lamp_elements, LAMP))),
+        (Z7, _random_pairs(float_measures(z7_elements, Z7))),
     ],
-    ids=["F2", "F2xZ"],
+    ids=["F2", "F2xZ", "lamplighter(2)", "free-abelian(7)"],
 )
 def test_float_convolve_matches_reference(group, pairs):
     @given(pairs, st.integers(1, 12))
@@ -355,6 +368,37 @@ def test_convolve_threads_do_not_change_bytes(f2xz_nu):
     one = convolve(f2xz_nu, f2xz_nu, budget=50_000, threads=1)
     four = convolve(f2xz_nu, f2xz_nu, budget=50_000, threads=4)
     assert one.to_text() == four.to_text()
+
+
+def _lamp_step():
+    return uniform(GSet(LAMP, frozenset([((), 1), ((), -1), ((0,), 0), ((0, 1), 1)])))
+
+
+def test_lamplighter_convolve_threads_do_not_change_bytes():
+    nu = _lamp_step()
+    rho = convolve(convolve(nu, nu), nu)
+    one = convolve(rho, nu, budget=40, threads=1)
+    four = convolve(rho, nu, budget=40, threads=4)
+    assert one.to_text() == four.to_text()
+
+
+def test_codecless_float_convolve_never_calls_the_oracle(monkeypatch):
+    oracle = measures.convolve_reference
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("float convolve called convolve_reference")
+
+    monkeypatch.setattr(measures, "convolve_reference", refuse)
+    lamp = _lamp_step()
+    z7 = uniform(GSet(Z7, frozenset([(1, 0, 0, 0, 0, 0, 2), (0, -1, 0, 0, 3, 0, 0)])))
+    for nu in (lamp, z7):
+        assert nu.group.codec() is None
+        rho = convolve(nu, nu)
+        for budget in (None, 3):
+            got = convolve(rho, nu, budget=budget).as_dict()
+            want = oracle(rho, nu, budget=budget).as_dict()
+            assert set(got) == set(want)
+            assert all(got[x] == pytest.approx(m, abs=1e-12) for x, m in want.items())
 
 
 @given(f2_measures)
