@@ -179,7 +179,7 @@ def cmd_certify(args) -> int:
     return EXIT_USAGE if refuted else EXIT_OK
 
 
-def _report(args, stem: str) -> TVReport:
+def _report(args, stem: str, stop_early: bool) -> TVReport:
     """Build nu, run the non-disjointness report, write `<stem>.csv` and `<stem>.json`."""
     cfg = _config_from(args)
     state = _build_state(cfg)
@@ -196,6 +196,7 @@ def _report(args, stem: str) -> TVReport:
         threads=cfg.threads,
         fingerprint=cfg.fingerprint(),
         seed=cfg.seed,
+        stop_early=stop_early,
     )
     _write(_out_path(cfg, f"{stem}.csv"), rep.to_csv())
     _write(_out_path(cfg, f"{stem}.json"), rep.to_json())
@@ -203,14 +204,14 @@ def _report(args, stem: str) -> TVReport:
 
 
 def cmd_tv_curve(args) -> int:
-    rep = _report(args, "tv-curve")
+    rep = _report(args, "tv-curve", stop_early=False)
     last = rep.per_n_min[-1]
     print(f"n={last[0]} min_t d_n={last[1]:.6f} bracket={last[2]:.6f}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    rep = _report(args, "report")
+    rep = _report(args, "report", stop_early=True)
     print(f"bound={rep.bound} slack={rep.slack} verdict={rep.verdict.upper()}")
     return EXIT_OK if rep.verdict == "pass" else EXIT_INCONCLUSIVE
 

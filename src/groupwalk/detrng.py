@@ -43,11 +43,18 @@ def derive(seed: int, *labels: int | str) -> int:
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
+    """`mix64` elementwise: one copy of x, mixed in place with one scratch array."""
+    z = np.array(x, dtype=np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = (x + np.uint64(_GAMMA)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-        return z ^ (z >> np.uint64(31))
+        np.add(z, np.uint64(_GAMMA), out=z)
+        for shift, mult in ((30, _M1), (27, _M2)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, np.uint64(mult), out=z)
+        np.right_shift(z, np.uint64(31), out=t)
+        np.bitwise_xor(z, t, out=z)
+    return z
 
 
 class CounterRng:

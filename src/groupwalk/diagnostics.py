@@ -168,13 +168,15 @@ def nondisjointness_report(
     threads: int = 1,
     fingerprint: str = "",
     seed: int | None = None,
+    stop_early: bool = True,
 ) -> TVReport:
     """Compare min_{t in S} min_n d_n against 2(1 - 1/|S|)|mu| + slack.
 
     PASS when some (t, n) meets the bound within bracket + slack;
-    INCONCLUSIVE otherwise (a finite horizon cannot refute a liminf). The
-    run stops at the first n whose raw value meets the bound within slack:
-    nothing is left to demonstrate.
+    INCONCLUSIVE otherwise (a finite horizon cannot refute a liminf). With
+    `stop_early` the run stops at the first n whose raw value meets the
+    bound within slack, since nothing is left to demonstrate; without it
+    every n up to n_max is drawn, which the verdict cannot change.
     """
     if len(S) == 0:
         raise SpecMismatchError("S must be non-empty")
@@ -191,7 +193,7 @@ def nondisjointness_report(
         return p.value <= bound + slack + p.bracket
 
     def stop(points):
-        return best(points).value <= bound + slack
+        return stop_early and best(points).value <= bound + slack
 
     rows, budget_flag, stopped = _tv_steps(mu, t_list, nu, n_max, budget, threads, stop)
     mins = [best(r) for r in rows]

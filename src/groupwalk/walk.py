@@ -23,7 +23,9 @@ results are independent of batching and worker count. Two layouts remain:
   16s+15. A sample whose 14 K attempts all exceed k reads slots 0, 1, ...
   of its own stream (seed, label + "-overflow", s) until one does not;
 - `estimate_M`'s trial t reads the stream (seed, "couple", t): K_l at
-  slot 2l and the color at slot 2l+1.
+  slot 2l and the color at slot 2l+1. It reads K_l only until the trial
+  first hits, and the color only at steps past N where K_l is a strict
+  record exceeding l+1; no other cell can change the hit time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from groupwalk.construction import ConstructionState
+from groupwalk.construction import AlphaSchedule, ConstructionState
 from groupwalk.detrng import CounterRng, derive, _mix64_np
 from groupwalk.errors import SpecMismatchError
 from groupwalk.groups import GSet
@@ -43,6 +45,7 @@ from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 COLORS = ("blue", "red", "green")
 _STRIDE = 16  # counter slots per sample: K attempts 0..13, color 14, pick 15
 _MAX_K_ATTEMPTS = 14
+_TILE_CELLS = 1 << 18  # most trial x step cells estimate_M draws at once
 
 
 class WalkModel:
@@ -68,15 +71,37 @@ class WalkModel:
 
 
 def _batch_keys(seed: int, label: str, start: int, count: int) -> np.ndarray:
-    return np.array(
-        [derive(seed, label, t) for t in range(start, start + count)], dtype=np.uint64
-    )
+    """derive(seed, label, t) for t in start..start+count-1: one mix past the shared prefix."""
+    t = np.arange(start, start + count, dtype=np.uint64)
+    return _mix64_np(t ^ np.uint64(derive(seed, label)))
 
 
 def _uniform_grid(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """uniforms[t, j] for stream key t at counter j."""
-    mixed = _mix64_np(counters[None, :].astype(np.uint64) ^ keys[:, None])
-    return (mixed >> np.uint64(11)) * np.float64(2.0**-53)
+    """Uniforms of stream keys at counters, the two broadcast together.
+
+    `keys[:, None]` against `counters[None, :]` gives the grid u[t, j] for
+    key t at counter j; two equal-length vectors give one uniform per pair.
+    """
+    mixed = _mix64_np(counters.astype(np.uint64) ^ keys)
+    np.right_shift(mixed, np.uint64(11), out=mixed)
+    return mixed * np.float64(2.0**-53)
+
+
+def _candidate_thresholds(alpha: AlphaSchedule, steps: np.ndarray) -> np.ndarray:
+    """Per step l, the least uniform u with `sample_k(u) > l + 1`, or 1.0 if none.
+
+    Every uniform is m * 2^-53 and `sample_k_array` is non-decreasing in u,
+    so bisecting m against `sample_k_array` itself makes `u >= thr[l]`
+    exactly the test `K_l > l + 1`.
+    """
+    lo = np.zeros(steps.size, dtype=np.int64)  # sample_k(0) = 1 <= l + 1
+    hi = np.full(steps.size, 1 << 53, dtype=np.int64)  # 1.0: never reached
+    for _ in range(53):
+        mid = (lo + hi) // 2
+        above = alpha.sample_k_array(mid * 2.0**-53) > steps + 1
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return hi * 2.0**-53
 
 
 def _sample_atom_ids(model: WalkModel, seed: int, label: str, samples: int, batch: int = 1 << 18):
@@ -255,7 +280,24 @@ def estimate_M(
     horizon: int,
     seed: int,
 ) -> DecompositionReport:
-    """Smallest M whose event probability clears 1 - eps (Wilson 95% lower)."""
+    """Smallest M whose event probability clears 1 - eps (Wilson 95% lower).
+
+    Trial t's hit time is its first step l > N where K_l > l+1, K_l beats
+    every earlier K, the color is blue and the schedule at stage K_l draws
+    an entry whose set is S. Only the cells that can decide it are drawn:
+
+    - steps go in tiles of at most `_TILE_CELLS` cells, each tile over the
+      trials that have not hit yet, so no array grows with trials x horizon;
+    - `K_l > l+1` is read as `u >= thr_l` (`_candidate_thresholds`), and K
+      itself is computed at those candidate cells only;
+    - the color and the schedule are read only at candidate records past N.
+
+    Two facts keep the result equal to a full trials x horizon grid's. A
+    cell with K_l <= l+1 cannot fire, nor block a later candidate, since
+    K_j <= j+1 <= l < K_l; so a candidate is a record exactly when it beats
+    the largest earlier candidate. And the streams are random access, so a
+    cell drawn alone has the value the grid would give it.
+    """
     if not (0 < eps <= 1):
         raise SpecMismatchError("eps must be in (0, 1]")
     if trials < 1 or horizon < 1 or N < 0:
@@ -273,38 +315,45 @@ def estimate_M(
             s_texts, N, eps, trials, horizon, seed, 0, 0.0, (0.0, 0.0), 1.0, (), False
         )
 
+    alpha = state.alpha
     match_set = np.array(matching, dtype=np.int64)
-    steps = np.arange(1, horizon + 1, dtype=np.int64)
     never = horizon + 1
     hit_times = np.full(trials, never, dtype=np.int64)
-    batch = max(1, (1 << 22) // horizon)
-    for start in range(0, trials, batch):
-        n = min(batch, trials - start)
-        keys = _batch_keys(seed, "couple", start, n)
-        uK = _uniform_grid(keys, (steps * 2).astype(np.uint64))
-        K = state.alpha.sample_k_array(uK)
-        del uK
-        ucol = _uniform_grid(keys, (steps * 2 + 1).astype(np.uint64))
-        blue = ucol < (1.0 / 3.0)
-        del ucol
-        running = np.maximum.accumulate(K, axis=1)
-        prev_record = np.concatenate(
-            [np.zeros((n, 1), dtype=np.int64), running[:, :-1]], axis=1
-        )
-        del running
-        sched = cat.draw_index_array(K.astype(np.uint64).ravel()).reshape(K.shape)
-        cond = (
-            (K > steps + 1)
-            & (K > prev_record)
-            & blue
-            & np.isin(sched, match_set)
-            & (steps > N)
-        )
-        del K, prev_record, sched, blue
-        any_hit = cond.any(axis=1)
-        first = np.where(any_hit, cond.argmax(axis=1) + 1, never)
-        hit_times[start : start + n] = first
-        del cond
+    for start in range(0, trials, _TILE_CELLS):
+        # per live trial: its row in this block, its stream key, and the
+        # largest candidate K drawn so far (the record to beat)
+        rows = np.arange(min(_TILE_CELLS, trials - start))
+        keys = _batch_keys(seed, "couple", start, rows.size)
+        top = np.zeros(rows.size, dtype=np.int64)
+        first = 1
+        while rows.size and first <= horizon:
+            width = min(horizon + 1 - first, max(1, _TILE_CELLS // rows.size))
+            steps = np.arange(first, first + width, dtype=np.int64)
+            first += width
+            thr = _candidate_thresholds(alpha, steps)
+            if thr[0] >= 1.0:
+                break  # thresholds rise with l: no later cell is a candidate
+            u = _uniform_grid(keys[:, None], (2 * steps).astype(np.uint64)[None, :])
+            r, c = np.nonzero(u >= thr)  # candidates, in row then step order
+            K = alpha.sample_k_array(u[r, c])
+            del u
+            # strict records: the j-th candidate of every row at once, for
+            # j = 0, 1, ..., each against its row's largest earlier K
+            record = np.zeros(r.size, dtype=bool)
+            rank = np.arange(r.size) - np.searchsorted(r, r)
+            for j in range(int(rank.max(initial=-1)) + 1):
+                at = np.nonzero(rank == j)[0]
+                record[at] = K[at] > top[r[at]]
+                top[r[at]] = np.maximum(top[r[at]], K[at])
+            late = np.nonzero(record & (steps[c] > N))[0]
+            ucol = _uniform_grid(keys[r[late]], (2 * steps[c[late]] + 1).astype(np.uint64))
+            sched = cat.draw_index_array(K[late].astype(np.uint64))
+            fire = late[(ucol < 1.0 / 3.0) & np.isin(sched, match_set)]
+            hit_rows, at = np.unique(r[fire], return_index=True)
+            hit_times[start + rows[hit_rows]] = steps[c[fire[at]]]
+            live = np.ones(rows.size, dtype=bool)
+            live[hit_rows] = False
+            rows, keys, top = rows[live], keys[live], top[live]
 
     target = 1.0 - eps
     order = np.sort(hit_times[hit_times <= horizon])

@@ -154,7 +154,7 @@ def test_criterion_8_decomposition_event(f2xz_state):
         f2xz_state, S, N=4, eps=0.25, trials=10_000, horizon=16_384, seed=SEED
     )
     assert not rep.failed
-    assert rep.M is not None
+    assert rep.M == 2888
     assert rep.ci[0] >= 0.75
     values = [row[1] for row in rep.curve]
     assert values == sorted(values), "hit-probability curve must be non-decreasing"

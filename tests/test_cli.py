@@ -189,6 +189,8 @@ def test_tv_curve_command(tmp_path):
     assert rc == 0
     rows = (tmp_path / "tv-curve.csv").read_text().strip().splitlines()
     assert rows[1] == "t,n,value,bracket"
+    # every n up to n_max, though d_n meets the report's bound at n = 2
+    assert [r.split(",")[1] for r in rows[2:]] == [str(n) for n in range(9)]
     # d_0 = 2 for a point mass against its translate
     assert rows[2].split(",")[2] == "2.0"
     doc = json.loads((tmp_path / "tv-curve.json").read_text())

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 import hypothesis.strategies as st
 
-from groupwalk.detrng import CounterRng, derive, mix64
+from groupwalk.detrng import _GAMMA, CounterRng, _mix64_np, derive, mix64
 from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 
 
@@ -10,6 +10,15 @@ from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 def test_mix64_is_a_bijection_locally(x):
     # distinct nearby inputs never collide (sanity, not a proof of bijectivity)
     assert mix64(x) != mix64((x + 1) % 2**64)
+
+
+def test_mix64_np_matches_scalar():
+    words = np.random.default_rng(0).integers(0, 2**64, size=1_000, dtype=np.uint64, endpoint=False)
+    edges = np.array([0, 2**64 - 1, 2**64 - _GAMMA], dtype=np.uint64)
+    x = np.concatenate([words, edges])
+    before = x.copy()
+    assert [int(v) for v in _mix64_np(x)] == [mix64(int(v)) for v in x]
+    assert np.array_equal(x, before)  # the input is not mixed in place
 
 
 def test_derive_is_order_sensitive():

@@ -12,7 +12,9 @@ from groupwalk import (
     tv_distance,
 )
 from groupwalk import walk
+from groupwalk.construction import AlphaSchedule, catalogue_from_texts, new_state
 from groupwalk.detrng import CounterRng
+from groupwalk.mcstats import wilson_interval
 from groupwalk.walk import (
     DecompositionReport,
     _sample_atom_ids,
@@ -177,3 +179,76 @@ def test_estimate_m_deterministic(f2xz_state):
     a = estimate_M(f2xz_state, S, N=4, eps=0.3, trials=600, horizon=2048, seed=3)
     b = estimate_M(f2xz_state, S, N=4, eps=0.3, trials=600, horizon=2048, seed=3)
     assert a.to_json() == b.to_json()
+
+
+@pytest.fixture(scope="module", params=["harmonic", "geometric"])
+def three_entry_state(f2xz_state, request):
+    # three central singletons, so the schedule at stage K picks S only a
+    # third of the time and the schedule filter decides hits
+    g = f2xz_state.group
+    texts = ((("(e|(1))",), "center"), (("(e|(2))",), "center"), (("(e|(-1))",), "center"))
+    return new_state(g, catalogue_from_texts(g, texts, 3), AlphaSchedule(request.param))
+
+
+def _oracle_hit_times(state, S, N, trials, horizon, seed):
+    """Trial by trial and step by step, the first step the event fires (horizon + 1 if none)."""
+    cat, alpha = state.catalogue, state.alpha
+    match = {j for j, e in enumerate(cat.entries) if e.S.elements == S.elements}
+    hits = []
+    for t in range(trials):
+        rng = CounterRng(seed, "couple", t)
+        best, hit = 0, horizon + 1
+        for l in range(1, horizon + 1):
+            k = alpha.sample_k(rng.uniform_at(2 * l))
+            if (
+                l > N
+                and k > l + 1
+                and k > best
+                and rng.uniform_at(2 * l + 1) < 1 / 3
+                and cat.draw_index(k) in match
+            ):
+                hit = l
+                break
+            best = max(best, k)
+        hits.append(hit)
+    return hits
+
+
+def _report_from_hits(hits, trials, horizon, eps):
+    """(M, curve, hit_probability, ci) as the report defines them, from hit times."""
+    order = sorted(h for h in hits if h <= horizon)
+    M = next(
+        (h for pos, h in enumerate(order, 1) if wilson_interval(pos, trials)[0] >= 1 - eps),
+        None,
+    )
+    grid = [2**i for i in range(horizon.bit_length()) if 2**i < horizon] + [horizon]
+    curve = []
+    for m in grid:
+        c = sum(h <= m for h in hits)
+        curve.append((m, c / trials, *wilson_interval(c, trials)))
+    c = sum(h <= (horizon if M is None else M) for h in hits)
+    return M, tuple(curve), c / trials, wilson_interval(c, trials)
+
+
+@pytest.mark.parametrize("N", [0, 7])
+@pytest.mark.parametrize("horizon", [1, 300])
+def test_estimate_m_matches_scalar_oracle(three_entry_state, N, horizon):
+    g = three_entry_state.group
+    S = GSet(g, frozenset([g.element_from_text("(e|(1))")]))
+    trials, eps, seed = 200, 0.8, 11
+    rep = estimate_M(three_entry_state, S, N=N, eps=eps, trials=trials, horizon=horizon, seed=seed)
+    hits = _oracle_hit_times(three_entry_state, S, N, trials, horizon, seed)
+    assert (rep.M, rep.curve, rep.hit_probability, rep.ci) == _report_from_hits(
+        hits, trials, horizon, eps
+    )
+
+
+def test_estimate_m_does_not_depend_on_tiling(three_entry_state, monkeypatch):
+    # 7 cells a tile splits the 40 trials into blocks and the 150 steps
+    # into many tiles, so tiles end mid-trial and blocks end mid-run
+    g = three_entry_state.group
+    S = GSet(g, frozenset([g.element_from_text("(e|(1))")]))
+    args = dict(N=2, eps=0.8, trials=40, horizon=150, seed=5)
+    default = estimate_M(three_entry_state, S, **args).to_json()
+    monkeypatch.setattr(walk, "_TILE_CELLS", 7)
+    assert estimate_M(three_entry_state, S, **args).to_json() == default
