@@ -15,7 +15,6 @@ from groupwalk.groups import (
     GSet,
     Group,
     Lamplighter,
-    ball,
     conjugate_set,
     enumerate_element,
     parse_group,
@@ -26,7 +25,6 @@ from groupwalk.measures import (
     convolve,
     convolve_reference,
     delta,
-    translate_left,
     tv_distance,
     uniform,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "DirectProduct",
     "Lamplighter",
     "GSet",
-    "ball",
     "enumerate_element",
     "product_power",
     "conjugate_set",
@@ -76,7 +73,6 @@ __all__ = [
     "uniform",
     "convolve",
     "convolve_reference",
-    "translate_left",
     "tv_distance",
     "AmenableSubgroup",
     "folner_set",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,18 +129,7 @@ def _whole_family(group: Group, m: int):
     if isinstance(group, Lamplighter):
         return _lamp_position_blocks(m)
     if isinstance(group, DirectProduct):
-        parts = []
-        for f in group.factors:
-            p = _whole_family(f, m)
-            if p is None:  # finite factor exhausted: stay at its last member
-                p = _whole_family(f, 0)
-            parts.append(p)
-        size = 1
-        for p in parts:
-            size *= len(p)
-        if size > _MEMBER_SIZE_CAP:
-            return None
-        return [tuple(c) for c in itertools.product(*parts)]
+        return _product_family(_whole_family, group.factors, m)
     raise SpecMismatchError(f"no Folner family for {group.spec_text()}")
 
 
@@ -151,19 +141,22 @@ def _center_family(group: Group, m: int):
     if isinstance(group, Lamplighter):
         return [group.identity] if m == 0 else None
     if isinstance(group, DirectProduct):
-        parts = []
-        for f in group.factors:
-            p = _center_family(f, m)
-            if p is None:
-                p = _center_family(f, 0)
-            parts.append(p)
-        size = 1
-        for p in parts:
-            size *= len(p)
-        if size > _MEMBER_SIZE_CAP:
-            return None
-        return [tuple(c) for c in itertools.product(*parts)]
+        return _product_family(_center_family, group.factors, m)
     raise SpecMismatchError(f"no center family for {group.spec_text()}")
+
+
+def _product_family(family, factors, m: int):
+    """m-th member of `family` on a direct product: the product of the
+    factors' m-th members, or None past the size cap."""
+    parts = []
+    for f in factors:
+        p = family(f, m)
+        if p is None:  # finite factor exhausted: stay at its last member
+            p = family(f, 0)
+        parts.append(p)
+    if math.prod(len(p) for p in parts) > _MEMBER_SIZE_CAP:
+        return None
+    return [tuple(c) for c in itertools.product(*parts)]
 
 
 def _lamp_block_size(m: int) -> int:

@@ -48,10 +48,7 @@ class FreeCodec:
             raise SpecMismatchError(f"free codec layout infeasible: rank {group.rank}, width {width}")
         self._val_mask = _u((1 << self.shift_len) - 1)
         self._letter_mask = _u((1 << self.letter_bits) - 1)
-
-    @staticmethod
-    def _letter_rank(l: int) -> int:
-        return (abs(l) - 1) * 2 + (0 if l > 0 else 1)
+        self._letter_rank = group._letter_rank
 
     @staticmethod
     def _rank_letter(r: int) -> int:

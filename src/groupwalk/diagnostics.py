@@ -18,8 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from groupwalk.construction import build_measure
 from groupwalk.errors import ConvolutionRefused, SpecMismatchError
-from groupwalk.groups import GSet
+from groupwalk.groups import FreeGroup, GSet
 from groupwalk.measures import (
     SparseMeasure,
     convolve,
@@ -27,6 +28,7 @@ from groupwalk.measures import (
     tv_left_translate,
     uniform,
 )
+from groupwalk.presets import CONTROL_ALIASES, preset_state
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,8 @@ def nondisjointness_report(
     if S.group != g:
         raise SpecMismatchError("S lives on a different group")
     t_list = S.sorted_elements()
+    for t in t_list:
+        g.validate(t)
     bound = 2.0 * (1.0 - 1.0 / len(S)) * float(mu.total_mass())
 
     def best(points):
@@ -226,7 +230,6 @@ def _describe_measure(mu: SparseMeasure) -> str:
 
 def control_experiment(
     preset: str,
-    fingerprint: str = "",
     seed: int | None = None,
     stages: int = 50,
     n_max: int | None = None,
@@ -239,11 +242,11 @@ def control_experiment(
     `amenable-sanity` (alias `z-amenable`): the constructed measure on the
     integers, t = 1, exact arithmetic; requires d_n < 0.2 by n <= 50.
     """
-    name = preset.lower()
-    if name in ("free-group-srw", "f2-control"):
-        return _control_free(fingerprint, seed, n_max or 10)
-    if name in ("amenable-sanity", "z-amenable"):
-        return _control_amenable(fingerprint, seed, stages, n_max or 50)
+    name = CONTROL_ALIASES.get(preset.lower())
+    if name == "free-group-srw":
+        return _control_free(seed, n_max or 10)
+    if name == "amenable-sanity":
+        return _control_amenable(seed, stages, n_max or 50)
     raise SpecMismatchError(f"unknown control preset {preset!r}")
 
 
@@ -254,7 +257,6 @@ def _control_report(
     slack: float,
     passes,
     floor: str,
-    fingerprint: str,
     seed: int | None,
     stop_below: float | None = None,
 ) -> TVReport:
@@ -273,34 +275,26 @@ def _control_report(
         per_n_min=tuple((p.n, p.value, p.bracket) for p in curve.points),
         verdict="pass" if passes({p.n: p.value for p in curve.points}) else "fail",
         control_floor=floor,
-        fingerprint=fingerprint,
         seed=seed,
     )
 
 
-def _control_free(fingerprint: str, seed: int | None, n_max: int) -> TVReport:
-    from groupwalk.groups import FreeGroup
-
+def _control_free(seed: int | None, n_max: int) -> TVReport:
     F2 = FreeGroup(2)
     nu = uniform(GSet(F2, frozenset([(1,), (-1,), (2,), (-2,)])), mode="exact")
     return _control_report(
         nu, (1,), n_max, 0.0,
         lambda d: d[1] == 2.0 and d[n_max] >= 1.0,
         f"d_1 = 2 and d_{n_max} >= 1.0 (free walk must stay far)",
-        fingerprint, seed,
+        seed,
     )
 
 
-def _control_amenable(
-    fingerprint: str, seed: int | None, stages: int, n_max: int
-) -> TVReport:
-    from groupwalk.construction import build_measure
-    from groupwalk.presets import preset_state
-
+def _control_amenable(seed: int | None, stages: int, n_max: int) -> TVReport:
     st = preset_state("z-amenable", seed=seed if seed is not None else 20260813, stages=stages)
     return _control_report(
         build_measure(st, mode="exact"), (1,), n_max, 0.2,
         lambda d: min(d.values()) < 0.2,
         f"d_n < 0.2 for some n <= {n_max} (amenable walk must mix)",
-        fingerprint, seed, stop_below=0.2 - 1e-12,
+        seed, stop_below=0.2 - 1e-12,
     )

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from groupwalk.errors import BudgetError, SpecMismatchError
 
-_DEFAULT_BALL_CAP = 10**7
+_DEFAULT_SET_CAP = 10**7
 _PAIR_GUARD = 5 * 10**7
 
 
@@ -142,24 +142,21 @@ class Group:
 class FreeGroup(Group):
     """Free group of rank k; elements are reduced tuples of nonzero letters.
 
-    Letter +g is the g-th generator, -g its inverse. Labels are single
-    lowercase characters (inverse rendered uppercase in text form).
+    Letter +g is the g-th generator, -g its inverse. Generator g is
+    labelled by the g-th lowercase letter (inverse rendered uppercase in
+    text form).
     """
 
-    def __init__(self, rank: int, labels: tuple[str, ...] | None = None):
+    def __init__(self, rank: int):
         if rank < 1:
             raise SpecMismatchError("free group rank must be >= 1")
         if rank > 26:
             raise SpecMismatchError("free group rank capped at 26 (single-char labels)")
         self.rank = rank
-        self.labels = labels or tuple(string.ascii_lowercase[:rank])
-        if len(self.labels) != rank or any(
-            len(l) != 1 or not l.islower() for l in self.labels
-        ):
-            raise SpecMismatchError("labels must be distinct single lowercase chars")
+        self.labels = tuple(string.ascii_lowercase[:rank])
 
     def spec_key(self):
-        return ("free", self.rank, self.labels)
+        return ("free", self.rank)
 
     def spec_text(self):
         return f"free({self.rank})"
@@ -626,19 +623,6 @@ class GSet:
         return GSet(group, frozenset(group.element_from_text(t) for t in texts))
 
 
-def ball(group: Group, radius: int, cap: int | None = None) -> GSet:
-    """All elements of word length <= radius."""
-    if radius < 0:
-        raise SpecMismatchError("radius must be >= 0")
-    cap = _DEFAULT_BALL_CAP if cap is None else cap
-    out = []
-    for r in range(radius + 1):
-        out.extend(group.shell(r))
-        if len(out) > cap:
-            raise BudgetError(f"ball({group.spec_text()}, {radius}) exceeds cap {cap}")
-    return GSet(group, frozenset(out))
-
-
 def enumerate_element(group: Group, i: int):
     """The i-th element (1-based) in the declared spiral enumeration.
 
@@ -689,7 +673,7 @@ def product_power(A: GSet, k: int, cap: int | None = None) -> GSet:
         raise SpecMismatchError("product_power of empty set")
     if k < 1:
         raise SpecMismatchError("product_power exponent must be >= 1")
-    cap = _DEFAULT_BALL_CAP if cap is None else cap
+    cap = _DEFAULT_SET_CAP if cap is None else cap
     if cap < len(A):
         raise BudgetError(f"product_power cap {cap} < |A| = {len(A)}")
     g = A.group
@@ -711,7 +695,7 @@ def conjugate_set(A: GSet, B: GSet, cap: int | None = None) -> GSet:
     """{b^-1 a b : a in A, b in B}, deduplicated."""
     if A.group != B.group:
         raise SpecMismatchError("conjugate_set arguments from different groups")
-    cap = _DEFAULT_BALL_CAP if cap is None else cap
+    cap = _DEFAULT_SET_CAP if cap is None else cap
     if cap < 1:
         raise BudgetError("conjugate_set cap must be >= 1")
     if len(A) * len(B) > _PAIR_GUARD:
@@ -738,7 +722,7 @@ def iterated_conjugate_set(R: GSet, A: GSet, k: int, cap: int | None = None) -> 
     set, with the truncated flag set. A round that changes nothing is a
     fixed point, and the loop stops there.
     """
-    cap = _DEFAULT_BALL_CAP if cap is None else cap
+    cap = _DEFAULT_SET_CAP if cap is None else cap
     if cap < len(A):
         raise BudgetError(f"conjugation cap {cap} < |A| = {len(A)}")
     g = R.group

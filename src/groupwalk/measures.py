@@ -116,6 +116,8 @@ class SparseMeasure:
 
     @classmethod
     def from_items(cls, group: Group, items, mode: str = "float", lost_mass=None) -> "SparseMeasure":
+        """Measure from input made outside the kernel: every atom is coerced and
+        validated, repeated elements are summed and zero weights dropped."""
         mu = cls(group, mode, lost_mass=lost_mass)
         data: dict = {}
         for x, m in items.items() if isinstance(items, dict) else items:
@@ -146,10 +148,15 @@ class SparseMeasure:
 
     @classmethod
     def _from_pool(
-        cls, group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, lost_mass
+        cls, group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, lost_mass,
+        mode: str = "float",
     ) -> "SparseMeasure":
-        """Float measure from atoms already placed: `codes` sorted, `side` holding the rest."""
-        mu = cls(group, "float", lost_mass=lost_mass)
+        """Measure from kernel output: valid atoms of positive mass, already placed.
+
+        `codes` are sorted and `side` holds the rest, so nothing is coerced or
+        validated again; input from outside the kernel goes through `from_items`.
+        """
+        mu = cls(group, mode, lost_mass=lost_mass)
         mu._codes = codes
         mu._masses = masses
         mu._side = side
@@ -243,7 +250,6 @@ def delta(group: Group, x=None, mode: str = "float") -> SparseMeasure:
     """Point mass at x (identity when omitted)."""
     if x is None:
         x = group.identity
-    group.validate(x)
     one = Fraction(1) if mode == "exact" else 1.0
     return SparseMeasure.from_items(group, [(x, one)], mode)
 
@@ -366,13 +372,16 @@ def convolve_reference(
 
 
 def _convolve_exact(mu: SparseMeasure, nu: SparseMeasure) -> dict:
-    """Integer-numerator convolution over a common denominator."""
-    mu_items = mu.items_canonical()
-    nu_items = nu.items_canonical()
-    d_mu = math.lcm(*(m.denominator for _, m in mu_items)) if mu_items else 1
-    d_nu = math.lcm(*(m.denominator for _, m in nu_items)) if nu_items else 1
-    sm = [(x, m.numerator * (d_mu // m.denominator)) for x, m in mu_items]
-    sn = [(y, m.numerator * (d_nu // m.denominator)) for y, m in nu_items]
+    """Integer-numerator convolution over a common denominator.
+
+    Exact measures hold every atom in `_side`. Integer sums do not depend on
+    order, so those dicts are read as they are stored; `_prune_dict` sorts
+    on its own.
+    """
+    d_mu = math.lcm(*(m.denominator for m in mu._side.values()))
+    d_nu = math.lcm(*(m.denominator for m in nu._side.values()))
+    sm = [(x, m.numerator * (d_mu // m.denominator)) for x, m in mu._side.items()]
+    sn = [(y, m.numerator * (d_nu // m.denominator)) for y, m in nu._side.items()]
     g = mu.group
     acc: dict = {}
     for x, nx in sm:
@@ -604,34 +613,28 @@ def convolve(
         if budget is not None and len(acc) > budget:
             acc, pruned = _prune_dict(g, acc, budget, "exact")
             lost = lost + pruned
-        return SparseMeasure.from_items(g, acc, "exact", lost_mass=lost)
+        return SparseMeasure._from_pool(g, _NO_CODES, _NO_MASSES, acc, lost, "exact")
     return _convolve_fast(mu, nu, budget, threads)
 
 
 # -- translations and distance ----------------------------------------------
 
 
-def translate_left(g_el, mu: SparseMeasure) -> SparseMeasure:
-    """Pushforward by left multiplication: (g . mu)(A) = mu(g^-1 A)."""
-    grp = mu.group
-    grp.validate(g_el)
-    return SparseMeasure.from_items(
-        grp,
-        [(grp.mul(g_el, x), m) for x, m in mu.as_dict().items()],
-        mu.mode,
-        lost_mass=mu.lost_mass,
-    )
+def _dict_l1(a: dict, b: dict, mode: str):
+    """L1 distance sum_z |a(z) - b(z)| between two dicts of atoms."""
+    zero = _zero(mode)
+    return _mass_sum([abs(a.get(k, zero) - b.get(k, zero)) for k in a.keys() | b.keys()], mode)
 
 
 def tv_left_translate(mu: SparseMeasure, t) -> tuple:
-    """tv_distance(translate_left(t, mu), mu) without materializing the translate.
+    """tv_distance(t . mu, mu), where (t . mu)(A) = mu(t^-1 A), without building t . mu.
 
     For central t on a measure held wholly in the packed pool this is a
-    single vectorized pass (t*x = x*t); otherwise it falls back to
-    translating and comparing two measures.
+    single vectorized pass (t*x = x*t); otherwise it sums
+    |mu(t^-1 z) - mu(z)| over the translated and the original atom dicts.
+    `t` is not validated here: callers check it once, at the boundary.
     """
     grp = mu.group
-    grp.validate(t)
     bracket = mu.lost_mass + mu.lost_mass
     if t == grp.identity:
         return (_zero(mu.mode), bracket)
@@ -647,7 +650,10 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
         # cannot see; each contributes its whole mass to the difference
         value += float(np.sum(mu._masses[~ok]))
         return value, bracket
-    return tv_distance(translate_left(t, mu), mu)
+    atoms = mu.as_dict()
+    # left multiplication is a bijection, so no two atoms land on one element
+    moved = {grp.mul(t, x): m for x, m in atoms.items()}
+    return _dict_l1(moved, atoms, mu.mode), bracket
 
 
 def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
@@ -658,9 +664,7 @@ def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
     """
     _check_compat(mu, nu)
     bracket = mu.lost_mass + nu.lost_mass
-    md, nd = mu._side, nu._side
-    zero = _zero(mu.mode)
-    value = _mass_sum([abs(md.get(k, zero) - nd.get(k, zero)) for k in md.keys() | nd.keys()], mu.mode)
+    value = _dict_l1(mu._side, nu._side, mu.mode)
     if mu.mode == "float":
         _, sums = _dedup(
             np.concatenate([mu._codes, nu._codes]), np.concatenate([mu._masses, -nu._masses])

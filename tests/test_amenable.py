@@ -14,7 +14,6 @@ from groupwalk import (
     GSet,
     Lamplighter,
     SpecMismatchError,
-    ball,
     certify_visibility,
     folner_set,
 )
@@ -23,6 +22,11 @@ from groupwalk.amenable import VisibilityCertificate, invariance_defect
 Z = FreeAbelian(1)
 F2xZ = DirectProduct((FreeGroup(2), FreeAbelian(1)))
 LAMP = Lamplighter()
+
+
+def ball(group, radius):
+    """All elements of word length <= radius, from the group's shells."""
+    return GSet(group, frozenset(x for r in range(radius + 1) for x in group.shell(r)))
 
 
 def test_folner_interval_on_z():

@@ -64,6 +64,15 @@ def test_curve_rejects_bad_args(z_state):
         tv_curve(mu, (1,), nu, n_max=0)
 
 
+def test_translations_must_be_canonical():
+    # tv_left_translate trusts t, so both entry points check it up front
+    nu, mu = _srw()
+    with pytest.raises(SpecMismatchError):
+        tv_curve(mu, (1, -1), nu, n_max=2)
+    with pytest.raises(SpecMismatchError):
+        nondisjointness_report(mu, GSet(F2, frozenset([(1, -1)])), nu, n_max=2)
+
+
 def test_report_pass_on_amenable(z_state):
     nu = build_measure(z_state, mode="exact")
     mu = delta(Z, mode="exact")

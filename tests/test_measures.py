@@ -16,11 +16,10 @@ from groupwalk import (
     convolve,
     convolve_reference,
     delta,
-    translate_left,
     tv_distance,
     uniform,
 )
-from groupwalk import measures
+from groupwalk import groups, measures
 from groupwalk.measures import _line_plan, tv_left_translate
 
 F2 = FreeGroup(2)
@@ -168,6 +167,14 @@ def test_exact_mass_conservation_through_powers():
     assert rho.total_mass() + rho.lost_mass == 1
 
 
+def _translate(t, mu):
+    """t . mu, built through the boundary constructor: (t . mu)(A) = mu(t^-1 A)."""
+    g = mu.group
+    return SparseMeasure.from_items(
+        g, [(g.mul(t, x), m) for x, m in mu.as_dict().items()], mu.mode, lost_mass=mu.lost_mass
+    )
+
+
 def test_tv_basics():
     S = GSet(F2, frozenset([(1,), (-1,)]))
     mu = uniform(S, mode="exact")
@@ -184,7 +191,7 @@ def test_translation_preserves_tv(mu, t):
     heavy = {x: m for x, m in mu.as_dict().items() if m >= Fraction(1, 16)}
     nu = SparseMeasure.from_items(mu.group, heavy, "exact")
     v0, _ = tv_distance(mu, nu)
-    v1, _ = tv_distance(translate_left(t, mu), translate_left(t, nu))
+    v1, _ = tv_distance(_translate(t, mu), _translate(t, nu))
     assert v1 == v0
 
 
@@ -195,8 +202,35 @@ def test_translation_preserves_tv(mu, t):
 def test_tv_left_translate_matches_two_measure_path(case):
     mu, t = case
     direct = tv_left_translate(mu, t)
-    via = tv_distance(translate_left(t, mu), mu)
+    via = tv_distance(_translate(t, mu), mu)
     assert abs(direct[0] - via[0]) <= (0 if mu.mode == "exact" else 1e-12)
+
+
+def test_exact_kernel_runs_no_boundary_checks(monkeypatch):
+    # exact convolve and tv_left_translate build only from atoms that were
+    # checked on the way in, so once the inputs exist neither one validates
+    # an element or goes through from_items
+    cases = []
+    for group, S, t in (
+        (F2, [(1,), (-1,), (2,), (-2,)], (1,)),
+        (Z, [(1,), (-1,), (3,), (-3,)], (1,)),
+    ):
+        nu = uniform(GSet(group, frozenset(S)), mode="exact")
+        rho = convolve_reference(nu, nu)
+        want = [convolve_reference(rho, nu, budget=b) for b in (None, 5)]
+        cases.append((rho, nu, t, want, tv_distance(_translate(t, rho), rho)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact kernel ran a boundary check")
+
+    for cls in (groups.Group, *groups.Group.__subclasses__()):
+        monkeypatch.setattr(cls, "validate", refuse)
+    monkeypatch.setattr(SparseMeasure, "from_items", classmethod(refuse))
+    for rho, nu, t, want, want_tv in cases:
+        for b, w in zip((None, 5), want):
+            got = convolve(rho, nu, budget=b)
+            assert got.as_dict() == w.as_dict() and got.lost_mass == w.lost_mass
+        assert tv_left_translate(rho, t) == want_tv
 
 
 def test_tv_left_translate_central_without_codec():
@@ -213,7 +247,7 @@ def test_tv_left_translate_packed_central_path(f2xz_nu):
     # the packed fast path for central t must agree with the dict route
     t = ((), (1,))
     fast = tv_left_translate(f2xz_nu, t)
-    slow = tv_distance(translate_left(t, f2xz_nu), f2xz_nu)
+    slow = tv_distance(_translate(t, f2xz_nu), f2xz_nu)
     assert fast[0] == pytest.approx(slow[0], abs=1e-12)
 
 

@@ -1,14 +1,17 @@
 """Every definition in the package is used by the package, a script or the benchmark.
 
 A module-level function or class, or a non-dunder method, defined in
-src/groupwalk/*.py must appear as a whole word at least twice (its
+src/groupwalk/*.py must occur as an identifier at least twice (its
 definition plus one use) across src/groupwalk (without __init__.py, whose
-re-exports are not uses), scripts/ and perfbench/. Tests do not count: code
-only a test reaches is dead weight, unless it is a test oracle listed below.
+re-exports are not uses), scripts/ and perfbench/. Identifiers are read
+from the AST: names, attributes, imported names and definitions, plus
+string constants equal to a name, since perfbench/tracer.py wraps functions
+by name. Words inside other strings, such as an error message, do not
+count. Tests do not count: code only a test reaches is dead weight, unless
+it is a test oracle listed below.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -35,15 +38,33 @@ def _definitions():
                         yield path.name, f"{node.name}.{item.name}", item.name
 
 
-def _word_counts() -> Counter:
+def _identifiers(node):
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name.rsplit(".", 1)[-1]
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+        yield node.value
+
+
+def _identifier_counts() -> Counter:
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += (ROOT / "scripts").glob("*.py")
     files += (ROOT / "perfbench").glob("*.py")
-    return Counter(w for p in files for w in re.findall(r"\w+", p.read_text()))
+    return Counter(
+        name
+        for p in files
+        for node in ast.walk(ast.parse(p.read_text()))
+        for name in _identifiers(node)
+    )
 
 
 def test_every_definition_has_a_use():
-    counts = _word_counts()
+    counts = _identifier_counts()
     unused = [
         f"{module}: {qualname}"
         for module, qualname, name in _definitions()
