@@ -18,7 +18,6 @@ def run(argv=None):
     ap.add_argument("--stages", type=int, default=32)
     ap.add_argument("--trials", type=int, default=10_000)
     ap.add_argument("--horizon", type=int, default=16_384)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="results/flagship")
     args = ap.parse_args(argv)
 
@@ -26,7 +25,6 @@ def run(argv=None):
         "--preset", "f2xz",
         "--seed", str(args.seed),
         "--stages", str(args.stages),
-        "--threads", str(args.threads),
         "--out", args.out,
     ]
     steps = [

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage/config error (including refuted certificates
 and failed controls), 2 budget exhaustion, 3 INCONCLUSIVE verdict.
 
 Every artifact embeds the config fingerprint and seed, carries no
-timestamps, and is byte-identical for identical config+seed regardless of
---threads.
+timestamps, and is byte-identical for identical config+seed. `--threads` is
+accepted for existing command lines and has no effect.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", help="preset name (f2xz, z-amenable)")
     p.add_argument("--group", help="group spec text, e.g. 'free(2)'")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted (>= 1); no effect, the kernel is serial")
     p.add_argument("--stages", type=int)
     p.add_argument("--budget-atoms", dest="budget_atoms", type=int)
     p.add_argument("--mode", choices=("exact", "float"))
@@ -136,7 +136,10 @@ def cmd_folner(args) -> int:
     g = parse_group(cfg.group)
     H = AmenableSubgroup(g, args.embedding)
     B = GSet.from_texts(g, tuple(args.b.split())) if args.b else GSet(g, frozenset())
-    eps = Fraction(args.eps)
+    try:
+        eps = Fraction(args.eps)
+    except ZeroDivisionError:
+        raise SpecMismatchError(f"--eps {args.eps!r} has a zero denominator") from None
     F = folner_set(H, B, eps)
     doc = {
         "fingerprint": cfg.fingerprint(),
@@ -193,7 +196,6 @@ def _report(args, stem: str, stop_early: bool) -> TVReport:
         n_max=cfg.n_max,
         budget=cfg.budget_atoms,
         slack=cfg.slack,
-        threads=cfg.threads,
         fingerprint=cfg.fingerprint(),
         seed=cfg.seed,
         stop_early=stop_early,

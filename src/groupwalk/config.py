@@ -3,7 +3,9 @@
 Config files are plain `key = value` lines (# comments allowed). The
 fingerprint is a SHA-256 over every semantics-bearing field; `threads` and
 `out_dir` are deliberately excluded so the same experiment is recognized as
-the same run no matter how it was parallelized or where it wrote.
+the same run wherever it wrote. `threads` is still accepted and validated so
+existing configs and command lines keep working, but the kernel is serial
+and ignores it.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ class RunConfig:
             raise SpecMismatchError("threads must be >= 1")
         if self.budget_atoms is not None and self.budget_atoms < 1:
             raise SpecMismatchError(f"budget_atoms must be >= 1, got {self.budget_atoms}")
+        if self.n_max < 1:
+            raise SpecMismatchError(f"n_max must be >= 1, got {self.n_max}")
         if self.preset is None and self.group is None:
             raise SpecMismatchError("config needs either a preset or a group")
 

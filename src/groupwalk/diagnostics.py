@@ -52,7 +52,6 @@ def _tv_steps(
     nu: SparseMeasure,
     n_max: int,
     budget: int | None,
-    threads: int,
     stop,
 ) -> tuple[list[list[TVPoint]], bool, bool]:
     """Step rho_n = mu * nu^{*n} from n = 0 up to n_max, evaluating d_n(t) for every t in ts.
@@ -76,7 +75,7 @@ def _tv_steps(
         if n >= n_max:
             return rows, False, False
         try:
-            rho = convolve(rho, nu, budget=budget, threads=threads)
+            rho = convolve(rho, nu, budget=budget)
         except ConvolutionRefused:
             return rows, True, False
         n += 1
@@ -91,7 +90,10 @@ def tv_curve(
     threads: int = 1,
     stop_below: float | None = None,
 ) -> TVCurve:
-    """d_n = tv(t * mu * nu^{*n}, mu * nu^{*n}) for n = 0..n_max."""
+    """d_n = tv(t * mu * nu^{*n}, mu * nu^{*n}) for n = 0..n_max.
+
+    `threads` is accepted for existing callers and ignored: the kernel is serial.
+    """
     if n_max < 1:
         raise SpecMismatchError("n_max must be >= 1")
     g = mu.group
@@ -101,7 +103,7 @@ def tv_curve(
         p = points[0]
         return stop_below is not None and p.n > 0 and p.value <= stop_below
 
-    rows, budget_flag, stopped = _tv_steps(mu, [t], nu, n_max, budget, threads, stop)
+    rows, budget_flag, stopped = _tv_steps(mu, [t], nu, n_max, budget, stop)
     return TVCurve(g.element_to_text(t), tuple(r[0] for r in rows), budget_flag, stopped)
 
 
@@ -167,7 +169,6 @@ def nondisjointness_report(
     n_max: int,
     budget: int | None = None,
     slack: float = 0.5,
-    threads: int = 1,
     fingerprint: str = "",
     seed: int | None = None,
     stop_early: bool = True,
@@ -199,7 +200,7 @@ def nondisjointness_report(
     def stop(points):
         return stop_early and best(points).value <= bound + slack
 
-    rows, budget_flag, stopped = _tv_steps(mu, t_list, nu, n_max, budget, threads, stop)
+    rows, budget_flag, stopped = _tv_steps(mu, t_list, nu, n_max, budget, stop)
     mins = [best(r) for r in rows]
     curves = tuple(
         TVCurve(g.element_to_text(t), tuple(r[i] for r in rows), budget_flag, stopped)
@@ -244,9 +245,9 @@ def control_experiment(
     """
     name = CONTROL_ALIASES.get(preset.lower())
     if name == "free-group-srw":
-        return _control_free(seed, n_max or 10)
+        return _control_free(seed, 10 if n_max is None else n_max)
     if name == "amenable-sanity":
-        return _control_amenable(seed, stages, n_max or 50)
+        return _control_amenable(seed, stages, 50 if n_max is None else n_max)
     raise SpecMismatchError(f"unknown control preset {preset!r}")
 
 

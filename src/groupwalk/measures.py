@@ -10,10 +10,10 @@ lies within ``value +- bracket``.
 Two arithmetic modes, never mixed:
 
 * ``"exact"`` - Fraction weights, bit-exact results;
-* ``"float"`` - float64 weights; every convolution runs on one kernel,
-  packed uint64 codes (see `groupwalk.codecs`) plus a side dict, so
-  results are identical for any worker count. A group without a codec
-  takes the same kernel with an empty pool.
+* ``"float"`` - float64 weights; every convolution runs on one serial
+  kernel, packed uint64 codes (see `groupwalk.codecs`) plus a side dict,
+  which adds every row in one fixed order. A group without a codec takes
+  the same kernel with an empty pool.
 
 Every measure has one storage layout: a packed pool of sorted uint64
 codes with float64 masses, plus a side dict. One placement rule decides
@@ -46,8 +46,6 @@ family's lexicographic rank); all tie-breaks reduce to it.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +54,6 @@ from groupwalk.errors import BudgetError, ConvolutionRefused, SpecMismatchError
 from groupwalk.groups import GSet, Group
 
 _FLUSH_ROWS = 1 << 22  # pending-row threshold before a dedup flush
-_TASKS_PER_THREAD = 2  # mul_right results in flight per worker thread
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 _ACC_BYTES = 1 << 31  # refuse a convolution whose accumulator would pass this
 _ROW_BYTES = 16  # one uint64 code and one float64 mass
@@ -392,21 +389,6 @@ def _convolve_exact(mu: SparseMeasure, nu: SparseMeasure) -> dict:
     return {z: Fraction(n, den) for z, n in acc.items()}
 
 
-def _mul_right_windowed(pool, codec, codes: np.ndarray, ys: list, window: int):
-    """codec.mul_right(codes, y) for each y in order, at most `window` in flight.
-
-    Each result holds len(codes) rows, so the window bounds the memory the
-    workers can run ahead of the consumer.
-    """
-    pending: deque = deque()
-    for y in ys:
-        pending.append(pool.submit(codec.mul_right, codes, y))
-        if len(pending) >= window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def _dedup(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct codes in ascending order, each with the sum of its weights.
 
@@ -498,9 +480,7 @@ def _convolve_lines(mu: SparseMeasure, plan) -> tuple[np.ndarray, np.ndarray]:
     return base[f] + (keep + shift[f] + z_min).astype(np.uint64), dense[keep]
 
 
-def _convolve_fast(
-    mu: SparseMeasure, nu: SparseMeasure, budget: int | None, threads: int
-) -> SparseMeasure:
+def _convolve_fast(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> SparseMeasure:
     g = mu.group
     codec = g.codec()
     mu_codes, mu_masses = mu._codes, mu._masses
@@ -532,35 +512,23 @@ def _convolve_fast(
     if plan is not None:
         lines = {codec.decode_one(c) for c in nu._codes[plan[0]].tolist()}
         add(*_convolve_lines(mu, plan))
-    # an empty pool (always so without a codec) has no rows for mul_right
-    ys = [y for y, _ in nu_items if y not in lines] if len(mu_codes) else []
-    if threads > 1 and len(ys) > 1:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        results = _mul_right_windowed(pool, codec, mu_codes, ys, threads * _TASKS_PER_THREAD)
-    else:
-        pool = None
-        results = (codec.mul_right(mu_codes, y) for y in ys)
-
-    try:
-        for y, wy in nu_items:
-            if ys and y not in lines:
-                out, ok = next(results)
-                if bool(ok.all()):
-                    add(out, mu_masses * wy)
-                else:
-                    add(out[ok], mu_masses[ok] * wy)
-                    for i in np.nonzero(~ok)[0]:
-                        x = codec.decode_one(int(mu_codes[i]))
-                        z = g.mul(x, y)
-                        side[z] = side.get(z, 0.0) + float(mu_masses[i]) * wy
-            for x, mx in mu._side.items():
-                z = g.mul(x, y)
-                side[z] = side.get(z, 0.0) + mx * wy
-            if pend_rows >= _FLUSH_ROWS:
-                flush()
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+    for y, wy in nu_items:
+        # an empty pool (always so without a codec) has no rows for mul_right
+        if len(mu_codes) and y not in lines:
+            out, ok = codec.mul_right(mu_codes, y)
+            if bool(ok.all()):
+                add(out, mu_masses * wy)
+            else:
+                add(out[ok], mu_masses[ok] * wy)
+                for i in np.nonzero(~ok)[0]:
+                    x = codec.decode_one(int(mu_codes[i]))
+                    z = g.mul(x, y)
+                    side[z] = side.get(z, 0.0) + float(mu_masses[i]) * wy
+        for x, mx in mu._side.items():
+            z = g.mul(x, y)
+            side[z] = side.get(z, 0.0) + mx * wy
+        if pend_rows >= _FLUSH_ROWS:
+            flush()
     # an atom the codec cannot hold times y can land back in codec range;
     # the placement rule sends those products to the packed pool, so no
     # element is split across both pools when the budget ranks atoms
@@ -591,14 +559,13 @@ def convolve(
     mu: SparseMeasure,
     nu: SparseMeasure,
     budget: int | None = None,
-    threads: int = 1,
 ) -> SparseMeasure:
     """mu * nu with budget pruning.
 
     Every float measure takes the packed kernel, which differs from
-    `convolve_reference` (the test oracle) only in summation grouping and is
-    byte-reproducible for any `threads` value; on a group without a codec
-    its pool is empty and every product goes to the side dict.
+    `convolve_reference` (the test oracle) only in summation grouping; on a
+    group without a codec its pool is empty and every product goes to the
+    side dict.
     """
     _check_compat(mu, nu)
     if budget is not None and budget < 1:
@@ -614,10 +581,16 @@ def convolve(
             acc, pruned = _prune_dict(g, acc, budget, "exact")
             lost = lost + pruned
         return SparseMeasure._from_pool(g, _NO_CODES, _NO_MASSES, acc, lost, "exact")
-    return _convolve_fast(mu, nu, budget, threads)
+    return _convolve_fast(mu, nu, budget)
 
 
 # -- translations and distance ----------------------------------------------
+
+
+def _pool_l1(codes_a, masses_a, codes_b, masses_b) -> float:
+    """L1 distance sum_c |a(c) - b(c)| between two packed pools."""
+    _, sums = _dedup(np.concatenate([codes_a, codes_b]), np.concatenate([masses_a, -masses_b]))
+    return float(np.sum(np.abs(sums)))
 
 
 def _dict_l1(a: dict, b: dict, mode: str):
@@ -641,11 +614,7 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     if not mu._side and len(mu._codes) and grp.is_central(t):
         codec = grp.codec()
         shifted, ok = codec.mul_right(mu._codes, t)
-        _, sums = _dedup(
-            np.concatenate([shifted[ok], mu._codes]),
-            np.concatenate([mu._masses[ok], -mu._masses]),
-        )
-        value = float(np.sum(np.abs(sums)))
+        value = _pool_l1(shifted[ok], mu._masses[ok], mu._codes, mu._masses)
         # atoms pushed out of codec range sit at positions the packed union
         # cannot see; each contributes its whole mass to the difference
         value += float(np.sum(mu._masses[~ok]))
@@ -666,8 +635,5 @@ def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
     bracket = mu.lost_mass + nu.lost_mass
     value = _dict_l1(mu._side, nu._side, mu.mode)
     if mu.mode == "float":
-        _, sums = _dedup(
-            np.concatenate([mu._codes, nu._codes]), np.concatenate([mu._masses, -nu._masses])
-        )
-        value += float(np.sum(np.abs(sums)))
+        value += _pool_l1(mu._codes, mu._masses, nu._codes, nu._masses)
     return value, bracket

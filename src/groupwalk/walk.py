@@ -16,7 +16,7 @@ sampled under the untruncated stage law (no rejection), since it concerns
 the idealized walk; only X-sampling needs the stage-k truncation.
 
 All sampling is counter-based (random access by key and counter), so
-results are independent of batching and worker count. Two layouts remain:
+results are independent of batching. Two layouts remain:
 
 - increment sample s reads slots 16s..16s+15 of the stream (seed, label):
   K attempts at 16s..16s+13, the color at 16s+14, the blue pick at
@@ -30,6 +30,7 @@ results are independent of batching and worker count. Two layouts remain:
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 
@@ -271,6 +272,18 @@ class DecompositionReport:
         )
 
 
+def _first_clearing(order: np.ndarray, trials: int, target: float) -> int | None:
+    """The first of the sorted hit times `order` at which the Wilson lower
+    bound on the hit count reaches `target`, or None if none does.
+
+    The lower bound never decreases as the count grows, so a bisection over
+    the counts finds the same position as a scan, in ~log2(trials) calls.
+    """
+    counts = range(1, len(order) + 1)
+    pos = bisect.bisect_left(counts, True, key=lambda c: wilson_interval(c, trials)[0] >= target)
+    return int(order[pos]) if pos < len(order) else None
+
+
 def estimate_M(
     state: ConstructionState,
     S: GSet,
@@ -355,14 +368,7 @@ def estimate_M(
             live[hit_rows] = False
             rows, keys, top = rows[live], keys[live], top[live]
 
-    target = 1.0 - eps
-    order = np.sort(hit_times[hit_times <= horizon])
-    M_star = None
-    for pos, h in enumerate(order, start=1):
-        lo, _ = wilson_interval(pos, trials)
-        if lo >= target:
-            M_star = int(h)
-            break
+    M_star = _first_clearing(np.sort(hit_times[hit_times <= horizon]), trials, 1.0 - eps)
     grid = []
     m = 1
     while m < horizon:

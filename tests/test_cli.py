@@ -6,6 +6,7 @@ import pytest
 from groupwalk import measures
 from groupwalk.cli import main
 from groupwalk.config import RunConfig, parse_config_text
+from groupwalk.diagnostics import control_experiment
 from groupwalk.errors import SpecMismatchError
 from groupwalk.measures import SparseMeasure
 
@@ -222,6 +223,18 @@ def test_control_fingerprints_what_it_runs(tmp_path):
     assert [r.split(",")[1] for r in rows[2:]] == ["0", "1", "2", "3"]
 
 
+def test_control_rejects_a_zero_horizon(tmp_path, capsys):
+    # n_max = 0 is a bad config value, not a request for the default horizon
+    assert main(["control", "f2-control", "--n-max", "0", "--out", str(tmp_path)]) == 1
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("group = free(2)\nn_max = 0\n")
+    assert main(["control", "f2-control", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("n_max must be >= 1") == 2
+    assert not (tmp_path / "control.csv").exists()
+    with pytest.raises(SpecMismatchError):
+        control_experiment("f2-control", n_max=0)
+
+
 def test_control_reads_n_max_and_stages_from_config(tmp_path):
     cfg = tmp_path / "free.cfg"
     cfg.write_text("group = free(2)\nn_max = 3\n")
@@ -297,6 +310,22 @@ def test_usage_errors_exit_1(capsys):
     assert main(["construct", "--preset", "no-such-preset"]) == 1
     assert main(["control", "unknown-control"]) == 1
     capsys.readouterr()
+
+
+def test_folner_zero_denominator_is_a_usage_error(capsys):
+    argv = ["folner", "--group", "free-abelian(1)", "--embedding", "whole", "--eps", "1/0"]
+    assert main(argv) == 1
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_threads_below_1_is_a_config_error(tmp_path, capsys):
+    # --threads has no effect, but its value is still checked
+    assert main(["construct", "--preset", "f2xz", "--stages", "2", "--threads", "0", "--out", str(tmp_path)]) == 1
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("preset = f2xz\nstages = 2\nthreads = 0\n")
+    assert main(["construct", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.count("threads must be >= 1") == 2
+    assert not (tmp_path / "measure.txt").exists()
 
 
 def test_threads_do_not_change_artifacts(tmp_path):

@@ -276,13 +276,13 @@ def test_budget_prune_propagates_through_convolution():
 
 
 def test_fast_path_agrees_with_reference():
-    # two 500-atom float measures on the packed kernel, with two worker
-    # threads; the result must match the plain dict computation
+    # two 500-atom float measures on the packed kernel; the result must
+    # match the plain dict computation
     items1 = [((i,), 1.0 / 500) for i in range(-249, 251)]
     mu = SparseMeasure.from_items(Z, items1, mode="float")
     items2 = [((3 * i,), 1.0 / 500) for i in range(-249, 251)]
     nu = SparseMeasure.from_items(Z, items2, mode="float")
-    fast = convolve(mu, nu, threads=2)
+    fast = convolve(mu, nu)
     ref = convolve_reference(mu, nu)
     v, _ = tv_distance(fast, ref)
     assert v < 1e-12
@@ -398,22 +398,8 @@ def test_budget_ranks_an_atom_reached_from_both_pools_once():
     assert got[((), (30000,))] == 0.3
 
 
-def test_convolve_threads_do_not_change_bytes(f2xz_nu):
-    one = convolve(f2xz_nu, f2xz_nu, budget=50_000, threads=1)
-    four = convolve(f2xz_nu, f2xz_nu, budget=50_000, threads=4)
-    assert one.to_text() == four.to_text()
-
-
 def _lamp_step():
     return uniform(GSet(LAMP, frozenset([((), 1), ((), -1), ((0,), 0), ((0, 1), 1)])))
-
-
-def test_lamplighter_convolve_threads_do_not_change_bytes():
-    nu = _lamp_step()
-    rho = convolve(convolve(nu, nu), nu)
-    one = convolve(rho, nu, budget=40, threads=1)
-    four = convolve(rho, nu, budget=40, threads=4)
-    assert one.to_text() == four.to_text()
 
 
 def test_codecless_float_convolve_never_calls_the_oracle(monkeypatch):

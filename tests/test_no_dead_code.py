@@ -1,7 +1,7 @@
 """Every definition in the package is used by the package, a script or the benchmark.
 
-A module-level function or class, or a non-dunder method, defined in
-src/groupwalk/*.py must occur as an identifier at least twice (its
+A module-level function, class or assigned name (`__all__` excepted), or a
+non-dunder method, defined in src/groupwalk/*.py must occur as an identifier at least twice (its
 definition plus one use) across src/groupwalk (without __init__.py, whose
 re-exports are not uses), scripts/ and perfbench/. Identifiers are read
 from the AST: names, attributes, imported names and definitions, plus
@@ -31,6 +31,13 @@ def _definitions():
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield path.name, node.name, node.name
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            if isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            for target in targets:
+                for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(name, ast.Name) and name.id != "__all__":
+                        yield path.name, name.id, name.id
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     is_def = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))

@@ -252,3 +252,32 @@ def test_estimate_m_does_not_depend_on_tiling(three_entry_state, monkeypatch):
     default = estimate_M(three_entry_state, S, **args).to_json()
     monkeypatch.setattr(walk, "_TILE_CELLS", 7)
     assert estimate_M(three_entry_state, S, **args).to_json() == default
+
+
+def _scan_first_clearing(order, trials, target):
+    """The linear scan `_first_clearing` replaces: one Wilson call per hit time."""
+    for pos, h in enumerate(order, 1):
+        if wilson_interval(pos, trials)[0] >= target:
+            return int(h)
+    return None
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 7, 100, 10_000, 12_345])
+def test_first_clearing_matches_the_scan(trials):
+    rng = np.random.default_rng(trials)
+    for hits in sorted({0, 1, trials // 3, trials - 1, trials}):
+        order = np.sort(rng.integers(1, 4096, size=hits))
+        for target in (0.0, 0.1, 0.5, 0.75, float(rng.random()), 0.999, 1.0):
+            want = _scan_first_clearing(order, trials, target)
+            assert walk._first_clearing(order, trials, target) == want, (hits, target)
+
+
+def test_first_clearing_edge_cases():
+    order = np.arange(1, 101)
+    # no position clears: even 100 hits of 100 trials leave the lower bound below 1
+    assert walk._first_clearing(order, 100, 1.0) is None
+    assert walk._first_clearing(order[:50], 100, 0.75) is None
+    # the first position clears
+    assert walk._first_clearing(order, 100, 0.0) == 1
+    # every trial hits: the answer is where the scan stops, not the last hit
+    assert walk._first_clearing(order, 100, 0.9) == _scan_first_clearing(order, 100, 0.9) < 100
