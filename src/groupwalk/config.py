@@ -60,6 +60,8 @@ class RunConfig:
             raise SpecMismatchError("threads must be >= 1")
         if self.budget_atoms is not None and self.budget_atoms < 1:
             raise SpecMismatchError(f"budget_atoms must be >= 1, got {self.budget_atoms}")
+        if self.product_cap < 1:
+            raise SpecMismatchError(f"product_cap must be >= 1, got {self.product_cap}")
         if self.n_max < 1:
             raise SpecMismatchError(f"n_max must be >= 1, got {self.n_max}")
         if self.preset is None and self.group is None:

@@ -69,10 +69,6 @@ class Group:
     def is_amenable(self) -> bool:
         raise NotImplementedError
 
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        return None
-
     def element_to_text(self, x) -> str:
         raise NotImplementedError
 
@@ -346,9 +342,6 @@ class CyclicGroup(Group):
     def is_amenable(self):
         return True
 
-    def order(self):
-        return self.n
-
     def element_to_text(self, x):
         return str(x)
 
@@ -415,15 +408,6 @@ class DirectProduct(Group):
 
     def is_amenable(self):
         return all(f.is_amenable() for f in self.factors)
-
-    def order(self):
-        total = 1
-        for f in self.factors:
-            o = f.order()
-            if o is None:
-                return None
-            total *= o
-        return total
 
     def element_to_text(self, x):
         return "(" + "|".join(f.element_to_text(a) for f, a in zip(self.factors, x)) + ")"

@@ -9,20 +9,23 @@ lies within ``value +- bracket``.
 
 Two arithmetic modes, never mixed:
 
-* ``"exact"`` - Fraction weights, bit-exact results;
-* ``"float"`` - float64 weights; every convolution runs on one serial
-  kernel, packed uint64 codes (see `groupwalk.codecs`) plus a side dict,
-  which adds every row in one fixed order. A group without a codec takes
-  the same kernel with an empty pool.
+* ``"exact"`` - Python-int numerators over one per-measure denominator
+  `_den`, bit-exact results; masses come back as Fractions;
+* ``"float"`` - float64 masses.
 
-Every measure has one storage layout: a packed pool of sorted uint64
-codes with float64 masses, plus a side dict. One placement rule decides
-where an atom goes. In float mode an atom the group's codec can encode
-goes in the pool; every other atom goes in the side dict: all atoms of
-an exact measure or of a codec-less group, and atoms whose word or
-coordinate does not fit the codec's fields.
+Every measure has one storage layout, the same in both modes: a packed
+pool of sorted uint64 codes (see `groupwalk.codecs`) with their weights,
+plus a side dict. One placement rule decides where an atom goes: an atom
+the group's codec can encode goes in the pool; every other atom goes in
+the side dict, which holds all atoms of a codec-less group and atoms whose
+word or coordinate does not fit the codec's fields.
 
-A float convolution mu * nu on a codec group splits nu's pool in two.
+Every convolution runs on one serial kernel, `_products`, which adds every
+row in one fixed order; `_convolve_fast` and `_convolve_exact` are its two
+ledgers (float masses, and numerators over `mu._den * nu._den`). A group
+without a codec takes the same kernel with an empty pool.
+
+A convolution mu * nu on a codec group splits nu's pool in two.
 The line shifts are the atoms equal to the identity outside the codec's
 lowest field, when that field is one biased integer coordinate
 (`line_bits`); they only move that coordinate. They take the dense route:
@@ -30,14 +33,14 @@ each fiber of mu (atoms that agree above the field) gets a zero-padded
 block of span + K - 1 slots, and one `np.convolve` with the line shifts as
 a length-K kernel yields the products with their codes already sorted.
 Every other atom of nu takes the sort route: `mul_right` on mu's codes,
-rows flushed through `_dedup` (a stable sort, then `np.bincount`), which
+rows flushed through `_dedup` (a stable sort, then a sum per code), which
 sums each code's rows in the order they were produced. The dense route is
 chosen from the inputs alone, when every product stays inside the field,
 the dense length L is at most the rows the line shifts add to the sort
 route, and L * K <= rows * log2(rows); otherwise the line shifts take the
-sort route as well. Neither route keeps an atom whose mass sums to 0, and
-a convolution whose accumulator or dense window would pass `_ACC_BYTES`
-raises BudgetError.
+sort route as well. Neither route keeps an atom whose weight sums to 0,
+and a convolution whose accumulator or dense window would pass
+`_ACC_BYTES` raises BudgetError.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -58,12 +61,8 @@ _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 _ACC_BYTES = 1 << 31  # refuse a convolution whose accumulator would pass this
 _ROW_BYTES = 16  # one uint64 code and one float64 mass
 
-# the empty pool, shared so exact measures skip two array allocations each;
-# read-only, so sharing is safe
-_NO_CODES = np.zeros(0, dtype=np.uint64)
-_NO_MASSES = np.zeros(0, dtype=np.float64)
-_NO_CODES.flags.writeable = False
-_NO_MASSES.flags.writeable = False
+# the weight dtype of each mode: float64 masses, or Python-int numerators
+_DTYPE = {"float": np.float64, "exact": object}
 
 
 def _zero(mode: str):
@@ -71,7 +70,12 @@ def _zero(mode: str):
 
 
 def _mass_sum(values, mode: str):
-    return sum(values, Fraction(0)) if mode == "exact" else math.fsum(values)
+    return sum(values) if mode == "exact" else math.fsum(values)
+
+
+def _spiral(group: Group, items) -> list:
+    """(element, weight) pairs sorted in spiral order."""
+    return sorted(items, key=lambda kv: group.sort_key(kv[0]))
 
 
 def _coerce_mass(m, mode: str):
@@ -90,14 +94,15 @@ class SparseMeasure:
     """Finitely supported measure; see the module docstring for the contract.
 
     Every measure stores its atoms in a packed pool, `_codes` (uint64,
-    strictly ascending) with `_masses` (float64), and a dict `_side`. The
-    placement rule: in float mode an atom the group's codec can encode lives
-    in the pool, and every other atom lives in `_side`. So exact measures
-    and measures on codec-less groups keep every atom in `_side`, and no
-    element is ever in both.
+    strictly ascending) with their weights in `_masses`, and a dict `_side`.
+    One placement rule serves both modes: an atom the group's codec can
+    encode lives in the pool, every other atom in `_side`, and no element is
+    ever in both. Float weights are the masses (float64). Exact weights are
+    Python-int numerators over one denominator `_den` (an object-dtype
+    `_masses` and int values in `_side`); `as_dict` gives them as Fractions.
     """
 
-    __slots__ = ("group", "mode", "lost_mass", "_codes", "_masses", "_side")
+    __slots__ = ("group", "mode", "lost_mass", "_codes", "_masses", "_side", "_den")
 
     def __init__(self, group: Group, mode: str = "float", *, lost_mass=None):
         if mode not in ("float", "exact"):
@@ -105,9 +110,10 @@ class SparseMeasure:
         self.group = group
         self.mode = mode
         self.lost_mass = _zero(mode) if lost_mass is None else _coerce_mass(lost_mass, mode)
-        self._codes: np.ndarray = _NO_CODES
-        self._masses: np.ndarray = _NO_MASSES
+        self._codes: np.ndarray = np.zeros(0, dtype=np.uint64)
+        self._masses: np.ndarray = np.zeros(0, dtype=_DTYPE[mode])
         self._side: dict = {}
+        self._den = 1
 
     # -- constructors --------------------------------------------------
 
@@ -125,7 +131,10 @@ class SparseMeasure:
                 data[x] = data.get(x, _zero(mode)) + m
         for x in data:
             group.validate(x)
-        codec = group.codec() if mode == "float" else None
+        if mode == "exact":
+            mu._den = math.lcm(*(m.denominator for m in data.values()))
+            data = {x: m.numerator * (mu._den // m.denominator) for x, m in data.items()}
+        codec = group.codec()
         if codec is None:
             mu._side = data
             return mu
@@ -140,15 +149,15 @@ class SparseMeasure:
         codes = np.array(codes, dtype=np.uint64)
         order = np.argsort(codes, kind="stable")
         mu._codes = codes[order]
-        mu._masses = np.array(masses, dtype=np.float64)[order]
+        mu._masses = np.array(masses, dtype=_DTYPE[mode])[order]
         return mu
 
     @classmethod
     def _from_pool(
         cls, group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, lost_mass,
-        mode: str = "float",
+        mode: str = "float", den: int = 1,
     ) -> "SparseMeasure":
-        """Measure from kernel output: valid atoms of positive mass, already placed.
+        """Measure from kernel output: valid atoms of positive weight, already placed.
 
         `codes` are sorted and `side` holds the rest, so nothing is coerced or
         validated again; input from outside the kernel goes through `from_items`.
@@ -157,6 +166,7 @@ class SparseMeasure:
         mu._codes = codes
         mu._masses = masses
         mu._side = side
+        mu._den = den
         return mu
 
     # -- basic queries ---------------------------------------------------
@@ -164,12 +174,17 @@ class SparseMeasure:
     def __len__(self) -> int:
         return len(self._codes) + len(self._side)
 
+    def _mass(self, w):
+        """A sum of stored weights as a mass: a float, or a Fraction over `_den`."""
+        return Fraction(w, self._den) if self.mode == "exact" else float(w)
+
     def total_mass(self):
         if self.mode == "exact":
-            return sum(self._side.values(), Fraction(0))
+            return self._mass(sum(self._masses.tolist()) + sum(self._side.values()))
         return float(np.sum(self._masses)) + math.fsum(self._side.values())
 
-    def as_dict(self) -> dict:
+    def _atoms(self) -> dict:
+        """Every atom with its stored weight (a numerator over `_den` in exact mode)."""
         if not len(self._codes):
             return dict(self._side)
         decode = self.group.codec().decode_one
@@ -177,8 +192,13 @@ class SparseMeasure:
         out.update(self._side)
         return out
 
+    def as_dict(self) -> dict:
+        if self.mode == "exact":
+            return {x: self._mass(n) for x, n in self._atoms().items()}
+        return self._atoms()
+
     def items_canonical(self) -> list:
-        return sorted(self.as_dict().items(), key=lambda kv: self.group.sort_key(kv[0]))
+        return _spiral(self.group, self.as_dict().items())
 
     # -- serialization -----------------------------------------------------
 
@@ -290,60 +310,42 @@ def _prune_dict(group: Group, data: dict, budget: int, mode: str):
     """
     if len(data) <= budget:
         return data, _zero(mode)
-    ranked = sorted(data.items(), key=lambda kv: group.sort_key(kv[0]))
+    ranked = _spiral(group, data.items())
     ranked.sort(key=lambda kv: kv[1], reverse=True)  # stable: spiral order within ties
     kept = dict(ranked[:budget])
     return kept, _mass_sum([m for _, m in ranked[budget:]], mode)
 
 
-def _select_top(group: Group, codes: np.ndarray, masses: np.ndarray, side: dict, budget: int):
+def _select_top(group: Group, codes, masses, side: dict, budget: int, mode: str):
     """Top-`budget` atoms across the packed pool and the dict side pool.
 
-    Ties at the cutoff mass are resolved by spiral order (packed ties are
-    decoded first; an empty pool, as on a codec-less group, has none).
-    Returns (codes, masses, side_kept, pruned_mass).
+    Atoms rank by stored weight; exact numerators share one denominator, so
+    they rank as their masses do. Ties at the cutoff are resolved by spiral
+    order (packed ties are decoded first; an empty pool, as on a codec-less
+    group, has none). Returns (codes, weights, side_kept, pruned weight).
     """
-    codec = group.codec()
     total = len(codes) + len(side)
-    if total <= budget:
-        return codes, masses, side, 0.0
-    side_items = sorted(side.items(), key=lambda kv: group.sort_key(kv[0]))
-    all_masses = np.concatenate(
-        [masses, np.array([m for _, m in side_items], dtype=np.float64)]
-    ) if side_items else masses
+    side_items = _spiral(group, side.items())
+    side_masses = np.array([m for _, m in side_items], dtype=_DTYPE[mode])
+    all_masses = np.concatenate([masses, side_masses]) if side_items else masses
     cutoff = np.partition(all_masses, total - budget)[total - budget]
-    grand = float(np.sum(all_masses))
 
-    above_mask = masses > cutoff
-    side_above = [(x, m) for x, m in side_items if m > cutoff]
-    n_above = int(np.count_nonzero(above_mask)) + len(side_above)
-    need = budget - n_above
+    keep = masses > cutoff
+    side_kept = {x: m for x, m in side_items if m > cutoff}
+    need = budget - int(np.count_nonzero(keep)) - len(side_kept)
+    tie_at = np.flatnonzero(masses == cutoff)
+    codec = group.codec()
+    tied = [(codec.decode_one(c), i) for c, i in zip(codes[tie_at].tolist(), tie_at.tolist())]
+    tied += [(x, None) for x, m in side_items if m == cutoff]
+    for x, i in _spiral(group, tied)[:need]:
+        if i is None:
+            side_kept[x] = side[x]
+        else:
+            keep[i] = True
 
-    tie_mask = masses == cutoff
-    tie_codes = codes[tie_mask]
-    tie_pairs = [(codec.decode_one(int(c)), c) for c in tie_codes]
-    tied = [(x, cutoff, c) for x, c in tie_pairs] + [
-        (x, m, None) for x, m in side_items if m == cutoff
-    ]
-    tied.sort(key=lambda t: group.sort_key(t[0]))
-    kept_tied = tied[:need]
-
-    kept_tie_codes = np.array(
-        sorted(int(c) for _, _, c in kept_tied if c is not None), dtype=np.uint64
-    )
-    new_codes = np.concatenate([codes[above_mask], kept_tie_codes])
-    new_masses = np.concatenate(
-        [masses[above_mask], np.full(len(kept_tie_codes), cutoff)]
-    )
-    order = np.argsort(new_codes, kind="stable")
-    new_codes = new_codes[order]
-    new_masses = new_masses[order]
-
-    side_kept = dict(side_above)
-    side_kept.update((x, m) for x, m, c in kept_tied if c is None)
-    kept_sum = float(np.sum(new_masses)) + math.fsum(side_kept.values())
-    pruned = grand - kept_sum
-    return new_codes, new_masses, side_kept, max(pruned, 0.0)
+    kept = masses[keep]
+    pruned = np.sum(all_masses) - (np.sum(kept) + _mass_sum(side_kept.values(), mode))
+    return codes[keep], kept, side_kept, max(pruned, 0)
 
 
 # -- convolution -----------------------------------------------------------
@@ -368,41 +370,25 @@ def convolve_reference(
     return SparseMeasure.from_items(g, acc, mu.mode, lost_mass=lost)
 
 
-def _convolve_exact(mu: SparseMeasure, nu: SparseMeasure) -> dict:
-    """Integer-numerator convolution over a common denominator.
-
-    Exact measures hold every atom in `_side`. Integer sums do not depend on
-    order, so those dicts are read as they are stored; `_prune_dict` sorts
-    on its own.
-    """
-    d_mu = math.lcm(*(m.denominator for m in mu._side.values()))
-    d_nu = math.lcm(*(m.denominator for m in nu._side.values()))
-    sm = [(x, m.numerator * (d_mu // m.denominator)) for x, m in mu._side.items()]
-    sn = [(y, m.numerator * (d_nu // m.denominator)) for y, m in nu._side.items()]
-    g = mu.group
-    acc: dict = {}
-    for x, nx in sm:
-        for y, ny in sn:
-            z = g.mul(x, y)
-            acc[z] = acc.get(z, 0) + nx * ny
-    den = d_mu * d_nu
-    return {z: Fraction(n, den) for z, n in acc.items()}
-
-
 def _dedup(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct codes in ascending order, each with the sum of its weights.
 
     The sort is stable, so each code's weights are summed in input order
     whatever the flush schedule, and timsort merges the already-sorted runs
-    the kernel produces instead of re-sorting them.
+    the kernel produces instead of re-sorting them. Float weights are summed
+    by `np.bincount`; exact numerators (object dtype, set by the mode where
+    the rows are made) by `np.add.reduceat`, which keeps them Python ints.
     """
+    if not len(codes):
+        return codes, weights  # np.bincount would give int64 weights here
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     first = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     uniq = codes[first]
-    sums = np.bincount(np.cumsum(first) - 1, weights=weights[order], minlength=len(uniq))
-    return uniq, sums
+    if weights.dtype == object:
+        return uniq, np.add.reduceat(weights[order], np.flatnonzero(first))
+    return uniq, np.bincount(np.cumsum(first) - 1, weights=weights[order], minlength=len(uniq))
 
 
 def _check_rows(rows: int) -> None:
@@ -452,7 +438,7 @@ def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
     rows = len(pos) * (hi - lo)
     if L > rows or L * K > rows * math.log2(rows):
         return None
-    kernel = np.zeros(K)
+    kernel = np.zeros(K, dtype=_DTYPE[nu.mode])
     kernel[z - z_min] = nu._masses[lo:hi]
     return slice(lo, hi), kernel, z_min, pos, starts, blocks
 
@@ -463,7 +449,7 @@ def _convolve_lines(mu: SparseMeasure, plan) -> tuple[np.ndarray, np.ndarray]:
     Each fiber of mu (the codes above the lowest field) gets a zero-padded
     block of `span + K - 1` slots, so one `np.convolve` over all blocks
     never carries mass from one fiber into the next. The codes come out
-    sorted; slots whose mass is not > 0 (holes and underflow) are dropped.
+    sorted; slots whose weight is not > 0 (holes and underflow) are dropped.
     """
     _, kernel, z_min, pos, starts, blocks = plan
     L = int(blocks.sum())
@@ -471,7 +457,7 @@ def _convolve_lines(mu: SparseMeasure, plan) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.cumsum(blocks) - blocks
     shift = pos[starts] - offsets  # field value minus slot, per fiber
     fiber_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(pos))))
-    window = np.zeros(L)
+    window = np.zeros(L, dtype=_DTYPE[mu.mode])
     window[pos - shift[fiber_of]] = mu._masses
     dense = np.convolve(window, kernel)[:L]
     keep = np.flatnonzero(dense > 0)
@@ -480,14 +466,20 @@ def _convolve_lines(mu: SparseMeasure, plan) -> tuple[np.ndarray, np.ndarray]:
     return base[f] + (keep + shift[f] + z_min).astype(np.uint64), dense[keep]
 
 
-def _convolve_fast(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> SparseMeasure:
+def _products(mu: SparseMeasure, nu: SparseMeasure):
+    """mu * nu in stored weights, the kernel both ledgers share.
+
+    Returns the sorted pool codes, their weights and the side dict of the
+    product, every atom placed by the placement rule and of positive weight;
+    the weights are masses in float mode and numerators over
+    mu._den * nu._den in exact mode.
+    """
     g = mu.group
     codec = g.codec()
     mu_codes, mu_masses = mu._codes, mu._masses
-    nu_items = nu.items_canonical()
 
-    acc_codes = np.array([], dtype=np.uint64)
-    acc_masses = np.array([], dtype=np.float64)
+    acc_codes = np.zeros(0, dtype=np.uint64)
+    acc_masses = np.zeros(0, dtype=_DTYPE[mu.mode])
     pend_codes: list[np.ndarray] = [acc_codes]
     pend_masses: list[np.ndarray] = [acc_masses]
     pend_rows = 0
@@ -512,7 +504,7 @@ def _convolve_fast(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> 
     if plan is not None:
         lines = {codec.decode_one(c) for c in nu._codes[plan[0]].tolist()}
         add(*_convolve_lines(mu, plan))
-    for y, wy in nu_items:
+    for y, wy in _spiral(g, nu._atoms().items()):
         # an empty pool (always so without a codec) has no rows for mul_right
         if len(mu_codes) and y not in lines:
             out, ok = codec.mul_right(mu_codes, y)
@@ -520,13 +512,12 @@ def _convolve_fast(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> 
                 add(out, mu_masses * wy)
             else:
                 add(out[ok], mu_masses[ok] * wy)
-                for i in np.nonzero(~ok)[0]:
-                    x = codec.decode_one(int(mu_codes[i]))
-                    z = g.mul(x, y)
-                    side[z] = side.get(z, 0.0) + float(mu_masses[i]) * wy
+                for c, mx in zip(mu_codes[~ok].tolist(), mu_masses[~ok].tolist()):
+                    z = g.mul(codec.decode_one(c), y)
+                    side[z] = side.get(z, 0) + mx * wy
         for x, mx in mu._side.items():
             z = g.mul(x, y)
-            side[z] = side.get(z, 0.0) + mx * wy
+            side[z] = side.get(z, 0) + mx * wy
         if pend_rows >= _FLUSH_ROWS:
             flush()
     # an atom the codec cannot hold times y can land back in codec range;
@@ -538,21 +529,35 @@ def _convolve_fast(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> 
     if back:
         add(
             np.array(list(back.values()), dtype=np.uint64),
-            np.array([side.pop(z) for z in back], dtype=np.float64),
+            np.array([side.pop(z) for z in back], dtype=_DTYPE[mu.mode]),
         )
     flush()
     # products that underflow to zero are not atoms (from_items drops them too)
     held = acc_masses > 0
-    acc_codes, acc_masses = acc_codes[held], acc_masses[held]
-    side = {z: m for z, m in side.items() if m > 0}
+    return acc_codes[held], acc_masses[held], {z: m for z, m in side.items() if m > 0}
 
+
+def _convolve_fast(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> SparseMeasure:
+    """The float ledger over `_products`: pruned mass is added as a float."""
+    g = mu.group
+    codes, masses, side = _products(mu, nu)
     lost = _propagated_lost(mu, nu)
-    if budget is not None and len(acc_codes) + len(side) > budget:
-        acc_codes, acc_masses, side, pruned = _select_top(
-            g, acc_codes, acc_masses, side, budget
-        )
-        lost += pruned
-    return SparseMeasure._from_pool(g, acc_codes, acc_masses, side, lost)
+    if budget is not None and len(codes) + len(side) > budget:
+        codes, masses, side, pruned = _select_top(g, codes, masses, side, budget, "float")
+        lost += float(pruned)
+    return SparseMeasure._from_pool(g, codes, masses, side, lost)
+
+
+def _convolve_exact(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> SparseMeasure:
+    """The exact ledger over `_products`: numerators over mu._den * nu._den."""
+    g = mu.group
+    den = mu._den * nu._den
+    codes, nums, side = _products(mu, nu)
+    lost = _propagated_lost(mu, nu)
+    if budget is not None and len(codes) + len(side) > budget:
+        codes, nums, side, pruned = _select_top(g, codes, nums, side, budget, "exact")
+        lost += Fraction(pruned, den)  # the pruned weight, exactly
+    return SparseMeasure._from_pool(g, codes, nums, side, lost, "exact", den)
 
 
 def convolve(
@@ -562,10 +567,10 @@ def convolve(
 ) -> SparseMeasure:
     """mu * nu with budget pruning.
 
-    Every float measure takes the packed kernel, which differs from
-    `convolve_reference` (the test oracle) only in summation grouping; on a
-    group without a codec its pool is empty and every product goes to the
-    side dict.
+    Both modes take the packed kernel `_products`, which differs from
+    `convolve_reference` (the test oracle) only in summation grouping (so
+    not at all in exact mode); on a group without a codec the pool is empty
+    and every product goes to the side dict.
     """
     _check_compat(mu, nu)
     if budget is not None and budget < 1:
@@ -573,30 +578,23 @@ def convolve(
     pairs = len(mu) * len(nu)
     if pairs > _PAIR_LIMIT:
         raise ConvolutionRefused(f"convolution of {len(mu)} x {len(nu)} atoms refused")
-    g = mu.group
     if mu.mode == "exact":
-        acc = _convolve_exact(mu, nu)
-        lost = _propagated_lost(mu, nu)
-        if budget is not None and len(acc) > budget:
-            acc, pruned = _prune_dict(g, acc, budget, "exact")
-            lost = lost + pruned
-        return SparseMeasure._from_pool(g, _NO_CODES, _NO_MASSES, acc, lost, "exact")
+        return _convolve_exact(mu, nu, budget)
     return _convolve_fast(mu, nu, budget)
 
 
 # -- translations and distance ----------------------------------------------
 
 
-def _pool_l1(codes_a, masses_a, codes_b, masses_b) -> float:
-    """L1 distance sum_c |a(c) - b(c)| between two packed pools."""
+def _pool_l1(codes_a, masses_a, codes_b, masses_b):
+    """L1 distance sum_c |a(c) - b(c)| between two packed pools, in stored weights."""
     _, sums = _dedup(np.concatenate([codes_a, codes_b]), np.concatenate([masses_a, -masses_b]))
-    return float(np.sum(np.abs(sums)))
+    return np.sum(np.abs(sums))
 
 
 def _dict_l1(a: dict, b: dict, mode: str):
-    """L1 distance sum_z |a(z) - b(z)| between two dicts of atoms."""
-    zero = _zero(mode)
-    return _mass_sum([abs(a.get(k, zero) - b.get(k, zero)) for k in a.keys() | b.keys()], mode)
+    """L1 distance sum_z |a(z) - b(z)| between two dicts of stored weights."""
+    return _mass_sum([abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()], mode)
 
 
 def tv_left_translate(mu: SparseMeasure, t) -> tuple:
@@ -605,6 +603,7 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     For central t on a measure held wholly in the packed pool this is a
     single vectorized pass (t*x = x*t); otherwise it sums
     |mu(t^-1 z) - mu(z)| over the translated and the original atom dicts.
+    Either way it sums stored weights and turns the sum into a mass once.
     `t` is not validated here: callers check it once, at the boundary.
     """
     grp = mu.group
@@ -612,17 +611,16 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     if t == grp.identity:
         return (_zero(mu.mode), bracket)
     if not mu._side and len(mu._codes) and grp.is_central(t):
-        codec = grp.codec()
-        shifted, ok = codec.mul_right(mu._codes, t)
+        shifted, ok = grp.codec().mul_right(mu._codes, t)
         value = _pool_l1(shifted[ok], mu._masses[ok], mu._codes, mu._masses)
         # atoms pushed out of codec range sit at positions the packed union
-        # cannot see; each contributes its whole mass to the difference
-        value += float(np.sum(mu._masses[~ok]))
-        return value, bracket
-    atoms = mu.as_dict()
+        # cannot see; each contributes its whole weight to the difference
+        value += np.sum(mu._masses[~ok])
+        return mu._mass(value), bracket
+    atoms = mu._atoms()
     # left multiplication is a bijection, so no two atoms land on one element
     moved = {grp.mul(t, x): m for x, m in atoms.items()}
-    return _dict_l1(moved, atoms, mu.mode), bracket
+    return mu._mass(_dict_l1(moved, atoms, mu.mode)), bracket
 
 
 def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
@@ -633,7 +631,12 @@ def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
     """
     _check_compat(mu, nu)
     bracket = mu.lost_mass + nu.lost_mass
-    value = _dict_l1(mu._side, nu._side, mu.mode)
     if mu.mode == "float":
-        value += _pool_l1(mu._codes, mu._masses, nu._codes, nu._masses)
-    return value, bracket
+        value = _dict_l1(mu._side, nu._side, "float")
+        return value + float(_pool_l1(mu._codes, mu._masses, nu._codes, nu._masses)), bracket
+    # numerators brought over the one denominator mu._den * nu._den
+    a, b = nu._den, mu._den
+    scaled = [{x: m * k for x, m in p._side.items()} for p, k in ((mu, a), (nu, b))]
+    value = _dict_l1(*scaled, "exact")
+    value += _pool_l1(mu._codes, mu._masses * a, nu._codes, nu._masses * b)
+    return Fraction(value, a * b), bracket

@@ -371,3 +371,49 @@ def test_zero_budget_is_a_config_error(tmp_path, capsys):
     assert rc == 1
     assert "budget_atoms must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_zero_product_cap_is_a_config_error(tmp_path, capsys):
+    # refused whether or not the catalogue would ever read the cap: f2xz's is
+    # central and never conjugates, the lamplighter's conjugates at stage 1
+    configs = (
+        "preset = f2xz\nstages = 2\nproduct_cap = 0\n",
+        "group = lamplighter(2)\ncatalogue = ({1}|0) @ lamps\nstages = 2\nproduct_cap = 0\n",
+    )
+    for i, text in enumerate(configs):
+        cfg = tmp_path / f"cap{i}.cfg"
+        cfg.write_text(text)
+        out = tmp_path / f"out{i}"
+        assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "measure.txt").exists()
+    assert capsys.readouterr().err.count("product_cap must be >= 1, got 0") == 2
+
+
+# (argv, artifact, the line before its data rows, sha256 of those rows); the
+# digests were taken before exact measures moved onto the packed pool, and
+# the exact kernel must keep every byte
+EXACT_ROWS = [
+    (
+        ["control", "free-group-srw"], "control.csv", "t,n,",
+        "18fa6cbda63b614718461632db3ca3204b13aff9c818f0074415a0fd2086365d",
+    ),
+    (
+        ["control", "amenable-sanity"], "control.csv", "t,n,",
+        "8c203b9d4b008601e90664e889e50315f09005b09ad136e56ad8897f812510f2",
+    ),
+    (
+        ["construct", "--preset", "z-amenable", "--mode", "exact"], "measure.txt", "atoms ",
+        "eeac55b4e265e1717bfab166ca33e43c7faa8f5485e342d73140bed9fa8bab5a",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, artifact, header, digest", EXACT_ROWS, ids=["free-control", "amenable-control", "z-amenable"]
+)
+def test_exact_artifact_rows_keep_their_bytes(tmp_path, capsys, argv, artifact, header, digest):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / artifact).read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header)) + 1
+    assert hashlib.sha256(("\n".join(lines[start:]) + "\n").encode()).hexdigest() == digest

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -94,9 +95,10 @@ z7_elements = st.tuples(*[st.integers(-2, 2)] * 7)
 
 
 def assert_placed(mu):
-    """The placement rule: in float mode every atom the codec encodes is in
-    the sorted pool, every other atom in the side dict."""
-    codec = mu.group.codec() if mu.mode == "float" else None
+    """The placement rule, the same in both modes: every atom the codec
+    encodes is in the sorted pool, every other atom in the side dict. Weights
+    have the mode's dtype; exact weights are Python-int numerators."""
+    codec = mu.group.codec()
     codes = mu._codes.tolist()
     assert all(a < b for a, b in zip(codes, codes[1:]))
     assert codec is not None or not codes
@@ -105,6 +107,9 @@ def assert_placed(mu):
         mu.group.validate(x)
         assert codec.encode_one(x) == c
     assert codec is None or all(codec.encode_one(x) is None for x in mu._side)
+    assert mu._masses.dtype == measures._DTYPE[mu.mode]
+    if mu.mode == "exact":
+        assert all(type(w) is int for w in [*mu._masses.tolist(), *mu._side.values(), mu._den])
 
 
 def test_delta_and_uniform():
@@ -123,6 +128,73 @@ def test_convolve_matches_reference(mu, nu):
     want = convolve_reference(mu, nu)
     assert got.as_dict() == want.as_dict()
     assert got.lost_mass == want.lost_mass
+    for m in (mu, nu, got):
+        assert_placed(m)
+
+
+# masses from a small set, so products tie often
+tie_masses = st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(1, 6)])
+
+
+@pytest.mark.parametrize(
+    "group, elements",
+    [(F2, long_words), (F2xZ, f2xz_elements)],
+    ids=["F2", "F2xZ"],
+)
+def test_exact_convolve_with_side_atoms_matches_reference(group, elements):
+    # F2 words past the codec's 28 letters, and F2 x Z words past its
+    # 20-letter free field or central coordinates outside its 16-bit field,
+    # live in the side dict; the result must equal the oracle exactly, with
+    # and without a budget, ties at the cutoff included
+    exact = st.builds(
+        lambda items: SparseMeasure.from_items(group, items, "exact", lost_mass=Fraction(1, 7)),
+        st.lists(st.tuples(elements, st.one_of(tie_masses, masses)), min_size=1, max_size=8),
+    )
+
+    @given(exact, exact, st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def check(mu, nu, budget):
+        for b in (None, budget):
+            got = convolve(mu, nu, budget=b)
+            want = convolve_reference(mu, nu, budget=b)
+            assert got.as_dict() == want.as_dict()
+            assert got.lost_mass == want.lost_mass
+            # got's denominator is mu._den * nu._den, want's the reduced one
+            assert tv_distance(got, want) == (0, got.lost_mass + want.lost_mass)
+            for m in (mu, nu, got):
+                assert_placed(m)
+
+    check()
+
+
+def test_exact_budget_breaks_a_tie_across_pool_and_side_in_spiral_order():
+    # the 21-letter word sits in the side dict, (e|(30000)) in the pool; both
+    # weigh 1/3, and the side atom is first in spiral order (length 21 < 30000)
+    side_x = (_reduced_word(0, [0] * 20), (0,))
+    pool_x = ((), (30000,))
+    items = [(side_x, Fraction(1, 3)), (pool_x, Fraction(1, 3)), (((1,), (0,)), Fraction(1, 4))]
+    mu = SparseMeasure.from_items(F2xZ, items, "exact")
+    e = delta(F2xZ, mode="exact")
+    assert side_x in mu._side and len(mu._codes) == 2
+    for budget, kept in ((1, {side_x}), (2, {side_x, pool_x})):
+        got = convolve(mu, e, budget=budget)
+        assert set(got.as_dict()) == kept
+        assert got.as_dict() == convolve_reference(mu, e, budget=budget).as_dict()
+        assert got.total_mass() + got.lost_mass == mu.total_mass()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object], ids=["float", "exact"])
+def test_dedup_of_no_rows_keeps_the_weight_dtype(dtype):
+    codes, sums = measures._dedup(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=dtype))
+    assert len(codes) == len(sums) == 0
+    assert codes.dtype == np.uint64 and sums.dtype == dtype
+
+
+def test_dedup_sums_exact_numerators_as_python_ints():
+    codes = np.array([3, 1, 3], dtype=np.uint64)
+    codes, sums = measures._dedup(codes, np.array([10**30, 2, 1], dtype=object))
+    assert codes.tolist() == [1, 3] and sums.tolist() == [2, 10**30 + 1]
+    assert all(type(w) is int for w in sums.tolist())
 
 
 @given(f2_measures, f2_measures, f2_measures)
@@ -195,9 +267,16 @@ def test_translation_preserves_tv(mu, t):
     assert v1 == v0
 
 
-# exact F2 measures are compared without tolerance; float F2 x Z measures
-# with long words and edge central coordinates carry side atoms
-@given(st.one_of(st.tuples(f2_measures, words), st.tuples(f2xz_float_measures, f2xz_elements)))
+# exact measures are compared without tolerance; F2 measures with long words
+# and F2 x Z measures with long words or edge central coordinates carry side atoms
+@given(
+    st.one_of(
+        st.tuples(f2_measures, words),
+        st.tuples(exact_measures(long_words, F2), words),
+        st.tuples(exact_measures(f2xz_elements, F2xZ), f2xz_elements),
+        st.tuples(f2xz_float_measures, f2xz_elements),
+    )
+)
 @settings(max_examples=80, deadline=None)
 def test_tv_left_translate_matches_two_measure_path(case):
     mu, t = case
@@ -365,6 +444,22 @@ def test_float_convolve_matches_reference(group, pairs):
         )
 
     check()
+
+
+@given(line_pairs(), st.integers(1, 40))
+@settings(max_examples=30, deadline=None)
+def test_exact_dense_route_matches_reference(pair, budget):
+    # the dense route's inputs with each float mass read as the exact binary
+    # fraction it is: np.convolve then runs on object-dtype numerators
+    mu, nu = (
+        SparseMeasure.from_items(F2xZ, [(x, Fraction(m)) for x, m in p.as_dict().items()], "exact")
+        for p in pair[:2]
+    )
+    assert _line_plan(mu, nu) is not None
+    for b in (None, budget):
+        got, want = convolve(mu, nu, budget=b), convolve_reference(mu, nu, budget=b)
+        assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
+        assert_placed(got)
 
 
 def test_products_that_underflow_to_zero_are_dropped():
