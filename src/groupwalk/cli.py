@@ -235,9 +235,15 @@ def cmd_control(args) -> int:
     in_file = config_file_values(args.config) if args.config else {}
     stages = next(v for v in (args.stages, in_file.get("stages"), 50) if v is not None)
     n_max = args.n_max if args.n_max is not None else in_file.get("n_max")
+    if (args.mode or in_file.get("mode")) == "float":
+        raise SpecMismatchError(
+            "control runs in exact arithmetic only: --mode float (or mode = float "
+            "in the config file) does not apply"
+        )
     rep = control_experiment(canon, seed=cfg.seed, stages=stages, n_max=n_max)
-    # fingerprint the stage count and horizon that ran, not the config defaults
-    fp = replace(cfg, stages=stages, n_max=rep.n_max).fingerprint()
+    # fingerprint the arithmetic, stage count and horizon that ran, not the
+    # config defaults
+    fp = replace(cfg, stages=stages, n_max=rep.n_max, mode="exact").fingerprint()
     rep = replace(rep, fingerprint=fp)
     _write(_out_path(cfg, "control.csv"), rep.to_csv())
     _write(_out_path(cfg, "control.json"), rep.to_json())

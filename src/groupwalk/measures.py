@@ -40,7 +40,8 @@ the dense length L is at most the rows the line shifts add to the sort
 route, and L * K <= rows * log2(rows); otherwise the line shifts take the
 sort route as well. Neither route keeps an atom whose weight sums to 0,
 and a convolution whose accumulator or dense window would pass
-`_ACC_BYTES` raises BudgetError.
+`_ACC_BYTES` raises BudgetError; an exact row is priced with its numerator,
+at the size of the product's denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -49,6 +50,7 @@ family's lexicographic rank); all tie-breaks reduce to it.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -59,7 +61,7 @@ from groupwalk.groups import GSet, Group
 _FLUSH_ROWS = 1 << 22  # pending-row threshold before a dedup flush
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 _ACC_BYTES = 1 << 31  # refuse a convolution whose accumulator would pass this
-_ROW_BYTES = 16  # one uint64 code and one float64 mass
+_ROW_BYTES = 16  # one uint64 code and one float64 mass, or a pointer to a numerator
 
 # the weight dtype of each mode: float64 masses, or Python-int numerators
 _DTYPE = {"float": np.float64, "exact": object}
@@ -391,11 +393,11 @@ def _dedup(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return uniq, np.bincount(np.cumsum(first) - 1, weights=weights[order], minlength=len(uniq))
 
 
-def _check_rows(rows: int) -> None:
+def _check_rows(rows: int, row_bytes: int) -> None:
     """Refuse a convolution whose working set would pass `_ACC_BYTES`."""
-    if rows * _ROW_BYTES > _ACC_BYTES:
+    if rows * row_bytes > _ACC_BYTES:
         raise BudgetError(
-            f"convolution needs {rows} rows ({rows * _ROW_BYTES} bytes), over the "
+            f"convolution needs {rows} rows ({rows * row_bytes} bytes), over the "
             f"accumulator cap _ACC_BYTES = {_ACC_BYTES} bytes"
         )
 
@@ -443,7 +445,7 @@ def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
     return slice(lo, hi), kernel, z_min, pos, starts, blocks
 
 
-def _convolve_lines(mu: SparseMeasure, plan) -> tuple[np.ndarray, np.ndarray]:
+def _convolve_lines(mu: SparseMeasure, plan, row_bytes: int) -> tuple[np.ndarray, np.ndarray]:
     """mu's pool times nu's line shifts as one dense 1-D convolution.
 
     Each fiber of mu (the codes above the lowest field) gets a zero-padded
@@ -453,7 +455,7 @@ def _convolve_lines(mu: SparseMeasure, plan) -> tuple[np.ndarray, np.ndarray]:
     """
     _, kernel, z_min, pos, starts, blocks = plan
     L = int(blocks.sum())
-    _check_rows(L)
+    _check_rows(L, row_bytes)
     offsets = np.cumsum(blocks) - blocks
     shift = pos[starts] - offsets  # field value minus slot, per fiber
     fiber_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(pos))))
@@ -477,6 +479,9 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     g = mu.group
     codec = g.codec()
     mu_codes, mu_masses = mu._codes, mu._masses
+    # an exact row also points to a Python-int numerator, priced at the
+    # size of the product's denominator
+    row_bytes = _ROW_BYTES + (sys.getsizeof(mu._den * nu._den) if mu.mode == "exact" else 0)
 
     acc_codes = np.zeros(0, dtype=np.uint64)
     acc_masses = np.zeros(0, dtype=_DTYPE[mu.mode])
@@ -494,7 +499,7 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
 
     def add(codes, masses):
         nonlocal pend_rows
-        _check_rows(len(acc_codes) + pend_rows + len(codes))
+        _check_rows(len(acc_codes) + pend_rows + len(codes), row_bytes)
         pend_codes.append(codes)
         pend_masses.append(masses)
         pend_rows += len(codes)
@@ -503,7 +508,7 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     lines = set()
     if plan is not None:
         lines = {codec.decode_one(c) for c in nu._codes[plan[0]].tolist()}
-        add(*_convolve_lines(mu, plan))
+        add(*_convolve_lines(mu, plan, row_bytes))
     for y, wy in _spiral(g, nu._atoms().items()):
         # an empty pool (always so without a codec) has no rows for mul_right
         if len(mu_codes) and y not in lines:

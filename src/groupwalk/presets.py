@@ -68,6 +68,11 @@ def fresh_state(cfg: RunConfig) -> ConstructionState:
     """Run the construction a resolved config describes, from stage 0 through `cfg.stages`."""
     g = parse_group(cfg.group)
     if not cfg.catalogue:
+        if cfg.preset is not None:
+            raise SpecMismatchError(
+                f"preset {cfg.preset!r} has no catalogue to construct; "
+                f"run it with `groupwalk control {cfg.preset}`"
+            )
         raise SpecMismatchError("config has no catalogue entries and no preset")
     state = new_state(
         g,

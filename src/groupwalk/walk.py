@@ -3,25 +3,24 @@
 Each increment is generated through the coupling (K, color, X): K is the
 stage index drawn from the stage weights, the color is uniform on
 {blue, red, green}, and X is then uniform over F_K (blue), c_K (red) or
-c_K^-1 (green). Marginally X has the law of the constructed measure; the
-stage truncation at k is handled by rejection-resampling K > k, with
-rejections counted so the conditioning is auditable.
+c_K^-1 (green). Marginally X has the law of the constructed measure. The
+stage truncation at k conditions K on K <= k, and it is drawn by inversion:
+the quantile of the conditioned law at u is the untruncated quantile at
+u * P(K <= k), so one uniform gives the exact truncated law.
 
 `estimate_M` Monte Carlo-estimates the first step l at which the
 remainder-extraction event fires — l past the warm-up N, K_l a strict
 record exceeding l+1, the schedule drawing the target set at stage K_l,
 and the color blue — and reports the smallest horizon M whose hit
 probability clears 1 - eps at the Wilson 95% lower bound. This event is
-sampled under the untruncated stage law (no rejection), since it concerns
-the idealized walk; only X-sampling needs the stage-k truncation.
+sampled under the untruncated stage law, since it concerns the idealized
+walk; only X-sampling needs the stage-k truncation.
 
 All sampling is counter-based (random access by key and counter), so
 results are independent of batching. Two layouts remain:
 
-- increment sample s reads slots 16s..16s+15 of the stream (seed, label):
-  K attempts at 16s..16s+13, the color at 16s+14, the blue pick at
-  16s+15. A sample whose 14 K attempts all exceed k reads slots 0, 1, ...
-  of its own stream (seed, label + "-overflow", s) until one does not;
+- increment sample s reads slots 3s, 3s+1 and 3s+2 of the stream
+  (seed, label): K at 3s, the color at 3s+1, the blue pick at 3s+2;
 - `estimate_M`'s trial t reads the stream (seed, "couple", t): K_l at
   slot 2l and the color at slot 2l+1. It reads K_l only until the trial
   first hits, and the color only at steps past N where K_l is a strict
@@ -44,8 +43,7 @@ from groupwalk.measures import SparseMeasure
 from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 
 COLORS = ("blue", "red", "green")
-_STRIDE = 16  # counter slots per sample: K attempts 0..13, color 14, pick 15
-_MAX_K_ATTEMPTS = 14
+_STRIDE = 3  # counter slots per sample: K, color, blue pick
 _TILE_CELLS = 1 << 18  # most trial x step cells estimate_M draws at once
 
 
@@ -106,73 +104,57 @@ def _candidate_thresholds(alpha: AlphaSchedule, steps: np.ndarray) -> np.ndarray
 
 
 def _sample_atom_ids(model: WalkModel, seed: int, label: str, samples: int, batch: int = 1 << 18):
-    """Vectorized increment sampling; yields (atom_id array, rejections, colors).
+    """Vectorized increment sampling; yields (atom_id array, colors) per batch.
 
-    Atom ids index WalkModel.atoms; the counter layout per sample s is
-    _STRIDE*s + attempt (K draws), +14 (color), +15 (blue pick).
+    Atom ids index WalkModel.atoms. Sample s reads three uniforms: K at slot
+    3s, drawn from the stage law truncated at k by inversion (the
+    untruncated quantile at u * P(K <= k)); the color at 3s+1; the blue
+    pick at 3s+2. K is clipped to k: the quantile is float arithmetic, and
+    at u * p = p itself 1/(1 - p) passes k + 1 by a rounding error (at
+    k = 32 on the harmonic rule), which ceil turns into K = k + 1, past
+    the stage tables.
     """
     rng = CounterRng(seed, label)
+    p = float(model.alpha.partial_sum(model.k))
     f_sizes = np.array([0] + [len(F) for F in model.F[1:]], dtype=np.int64)
     offsets = np.array(model.atom_offset, dtype=np.int64)
     for start in range(0, samples, batch):
         n = min(batch, samples - start)
         base = (np.arange(start, start + n, dtype=np.uint64)) * np.uint64(_STRIDE)
-        u = rng.uniforms_at(base)
-        K = model.alpha.sample_k_array(u)
-        rejections = 0
-        for attempt in range(1, _MAX_K_ATTEMPTS):
-            bad = K > model.k
-            n_bad = int(np.count_nonzero(bad))
-            if n_bad == 0:
-                break
-            rejections += n_bad
-            u2 = rng.uniforms_at(base[bad] + np.uint64(attempt))
-            K[bad] = model.alpha.sample_k_array(u2)
-        else:
-            for idx in np.nonzero(K > model.k)[0]:
-                aux = CounterRng(seed, label + "-overflow", start + int(idx))
-                j = 0
-                while (kk := model.alpha.sample_k(aux.uniform_at(j))) > model.k:
-                    j += 1
-                K[idx] = kk
-                rejections += j + 1  # j overflow draws and the last in-stride one
-        ucol = rng.uniforms_at(base + np.uint64(14))
+        K = np.minimum(model.alpha.sample_k_array(rng.uniforms_at(base) * p), model.k)
+        ucol = rng.uniforms_at(base + np.uint64(1))
         colors = np.minimum((ucol * 3).astype(np.int64), 2)
-        upick = rng.uniforms_at(base + np.uint64(15))
+        upick = rng.uniforms_at(base + np.uint64(2))
         pick = np.minimum((upick * f_sizes[K]).astype(np.int64), f_sizes[K] - 1)
         ids = np.where(
             colors == 0,
             offsets[K] + 2 + pick,
             offsets[K] + colors - 1,
         )
-        yield ids, rejections, colors
+        yield ids, colors
 
 
 def empirical_increment_law(model: WalkModel, samples: int, seed: int):
     """Histogram `samples` coupled increments into a float measure.
 
-    Returns (measure, stats) where stats records color counts with Wilson
-    intervals and the total number of stage rejections.
+    Atom ids are counted into one array over WalkModel.atoms. Returns
+    (measure, stats) where stats records the sample count and the color
+    counts with Wilson intervals.
     """
     if samples < 1:
         raise SpecMismatchError("samples must be >= 1")
-    counts: dict[int, int] = {}
+    counts = np.zeros(len(model.atoms), dtype=np.int64)
     color_counts = np.zeros(3, dtype=np.int64)
-    rejections = 0
-    for ids, rej, colors in _sample_atom_ids(model, seed, "increments", samples):
-        rejections += rej
+    for ids, colors in _sample_atom_ids(model, seed, "increments", samples):
+        counts += np.bincount(ids, minlength=len(model.atoms))
         color_counts += np.bincount(colors, minlength=3)
-        uniq, cnt = np.unique(ids, return_counts=True)
-        for i, c in zip(uniq, cnt):
-            counts[int(i)] = counts.get(int(i), 0) + int(c)
     data: dict = {}
-    for i, c in counts.items():
+    for i in np.flatnonzero(counts).tolist():
         x = model.atoms[i]
-        data[x] = data.get(x, 0.0) + c / samples
+        data[x] = data.get(x, 0.0) + int(counts[i]) / samples
     measure = SparseMeasure.from_items(model.group, data, "float")
     stats = {
         "samples": samples,
-        "rejections": rejections,
         "colors": {
             COLORS[j]: {
                 "count": int(color_counts[j]),
@@ -191,7 +173,7 @@ def empirical_pair_law(model: WalkModel, samples: int, seed: int) -> SparseMeasu
     n_atoms = len(model.atoms)
     gen1 = _sample_atom_ids(model, seed, "pair-a", samples)
     gen2 = _sample_atom_ids(model, seed, "pair-b", samples)
-    for (ids1, _, _), (ids2, _, _) in zip(gen1, gen2):
+    for (ids1, _), (ids2, _) in zip(gen1, gen2):
         codes = ids1 * n_atoms + ids2
         uniq, cnt = np.unique(codes, return_counts=True)
         for code, c in zip(uniq, cnt):
@@ -209,7 +191,7 @@ def coupling_independence(model: WalkModel, samples: int, seed: int) -> dict:
     """Chi-square factorization check of (K, color) at significance 0.01.
 
     K is binned into {1..6, >=7} against the three colors; the untruncated
-    stage law is used (no rejection), matching the coupling's definition.
+    stage law is used, matching the coupling's definition.
     """
     rng = CounterRng(seed, "chi")
     table = np.zeros((7, 3), dtype=np.int64)

@@ -208,7 +208,7 @@ def test_control_command(tmp_path):
     assert rows[2].startswith("a,0,2.0")
 
 
-def test_control_fingerprints_what_it_runs(tmp_path):
+def test_control_fingerprints_what_it_runs(tmp_path, capsys):
     # the amenable control runs 50 stages and n_max 50 unless told
     # otherwise, so naming either explicitly is the same run
     fps = set()
@@ -221,6 +221,31 @@ def test_control_fingerprints_what_it_runs(tmp_path):
     assert main(["control", "free-group-srw", "--n-max", "3", "--out", str(out)]) == 0
     rows = (out / "control.csv").read_text().strip().splitlines()
     assert [r.split(",")[1] for r in rows[2:]] == ["0", "1", "2", "3"]
+    # the control always runs exact, so that is what it fingerprints:
+    # --mode exact writes the same bytes, fingerprint line included
+    exact = tmp_path / "free3-exact"
+    assert main(["control", "free-group-srw", "--n-max", "3", "--mode", "exact", "--out", str(exact)]) == 0
+    assert (exact / "control.csv").read_text() == (out / "control.csv").read_text()
+    # and float mode, from the flag or the config file, is refused
+    cfg = tmp_path / "float.cfg"
+    cfg.write_text("group = free(2)\nmode = float\n")
+    refused = tmp_path / "float"
+    for extra in (["--mode", "float"], ["--config", str(cfg)]):
+        assert main(["control", "f2-control", "--n-max", "3", "--out", str(refused)] + extra) == 1
+    assert capsys.readouterr().err.count("--mode float") == 2
+    assert not (refused / "control.csv").exists()
+    # a flag beats the config file
+    flag = ["--config", str(cfg), "--mode", "exact", "--out", str(refused)]
+    assert main(["control", "f2-control", "--n-max", "3"] + flag) == 0
+
+
+@pytest.mark.parametrize("command", ["construct", "report", "couple"])
+def test_control_preset_is_not_a_construction(command, tmp_path, capsys):
+    # f2-control names a control walk, not a catalogue to construct
+    assert main([command, "--preset", "f2-control", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "preset 'f2-control' has no catalogue" in err
+    assert "groupwalk control f2-control" in err
 
 
 def test_control_rejects_a_zero_horizon(tmp_path, capsys):

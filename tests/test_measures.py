@@ -21,6 +21,7 @@ from groupwalk import (
     uniform,
 )
 from groupwalk import groups, measures
+from groupwalk.errors import BudgetError
 from groupwalk.measures import _line_plan, tv_left_translate
 
 F2 = FreeGroup(2)
@@ -543,3 +544,21 @@ def test_mode_mixing_rejected():
     nu = delta(F2, mode="float")
     with pytest.raises(SpecMismatchError):
         convolve(mu, nu)
+
+
+@pytest.mark.parametrize(
+    "group, atoms",
+    [(F2, [(1,), (-1,), (2,), (-2,)]), (F2xZ, [((), (j,)) for j in range(-2, 3)])],
+    ids=["sort-route", "dense-route"],
+)
+def test_exact_rows_are_priced_with_their_numerators(group, atoms, monkeypatch):
+    # weights over 2^400, as deep exact curves carry: the product's
+    # denominator is 2^800, so an exact row is priced at 16 bytes plus that
+    # int's size, and a cap of one float row per pair lies between the prices
+    exact = SparseMeasure.from_items(group, {x: Fraction(1, 2**400) for x in atoms}, "exact")
+    flt = SparseMeasure.from_items(group, {x: 2.0**-400 for x in atoms}, "float")
+    assert (_line_plan(flt, flt) is not None) == (group is F2xZ)
+    monkeypatch.setattr(measures, "_ACC_BYTES", measures._ROW_BYTES * len(atoms) ** 2)
+    assert len(convolve(flt, flt)) == len(convolve_reference(flt, flt))
+    with pytest.raises(BudgetError, match="accumulator cap"):
+        convolve(exact, exact)

@@ -24,6 +24,10 @@ PACKAGE = ROOT / "src" / "groupwalk"
 
 # test oracles kept on purpose, one reason each
 ALLOWED = {
+    "AlphaSchedule.sample_k": (
+        "the scalar oracle _oracle_hit_times and test_harmonic_sampler_tail_law "
+        "check the vector sampler against"
+    ),
     "GSet.is_symmetric": "the criterion-1 invariant: every stage's support is symmetric",
     "SparseMeasure.from_text": "the reader for measure.txt, used to round-trip artifacts",
     "empirical_pair_law": "the one check of the sampler against convolve (pair law vs nu * nu)",

@@ -12,9 +12,11 @@ from groupwalk import (
     tv_distance,
 )
 from groupwalk import walk
+from groupwalk.config import RunConfig
 from groupwalk.construction import AlphaSchedule, catalogue_from_texts, new_state
 from groupwalk.detrng import CounterRng
 from groupwalk.mcstats import wilson_interval
+from groupwalk.presets import fresh_state
 from groupwalk.walk import (
     DecompositionReport,
     _sample_atom_ids,
@@ -29,11 +31,9 @@ def model(f2xz_state):
 
 
 def _draw(model, seed, samples, batch=1 << 18, label="increments"):
-    """Concatenated (ids, total rejections, colors) of one sampler run."""
+    """Concatenated (ids, colors) of one sampler run."""
     parts = list(_sample_atom_ids(model, seed, label, samples, batch=batch))
-    ids = np.concatenate([p[0] for p in parts])
-    colors = np.concatenate([p[2] for p in parts])
-    return ids, sum(p[1] for p in parts), colors
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _stages(model, ids):
@@ -42,16 +42,15 @@ def _stages(model, ids):
 
 
 def test_atom_ids_are_deterministic_across_batches(model):
-    ids, rej, colors = _draw(model, 42, 5_000)
-    ids_b, rej_b, colors_b = _draw(model, 42, 5_000, batch=777)
+    ids, colors = _draw(model, 42, 5_000)
+    ids_b, colors_b = _draw(model, 42, 5_000, batch=777)
     assert np.array_equal(ids, ids_b) and np.array_equal(colors, colors_b)
-    assert rej == rej_b
-    other, _, _ = _draw(model, 43, 5_000)
+    other, _ = _draw(model, 43, 5_000)
     assert not np.array_equal(ids, other)
 
 
 def test_colors_pick_the_right_atom(model):
-    ids, _, colors = _draw(model, 9, 20_000)
+    ids, colors = _draw(model, 9, 20_000)
     K = _stages(model, ids)
     assert K.min() >= 1 and K.max() <= model.k
     slot = ids - np.array(model.atom_offset)[K]
@@ -67,28 +66,55 @@ def test_colors_pick_the_right_atom(model):
             assert model.atoms[i] == (record.c if col == 1 else g.inv(record.c))
 
 
-def test_overflow_fallback_reads_its_own_stream(model, monkeypatch):
-    # with one K attempt per slot block, every sample whose first draw
-    # exceeds k is redrawn from (seed, label + "-overflow", s) at 0, 1, ...
-    monkeypatch.setattr(walk, "_MAX_K_ATTEMPTS", 1)
-    seed, label, samples = 4, "increments", 3_000
-    ids, rej, _ = _draw(model, seed, samples, batch=1_000, label=label)
-    K = _stages(model, ids)
-    rng = CounterRng(seed, label)
-    alpha = model.alpha
-    overflowed, want_rej = 0, 0
-    for s in range(samples):
-        if alpha.sample_k(rng.uniform_at(walk._STRIDE * s)) <= model.k:
-            continue
-        overflowed += 1
-        aux = CounterRng(seed, label + "-overflow", s)
-        j = 0
-        while alpha.sample_k(aux.uniform_at(j)) > model.k:
-            j += 1
-        assert K[s] == alpha.sample_k(aux.uniform_at(j))
-        want_rej += j + 1  # the rejected in-stride draw, then j overflow draws
-    assert overflowed > 0
-    assert rej == want_rej
+def _model(alpha, k):
+    cfg = RunConfig(preset="f2xz", seed=20260813, stages=k, alpha=alpha).resolved()
+    return WalkModel(fresh_state(cfg))
+
+
+def test_stage_is_the_truncated_quantile_of_slot_3s(model, monkeypatch):
+    seed, samples = 17, 5_000
+    read = []
+    uniforms_at = CounterRng.uniforms_at
+
+    def counted(self, counters):
+        read.extend(counters.tolist())
+        return uniforms_at(self, counters)
+
+    monkeypatch.setattr(CounterRng, "uniforms_at", counted)
+    ids, colors = _draw(model, seed, samples, batch=777)
+    monkeypatch.undo()
+    # three uniforms a sample, each slot read once
+    assert sorted(read) == list(range(3 * samples))
+    u = CounterRng(seed, "increments").uniforms_at(np.arange(3 * samples, dtype=np.uint64))
+    p = float(model.alpha.partial_sum(model.k))
+    want = [min(model.alpha.sample_k(x * p), model.k) for x in u[0::3].tolist()]
+    assert _stages(model, ids).tolist() == want
+    assert colors.tolist() == np.minimum((u[1::3] * 3).astype(np.int64), 2).tolist()
+
+
+@pytest.mark.parametrize("alpha", ["harmonic", "geometric"])
+def test_stage_frequencies_follow_the_truncated_law(alpha):
+    # P(K = i | K <= k) = alpha(i) / partial_sum(k); z = 4 makes each
+    # interval miss a correct sampler about once in 16,000 cells
+    m = _model(alpha, 3)
+    samples = 60_000
+    ids, _ = _draw(m, 8, samples)
+    counts = np.bincount(_stages(m, ids), minlength=4)[1:]
+    for i, c in enumerate(counts.tolist(), 1):
+        lo, hi = wilson_interval(c, samples, z=4.0)
+        assert lo <= float(m.alpha.alpha(i) / m.alpha.partial_sum(3)) <= hi, (i, c)
+
+
+@pytest.mark.parametrize("top", [1.0 - 2.0**-53, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 32])
+def test_largest_uniform_draws_the_last_stage(k, top, monkeypatch):
+    # the largest uniform lands in stage k. u = 1.0 never comes out of the
+    # stream, but it puts u * p at p itself, where 1/(1 - p) passes k + 1
+    # at k = 32 and the clip alone keeps K at k
+    m = _model("harmonic", k)
+    monkeypatch.setattr(CounterRng, "uniforms_at", lambda self, c: np.full(len(c), top))
+    ids, _ = _draw(m, 1, 1_000)
+    assert set(_stages(m, ids).tolist()) == {k}
 
 
 def test_empirical_law_supported_on_measure(model, f2xz_nu):
