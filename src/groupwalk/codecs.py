@@ -2,14 +2,20 @@
 
 A codec maps canonical elements of one group into disjoint bit fields of a
 single unsigned 64-bit code, so large measures can live in numpy arrays and
-right-multiplication by a fixed element becomes a handful of vector ops.
-Codes are an implementation detail: any element a codec cannot represent
-(word too long, coordinate out of range) is flagged through the `ok` masks
-and handled by the dict side channel in the measures module.
+multiplication by a fixed element, on either side, becomes a handful of
+vector ops. Codes are an implementation detail: any element a codec cannot
+represent (word too long, coordinate out of range) is flagged through the
+`ok` masks and handled by the dict side channel in the measures module.
 
 Free-group codes store the word reversed (last letter in the low bits) with
-the length in the top subfield, so appending or cancelling one letter is a
-fixed shift. Integer coordinates are stored biased to keep codes unsigned.
+the length n in the top subfield, so appending or cancelling one letter is a
+fixed shift. The word's first letter sits at bit (n-1)*letter_bits, so
+prepending or cancelling one letter is a per-element shift: `mul_left`
+(t * codes) runs on the packed codes like `mul_right` (codes * t) and flags
+out-of-range products the same way. Abelian and cyclic codecs are
+commutative, so their `mul_left` is their `mul_right`, and a product codec
+applies each factor's. Integer coordinates are stored biased to keep codes
+unsigned.
 
 `line_bits` is the width of a codec's lowest field when that field is one
 biased integer coordinate, else None. Right-multiplying by an element that
@@ -34,6 +40,7 @@ class FreeCodec:
     """Reduced words of a free group in one bit field.
 
     Layout (within `width` bits): [length : lbits][letters, last at bit 0].
+    A word of n letters has its first (top) letter at bit (n-1)*letter_bits.
     """
 
     lbits = 6
@@ -84,12 +91,35 @@ class FreeCodec:
         cancelled = ((n - _u(1)) << sl) | (val >> b)
         return np.where(cancel, cancelled, appended), ok
 
+    def _mul_left_letter(self, codes: np.ndarray, letter: int):
+        """Prepend one letter (with free cancellation) to every code."""
+        b = _u(self.letter_bits)
+        sl = _u(self.shift_len)
+        n = codes >> sl
+        val = codes & self._val_mask
+        nonempty = n > _u(0)
+        top = (n - nonempty) * b  # bit of the first letter; 0 for the empty word
+        cancel = nonempty & (((val >> top) & self._letter_mask) == _u(self._letter_rank(-letter)))
+        ok = cancel | (n < _u(self.max_len))
+        prepended = ((n + _u(1)) << sl) | val | (_u(self._letter_rank(letter)) << (n * b))
+        cancelled = ((n - _u(1)) << sl) | (val & ((_u(1) << top) - _u(1)))
+        return np.where(cancel, cancelled, prepended), ok
+
     def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
         """codes * y elementwise; second array marks representable results."""
         ok = np.ones(len(codes), dtype=bool)
         out = codes
         for letter in y:
             out, o = self._mul_right_letter(out, letter)
+            ok &= o
+        return out, ok
+
+    def mul_left(self, codes: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+        """t * codes elementwise, t's letters applied last to first; `ok` as in `mul_right`."""
+        ok = np.ones(len(codes), dtype=bool)
+        out = codes
+        for letter in reversed(t):
+            out, o = self._mul_left_letter(out, letter)
             ok &= o
         return out, ok
 
@@ -130,6 +160,8 @@ class AbelianCodec:
             out |= s.astype(U64) << _u(sh)
         return out, ok
 
+    mul_left = mul_right  # the group is commutative
+
 
 class CyclicGroupCodec:
     """Residues mod n, stored directly."""
@@ -151,6 +183,8 @@ class CyclicGroupCodec:
     def mul_right(self, codes: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
         out = (codes + _u(v % self.n)) % _u(self.n)
         return out, np.ones(len(codes), dtype=bool)
+
+    mul_left = mul_right  # the group is commutative
 
 
 class ProductCodec:
@@ -207,14 +241,21 @@ class ProductCodec:
             for sub, sh, m in zip(self._subs, self._shifts, self._masks)
         )
 
-    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    def _fieldwise(self, codes: np.ndarray, y, left: bool) -> tuple[np.ndarray, np.ndarray]:
         ok = np.ones(len(codes), dtype=bool)
         out = np.zeros_like(codes)
         for sub, sh, m, yi in zip(self._subs, self._shifts, self._masks, y):
-            field, o = sub.mul_right((codes >> _u(sh)) & m, yi)
+            mul = sub.mul_left if left else sub.mul_right
+            field, o = mul((codes >> _u(sh)) & m, yi)
             ok &= o
             out |= field << _u(sh)
         return out, ok
+
+    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+        return self._fieldwise(codes, y, left=False)
+
+    def mul_left(self, codes: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+        return self._fieldwise(codes, t, left=True)
 
 
 def codec_for(group) -> FreeCodec | AbelianCodec | CyclicGroupCodec | ProductCodec | None:

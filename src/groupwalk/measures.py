@@ -605,27 +605,31 @@ def _dict_l1(a: dict, b: dict, mode: str):
 def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     """tv_distance(t . mu, mu), where (t . mu)(A) = mu(t^-1 A), without building t . mu.
 
-    For central t on a measure held wholly in the packed pool this is a
-    single vectorized pass (t*x = x*t); otherwise it sums
-    |mu(t^-1 z) - mu(z)| over the translated and the original atom dicts.
-    Either way it sums stored weights and turns the sum into a mass once.
-    `t` is not validated here: callers check it once, at the boundary.
+    On a codec group, for any t, the pool moves in one vectorized pass
+    (`mul_left`); pool atoms pushed out of codec range and the side atoms
+    move by the group law, and the placement rule sends those that land
+    back in range to the pool. The value is the pool L1 plus the side-dict
+    L1. A codec-less group keeps every atom in the side dict, so only the
+    dict L1 runs. Either way it sums stored weights and turns the sum into a
+    mass once. `t` is not validated here: callers check it once, at the
+    boundary.
     """
     grp = mu.group
-    bracket = mu.lost_mass + mu.lost_mass
-    if t == grp.identity:
-        return (_zero(mu.mode), bracket)
-    if not mu._side and len(mu._codes) and grp.is_central(t):
-        shifted, ok = grp.codec().mul_right(mu._codes, t)
-        value = _pool_l1(shifted[ok], mu._masses[ok], mu._codes, mu._masses)
-        # atoms pushed out of codec range sit at positions the packed union
-        # cannot see; each contributes its whole weight to the difference
-        value += np.sum(mu._masses[~ok])
-        return mu._mass(value), bracket
-    atoms = mu._atoms()
+    codec = grp.codec()
     # left multiplication is a bijection, so no two atoms land on one element
-    moved = {grp.mul(t, x): m for x, m in atoms.items()}
-    return mu._mass(_dict_l1(moved, atoms, mu.mode)), bracket
+    moved = {grp.mul(t, x): m for x, m in mu._side.items()}
+    codes, masses = mu._codes, mu._masses  # both empty without a codec
+    if codec is not None:
+        shifted, ok = codec.mul_left(mu._codes, t)
+        for c, m in zip(mu._codes[~ok].tolist(), mu._masses[~ok].tolist()):
+            moved[grp.mul(t, codec.decode_one(c))] = m
+        back = {z: c for z in moved if (c := codec.encode_one(z)) is not None}
+        codes = np.concatenate([shifted[ok], np.array(list(back.values()), dtype=np.uint64)])
+        masses = np.concatenate(
+            [mu._masses[ok], np.array([moved.pop(z) for z in back], dtype=_DTYPE[mu.mode])]
+        )
+    value = _pool_l1(codes, masses, mu._codes, mu._masses) + _dict_l1(moved, mu._side, mu.mode)
+    return mu._mass(value), mu.lost_mass + mu.lost_mass
 
 
 def tv_distance(mu: SparseMeasure, nu: SparseMeasure):

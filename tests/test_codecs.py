@@ -23,6 +23,38 @@ words = st.lists(letters, max_size=16).map(
 )
 
 
+def _reduced_word(first, rest):
+    # each letter is one of the three that do not cancel the letter before it
+    w = [(1, -1, 2, -2)[first]]
+    for r in rest:
+        w.append([l for l in (1, -1, 2, -2) if l != -w[-1]][r])
+    return tuple(w)
+
+
+def reduced_words(max_len):
+    """Reduced F2 words, short ones and ones within two letters of `max_len`."""
+    return st.one_of(
+        st.just(()),
+        *(
+            st.builds(_reduced_word, st.integers(0, 3), st.lists(st.integers(0, 2), min_size=lo, max_size=hi))
+            for lo, hi in ((0, 5), (max_len - 3, max_len - 1))
+        ),
+    )
+
+
+def _check_mul_left(g, xs, t):
+    """codec.mul_left against g.mul(t, x): `ok` holds exactly when the product
+    encodes, and then the code is the product's code."""
+    c = codec_for(g)
+    codes = np.array([c.encode_one(x) for x in xs], dtype=np.uint64)
+    out, ok = c.mul_left(codes, t)
+    for x, o, fits in zip(xs, out.tolist(), ok.tolist()):
+        want = c.encode_one(g.mul(t, x))
+        assert fits == (want is not None)
+        if fits:
+            assert o == want
+
+
 @given(words)
 def test_free_codec_round_trip(w):
     c = codec_for(F2)
@@ -56,6 +88,42 @@ def test_free_codec_mul_right_word(ws, ls):
     for w, o, fits in zip(ws, out, ok):
         if fits:
             assert c.decode_one(int(o)) == F2.mul(w, y)
+
+
+F2_MAX_LEN = codec_for(F2).max_len
+
+
+@given(st.lists(reduced_words(F2_MAX_LEN), min_size=1, max_size=20), letters)
+@settings(max_examples=80)
+def test_free_codec_mul_left_letter_matches_group(ws, l):
+    # for F2, encoding fails exactly when the word is longer than max_len
+    _check_mul_left(F2, ws, (l,))
+
+
+@given(st.lists(reduced_words(F2_MAX_LEN), min_size=1, max_size=10), reduced_words(6))
+@settings(max_examples=80)
+def test_free_codec_mul_left_word_matches_group(ws, t):
+    _check_mul_left(F2, ws, t)
+
+
+def test_free_codec_mul_left_at_max_len():
+    # a word of max_len letters stays in range exactly when the product does
+    c = codec_for(F2)
+    full = tuple([-1, 2] * (c.max_len // 2))  # top letter a^-1
+    assert len(full) == c.max_len
+    code = np.array([c.encode_one(full)], dtype=np.uint64)
+    for t, fits in (
+        ((1,), True),  # a cancels the top letter
+        ((1, -2, 1), True),  # three cancellations
+        ((2, 1), True),  # one cancellation, one new letter: max_len again
+        ((2,), False),  # max_len + 1 letters
+        ((-1,), False),
+    ):
+        want = F2.mul(t, full)
+        out, ok = c.mul_left(code, t)
+        assert bool(ok[0]) == fits == (len(want) <= c.max_len)
+        if fits:
+            assert c.decode_one(int(out[0])) == want
 
 
 @given(st.tuples(st.integers(-30000, 30000)))
@@ -93,6 +161,32 @@ def test_product_codec_mul_right(raw_ws, k):
     for x, o, fits in zip(xs, out, ok):
         if fits:
             assert c.decode_one(int(o)) == g.mul(x, y)
+
+
+F2xZ_FREE_MAX_LEN = codec_for(F2xZ)._subs[0].max_len
+F2xC5 = DirectProduct((FreeGroup(2), CyclicGroup(5)))
+
+
+@given(
+    st.lists(
+        st.tuples(reduced_words(F2xZ_FREE_MAX_LEN), st.tuples(st.sampled_from([-32768, -1, 0, 5, 32767]))),
+        min_size=1,
+        max_size=12,
+    ),
+    st.tuples(reduced_words(4), st.tuples(st.integers(-3, 3))),
+)
+@settings(max_examples=60)
+def test_product_codec_mul_left_matches_group(xs, t):
+    _check_mul_left(F2xZ, xs, t)
+
+
+@given(
+    st.lists(st.tuples(reduced_words(codec_for(F2xC5)._subs[0].max_len), st.integers(0, 4)), min_size=1, max_size=12),
+    st.tuples(reduced_words(4), st.integers(0, 4)),
+)
+@settings(max_examples=60)
+def test_product_codec_with_cyclic_factor_mul_left_matches_group(xs, t):
+    _check_mul_left(F2xC5, xs, t)
 
 
 def test_product_codec_overflow_is_flagged_not_wrong():

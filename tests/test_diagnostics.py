@@ -7,6 +7,7 @@ from groupwalk import (
     FreeAbelian,
     FreeGroup,
     GSet,
+    SparseMeasure,
     SpecMismatchError,
     build_measure,
     control_experiment,
@@ -34,6 +35,18 @@ def test_free_srw_curve_is_exactly_two():
     curve = tv_curve(mu, (1,), nu, n_max=5)
     assert [p.value for p in curve.points] == [2.0] * 6
     assert [p.bracket for p in curve.points] == [0.0] * 6
+
+
+def test_lazy_free_walk_bracket_stays_above_one():
+    # the lazy SRW on F2 (1/2 at e, 1/8 per generator) has uniform harmonic
+    # measure on cylinders, so the ideal d_n(a) decreases to exactly 1; a
+    # budgeted float run far past exact reach must keep value + bracket >= 1
+    nu = SparseMeasure.from_items(F2, [((), 0.5)] + [((l,), 0.125) for l in (1, -1, 2, -2)])
+    curve = tv_curve(delta(F2), (1,), nu, n_max=30, budget=2_000)
+    assert len(curve.points) == 31 and not curve.budget_flag
+    assert curve.points[1].value == 1.5  # |a nu - nu| for the step law itself
+    assert all(p.value + p.bracket >= 1 for p in curve.points)
+    assert curve.points[-1].bracket > 0  # the budget did prune
 
 
 def test_curve_contraction_under_budget(f2xz_nu):

@@ -324,11 +324,53 @@ def test_tv_left_translate_central_without_codec():
 
 
 def test_tv_left_translate_packed_central_path(f2xz_nu):
-    # the packed fast path for central t must agree with the dict route
-    t = ((), (1,))
-    fast = tv_left_translate(f2xz_nu, t)
-    slow = tv_distance(_translate(t, f2xz_nu), f2xz_nu)
-    assert fast[0] == pytest.approx(slow[0], abs=1e-12)
+    # the packed route, for central and non-central t, must agree with the
+    # two-measure route
+    for t in (((), (1,)), ((1,), (0,)), ((-2, 1), (-3,))):
+        fast = tv_left_translate(f2xz_nu, t)
+        slow = tv_distance(_translate(t, f2xz_nu), f2xz_nu)
+        assert fast[0] == pytest.approx(slow[0], abs=1e-12)
+
+
+def _edge_words(max_len):
+    """Reduced F2 words at the edge of a free field of max_len letters, for t = a.
+
+    Words of max_len letters with top letter b leave codec range under a;
+    words of max_len + 1 letters with top letter a^-1 are side atoms that a
+    brings back into range; words of max_len + 1 letters with top letter b
+    stay side atoms.
+    """
+    tail = tuple([2, 1] * max_len)[: max_len - 1]
+    return [(), (1,), (-1, 2), (2,) + tail, (-1, 2) + tail, (-1, -1) + tail, (2, 2) + tail]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize(
+    "group, t, wrap",
+    [
+        (F2, (1,), lambda x, i: x),
+        (F2xZ, ((1,), (0,)), lambda x, i: (x, (i - 2,))),
+    ],
+    ids=["F2", "F2xZ"],
+)
+def test_tv_left_translate_moves_side_atoms_back_into_the_pool(group, t, wrap, mode):
+    codec = group.codec()
+    free = codec if group is F2 else codec._subs[0]
+    atoms = [wrap(x, i) for i, x in enumerate(_edge_words(free.max_len))]
+    weight = (lambda i: Fraction(i + 1, 97)) if mode == "exact" else (lambda i: (i + 1) / 97)
+    mu = SparseMeasure.from_items(group, [(x, weight(i)) for i, x in enumerate(atoms)], mode)
+    # the setup really has pool atoms that spill and side atoms that come back
+    spill = [x for x in atoms if codec.encode_one(x) is not None and codec.encode_one(group.mul(t, x)) is None]
+    back = [x for x in mu._side if codec.encode_one(group.mul(t, x)) is not None]
+    stay = [x for x in mu._side if codec.encode_one(group.mul(t, x)) is None]
+    assert spill and back and stay
+    for s in (t, group.inv(t)):
+        got = tv_left_translate(mu, s)
+        want = tv_distance(_translate(s, mu), mu)
+        if mode == "exact":
+            assert got == want
+        else:
+            assert got[0] == pytest.approx(want[0], abs=1e-12) and got[1] == want[1]
 
 
 @given(f2_measures, st.integers(1, 8))
