@@ -17,6 +17,13 @@ commutative, so their `mul_left` is their `mul_right`, and a product codec
 applies each factor's. Integer coordinates are stored biased to keep codes
 unsigned.
 
+Lamplighter codes hold the biased marker in the low 16 bits and a 47-bit
+lamp window above it, lamp p at window bit p + 23, so lamps in [-23, 23]
+fit. `mul_right` XORs y's lamps in at each row's marker and adds y's
+marker; `mul_left` shifts each row's lamps by t's marker, XORs t's lamps in
+and adds t's marker. Either flags exactly the products that leave the
+window or the marker's field.
+
 `line_bits` is the width of a codec's lowest field when that field is one
 biased integer coordinate, else None. Right-multiplying by an element that
 is the identity outside that field adds a constant to the field, so the
@@ -187,6 +194,96 @@ class CyclicGroupCodec:
     mul_left = mul_right  # the group is commutative
 
 
+class LamplighterCodec:
+    """Lamplighter elements (lamps, pos) with lamps in a fixed window.
+
+    Layout (63 bits): [lamp window : 47][pos + 2^15 : 16]. Lamp p is bit
+    p + 23 of the window, so the window holds lamps in [-23, 23].
+    """
+
+    line_bits = None
+    pos_bits = 16
+    lamp_lo, lamp_hi = -23, 23
+
+    def __init__(self, group):
+        self._bias = 1 << (self.pos_bits - 1)
+        self._nlamps = self.lamp_hi - self.lamp_lo + 1
+        self._pos_mask = _u((1 << self.pos_bits) - 1)
+        self._window = _u((1 << self._nlamps) - 1)
+
+    def encode_one(self, x) -> int | None:
+        lamps, pos = x
+        f = pos + self._bias
+        if not 0 <= f < (1 << self.pos_bits):
+            return None
+        if lamps and (lamps[0] < self.lamp_lo or lamps[-1] > self.lamp_hi):
+            return None
+        mask = sum(1 << (p - self.lamp_lo) for p in lamps)
+        return (mask << self.pos_bits) | f
+
+    def decode_one(self, code: int):
+        mask = code >> self.pos_bits
+        lamps = tuple(i + self.lamp_lo for i in range(self._nlamps) if mask >> i & 1)
+        return lamps, (code & int(self._pos_mask)) - self._bias
+
+    def _split(self, codes: np.ndarray):
+        """Each code's lamp window and its marker (biased, as int64)."""
+        return codes >> _u(self.pos_bits), (codes & self._pos_mask).astype(np.int64)
+
+    def _join(self, lamps: np.ndarray, pos: np.ndarray, p: int, ok: np.ndarray):
+        """Codes from lamp windows and biased markers moved by p; `ok` also
+        checks that the marker stays in its field."""
+        if abs(p) >= 1 << self.pos_bits:  # no marker stays, and p may not fit int64
+            return lamps, np.zeros(len(lamps), dtype=bool)
+        pos = pos + p
+        ok &= (pos >= 0) & (pos < (1 << self.pos_bits))
+        return (lamps << _u(self.pos_bits)) | (pos.astype(U64) & self._pos_mask), ok
+
+    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+        """codes * y: y's lamps XORed in at each row's marker, then y's marker added.
+
+        A row's lamps never leave the window, so the product encodes exactly
+        when y's lamps, moved by the row's marker, land inside it.
+        """
+        f_y, p_y = y
+        lamps, pos = self._split(codes)
+        ok = np.ones(len(codes), dtype=bool)
+        if f_y:
+            lo, span = f_y[0], f_y[-1] - f_y[0]
+            # no marker in the 16-bit field can move y's lamps into the window
+            if span >= self._nlamps or not self.lamp_lo - self._bias < lo <= self.lamp_hi + self._bias:
+                return codes, np.zeros(len(codes), dtype=bool)
+            mask = _u(sum(1 << (p - lo) for p in f_y))
+            at = pos - self._bias + (lo - self.lamp_lo)  # bit of y's lowest lamp
+            ok = (at >= 0) & (at + span < self._nlamps)
+            lamps = lamps ^ (mask << np.clip(at, 0, self._nlamps - 1).astype(U64))
+        return self._join(lamps, pos, p_y, ok)
+
+    def mul_left(self, codes: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+        """t * codes: each row's lamps moved by t's marker, then t's lamps XORed in.
+
+        Lamps moved out of the window must be cancelled by t's lamps outside
+        it, so the product encodes exactly when the bits that leave the
+        window equal t's lamps beyond it.
+        """
+        f_t, p_t = t
+        lamps, pos = self._split(codes)
+        n, lo, hi = self._nlamps, self.lamp_lo, self.lamp_hi
+        inside = sum(1 << (p - lo) for p in f_t if lo <= p <= hi)
+        outside = [p for p in f_t if not lo <= p <= hi]
+        s = min(abs(p_t), n)  # how many bits of the window leave it
+        # the lamps that leave span [first, first + s); t's outer lamps must too
+        first = hi + 1 + p_t - s if p_t > 0 else lo + p_t
+        if any(not first <= p < first + s for p in outside):
+            return codes, np.zeros(len(codes), dtype=bool)
+        want = _u(sum(1 << (p - first) for p in outside))
+        if p_t > 0:
+            leaving, kept = lamps >> _u(n - s), (lamps << _u(s)) & self._window
+        else:
+            leaving, kept = lamps & _u((1 << s) - 1), lamps >> _u(s)
+        return self._join(kept ^ _u(inside), pos, p_t, leaving == want)
+
+
 class ProductCodec:
     """Component codecs in disjoint bit fields, factor 0 in the high bits.
 
@@ -258,7 +355,9 @@ class ProductCodec:
         return self._fieldwise(codes, t, left=True)
 
 
-def codec_for(group) -> FreeCodec | AbelianCodec | CyclicGroupCodec | ProductCodec | None:
+def codec_for(
+    group,
+) -> FreeCodec | AbelianCodec | CyclicGroupCodec | LamplighterCodec | ProductCodec | None:
     """Best packed codec for the group, or None when only dicts will do."""
     from groupwalk import groups
 
@@ -269,6 +368,8 @@ def codec_for(group) -> FreeCodec | AbelianCodec | CyclicGroupCodec | ProductCod
             return AbelianCodec(group)
         if isinstance(group, groups.CyclicGroup):
             return CyclicGroupCodec(group)
+        if isinstance(group, groups.Lamplighter):
+            return LamplighterCodec(group)
         if isinstance(group, groups.DirectProduct):
             return ProductCodec(group)
     except SpecMismatchError:

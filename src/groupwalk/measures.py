@@ -58,7 +58,7 @@ import numpy as np
 from groupwalk.errors import BudgetError, ConvolutionRefused, SpecMismatchError
 from groupwalk.groups import GSet, Group
 
-_FLUSH_ROWS = 1 << 22  # pending-row threshold before a dedup flush
+_FLUSH_ROWS = 1 << 22  # the most pending rows `_products` holds before a dedup flush
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 _ACC_BYTES = 1 << 31  # refuse a convolution whose accumulator would pass this
 _ROW_BYTES = 16  # one uint64 code and one float64 mass, or a pointer to a numerator
@@ -475,6 +475,11 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     product, every atom placed by the placement rule and of positive weight;
     the weights are masses in float mode and numerators over
     mu._den * nu._den in exact mode.
+
+    Pending rows are flushed through `_dedup` once they pass 32 rows per
+    atom of mu's pool (at least 2^14, at most `_FLUSH_ROWS`), so about 32
+    of nu's `mul_right` blocks wait at a time rather than all of them. The
+    flush schedule never changes a sum.
     """
     g = mu.group
     codec = g.codec()
@@ -488,6 +493,7 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     pend_codes: list[np.ndarray] = [acc_codes]
     pend_masses: list[np.ndarray] = [acc_masses]
     pend_rows = 0
+    flush_rows = min(_FLUSH_ROWS, max(1 << 14, 32 * len(mu_codes)))
     side: dict = {}
 
     def flush():
@@ -523,7 +529,7 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
         for x, mx in mu._side.items():
             z = g.mul(x, y)
             side[z] = side.get(z, 0) + mx * wy
-        if pend_rows >= _FLUSH_ROWS:
+        if pend_rows >= flush_rows:
             flush()
     # an atom the codec cannot hold times y can land back in codec range;
     # the placement rule sends those products to the packed pool, so no

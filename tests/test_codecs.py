@@ -42,14 +42,15 @@ def reduced_words(max_len):
     )
 
 
-def _check_mul_left(g, xs, t):
-    """codec.mul_left against g.mul(t, x): `ok` holds exactly when the product
-    encodes, and then the code is the product's code."""
+def _check_mul(g, xs, t, left=True):
+    """codec.mul_left against g.mul(t, x) (with left=False, codec.mul_right
+    against g.mul(x, t)): `ok` holds exactly when the product encodes, and
+    then the code is the product's code."""
     c = codec_for(g)
     codes = np.array([c.encode_one(x) for x in xs], dtype=np.uint64)
-    out, ok = c.mul_left(codes, t)
+    out, ok = (c.mul_left if left else c.mul_right)(codes, t)
     for x, o, fits in zip(xs, out.tolist(), ok.tolist()):
-        want = c.encode_one(g.mul(t, x))
+        want = c.encode_one(g.mul(t, x) if left else g.mul(x, t))
         assert fits == (want is not None)
         if fits:
             assert o == want
@@ -97,13 +98,13 @@ F2_MAX_LEN = codec_for(F2).max_len
 @settings(max_examples=80)
 def test_free_codec_mul_left_letter_matches_group(ws, l):
     # for F2, encoding fails exactly when the word is longer than max_len
-    _check_mul_left(F2, ws, (l,))
+    _check_mul(F2, ws, (l,))
 
 
 @given(st.lists(reduced_words(F2_MAX_LEN), min_size=1, max_size=10), reduced_words(6))
 @settings(max_examples=80)
 def test_free_codec_mul_left_word_matches_group(ws, t):
-    _check_mul_left(F2, ws, t)
+    _check_mul(F2, ws, t)
 
 
 def test_free_codec_mul_left_at_max_len():
@@ -177,7 +178,7 @@ F2xC5 = DirectProduct((FreeGroup(2), CyclicGroup(5)))
 )
 @settings(max_examples=60)
 def test_product_codec_mul_left_matches_group(xs, t):
-    _check_mul_left(F2xZ, xs, t)
+    _check_mul(F2xZ, xs, t)
 
 
 @given(
@@ -186,7 +187,7 @@ def test_product_codec_mul_left_matches_group(xs, t):
 )
 @settings(max_examples=60)
 def test_product_codec_with_cyclic_factor_mul_left_matches_group(xs, t):
-    _check_mul_left(F2xC5, xs, t)
+    _check_mul(F2xC5, xs, t)
 
 
 def test_product_codec_overflow_is_flagged_not_wrong():
@@ -199,14 +200,94 @@ def test_product_codec_overflow_is_flagged_not_wrong():
     assert not bool(ok[0])  # would be 21 letters, must spill
 
 
-def test_lamplighter_has_no_codec():
-    assert codec_for(Lamplighter()) is None
+LAMP = Lamplighter()
+
+
+def _lamps(values, max_size):
+    return st.lists(values, unique=True, max_size=max_size).map(lambda ls: tuple(sorted(ls)))
+
+
+# lamps and markers near the edges of the codec's window: lamps in [-23, 23],
+# the marker in [-32768, 32767]
+edge_markers = st.sampled_from([-32768, -32767, -40, 40, 32766, 32767])
+window_lamps = st.one_of(st.integers(-23, 23), st.sampled_from([-23, -22, 22, 23]))
+lamp_rows = st.tuples(_lamps(window_lamps, 6), st.one_of(st.integers(-30, 30), edge_markers))
+# a multiplier's lamps reach past the window on both sides
+lamp_factors = st.tuples(
+    _lamps(st.integers(-30, 30), 4),
+    st.one_of(st.integers(-30, 30), st.sampled_from([-32768, -60, -47, 47, 60, 32767])),
+)
+
+
+@given(
+    st.tuples(
+        _lamps(st.integers(-25, 25), 8),
+        st.one_of(st.integers(-5, 5), edge_markers, st.sampled_from([-32769, 32768])),
+    )
+)
+def test_lamplighter_codec_round_trip(x):
+    c = codec_for(LAMP)
+    code = c.encode_one(x)
+    lamps, pos = x
+    fits = all(-23 <= p <= 23 for p in lamps) and -32768 <= pos <= 32767
+    assert (code is not None) == fits
+    if fits:
+        assert 0 <= code < 1 << 63
+        assert c.decode_one(code) == x
+
+
+@given(st.lists(lamp_rows, min_size=1, max_size=12), lamp_factors)
+@settings(max_examples=120)
+def test_lamplighter_codec_mul_right_matches_group(xs, y):
+    _check_mul(LAMP, xs, y, left=False)
+
+
+@given(st.lists(lamp_rows, min_size=1, max_size=12), lamp_factors)
+@settings(max_examples=120)
+def test_lamplighter_codec_mul_left_matches_group(xs, t):
+    _check_mul(LAMP, xs, t)
+
+
+@pytest.mark.parametrize("left", [True, False], ids=["mul_left", "mul_right"])
+def test_lamplighter_codec_window_edges(left):
+    # each case is one row and one factor; `ok` must hold exactly when the
+    # product encodes
+    cases = [
+        (((23,), 0), ((), 1)),  # lamp 23 moves to 24 on the left
+        (((23,), 0), ((24,), 1)),  # ...where t's lamp 24 cancels it
+        (((-23,), 0), ((-24,), -1)),
+        (((), 0), ((24,), 0)),
+        (((), -1), ((24,), 0)),  # on the right, lamp 24 lands on 23
+        (((), 1), ((-24,), 0)),
+        (((0,), 0), ((100,), 100)),  # every lamp leaves the window, and cancels
+        (((0, 5), 0), ((100,), 100)),
+        (((-23, 23), 0), ((), 47)),
+        (((-23, 23), 0), ((47, 70), 47)),
+        (((), 32767), ((), 1)),  # the marker's 16-bit edge
+        (((), 32767), ((), 0)),
+        (((), -32768), ((), -1)),
+        (((), -32768), ((), 65535)),
+        (((), 0), ((), 2**64)),  # markers past int64 are flagged, not an error
+        (((1,), 5), ((3,), -(2**70))),
+    ]
+    for x, t in cases:
+        _check_mul(LAMP, [x], t, left=left)
+
+
+# rank 7 leaves under 10 bits a coordinate; the product codec packs no lamplighter
+CODECLESS = (FreeAbelian(7), DirectProduct((Lamplighter(), FreeAbelian(1))))
+
+
+def test_codec_less_groups_have_no_codec():
+    for g in CODECLESS:
+        assert codec_for(g) is None
 
 
 def test_group_builds_its_codec_once():
     assert F2xZ.codec() is F2xZ.codec()
-    lamp = Lamplighter()
-    assert lamp.codec() is None and lamp.codec() is None
+    assert LAMP.codec() is LAMP.codec() is not None
+    for g in CODECLESS:
+        assert g.codec() is None and g.codec() is None
 
 
 def test_codec_for_infeasible_product():

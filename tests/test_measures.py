@@ -27,9 +27,11 @@ from groupwalk.measures import _line_plan, tv_left_translate
 F2 = FreeGroup(2)
 Z = FreeAbelian(1)
 F2xZ = DirectProduct((FreeGroup(2), FreeAbelian(1)))
-# the two codec-less groups: their float measures keep every atom in the side dict
 LAMP = Lamplighter()
+# two codec-less groups: their measures keep every atom in the side dict
+# (rank 7 leaves under 10 bits a coordinate; the product codec packs no lamplighter)
 Z7 = FreeAbelian(7)
+LAMPxZ = DirectProduct((Lamplighter(), FreeAbelian(1)))
 
 letters = st.integers(-2, 2).filter(lambda l: l != 0)
 words = st.lists(letters, max_size=5).map(
@@ -87,11 +89,19 @@ def float_measures(elements, group):
 
 f2xz_elements = st.tuples(long_words, st.tuples(centrals))
 f2xz_float_measures = float_measures(f2xz_elements, F2xZ)
-# lit lamps and the marker both drawn from [-4, 4]
+# lit lamps and the marker mostly in [-4, 4]; some lamps sit at or past the
+# edges of the codec's lamp window [-23, 23] and some markers at or past the
+# edges of its 16-bit field, so products overflow to the side dict and side
+# atoms times nu land back in the pool
 lamp_elements = st.tuples(
-    st.lists(st.integers(-4, 4), unique=True, max_size=4).map(lambda ls: tuple(sorted(ls))),
-    st.integers(-4, 4),
+    st.lists(
+        st.one_of(st.integers(-4, 4), st.sampled_from([-25, -24, -23, 23, 24, 25])),
+        unique=True, max_size=4,
+    ).map(lambda ls: tuple(sorted(ls))),
+    st.one_of(st.integers(-4, 4), st.sampled_from([-32769, -32768, 32767, 32768])),
 )
+# the lamp toggle at 0, and a t that moves the marker and lights a lamp past the window
+lamp_shifts = st.sampled_from([((0,), 0), ((-24, 2), 3)])
 z7_elements = st.tuples(*[st.integers(-2, 2)] * 7)
 
 
@@ -276,9 +286,11 @@ def test_translation_preserves_tv(mu, t):
         st.tuples(exact_measures(long_words, F2), words),
         st.tuples(exact_measures(f2xz_elements, F2xZ), f2xz_elements),
         st.tuples(f2xz_float_measures, f2xz_elements),
+        st.tuples(exact_measures(lamp_elements, LAMP), lamp_shifts),
+        st.tuples(float_measures(lamp_elements, LAMP), lamp_shifts),
     )
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_tv_left_translate_matches_two_measure_path(case):
     mu, t = case
     direct = tv_left_translate(mu, t)
@@ -536,10 +548,6 @@ def test_budget_ranks_an_atom_reached_from_both_pools_once():
     assert got[((), (30000,))] == 0.3
 
 
-def _lamp_step():
-    return uniform(GSet(LAMP, frozenset([((), 1), ((), -1), ((0,), 0), ((0, 1), 1)])))
-
-
 def test_codecless_float_convolve_never_calls_the_oracle(monkeypatch):
     oracle = measures.convolve_reference
 
@@ -547,9 +555,11 @@ def test_codecless_float_convolve_never_calls_the_oracle(monkeypatch):
         raise AssertionError("float convolve called convolve_reference")
 
     monkeypatch.setattr(measures, "convolve_reference", refuse)
-    lamp = _lamp_step()
+    lamp_z = uniform(GSet(LAMPxZ, frozenset(
+        [(((), 1), (0,)), (((), -1), (1,)), (((0,), 0), (0,)), (((0, 1), 1), (-1,))]
+    )))
     z7 = uniform(GSet(Z7, frozenset([(1, 0, 0, 0, 0, 0, 2), (0, -1, 0, 0, 3, 0, 0)])))
-    for nu in (lamp, z7):
+    for nu in (lamp_z, z7):
         assert nu.group.codec() is None
         rho = convolve(nu, nu)
         for budget in (None, 3):
