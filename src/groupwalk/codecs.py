@@ -15,7 +15,8 @@ prepending or cancelling one letter is a per-element shift: `mul_left`
 out-of-range products the same way. Abelian and cyclic codecs are
 commutative, so their `mul_left` is their `mul_right`, and a product codec
 applies each factor's. Integer coordinates are stored biased to keep codes
-unsigned.
+unsigned; a multiplier coordinate whose size reaches 2^width flags every
+row, so one past int64 never reaches numpy.
 
 Lamplighter codes hold the biased marker in the low 16 bits and a 47-bit
 lamp window above it, lamp p at window bit p + 23, so lamps in [-23, 23]
@@ -25,9 +26,11 @@ and adds t's marker. Either flags exactly the products that leave the
 window or the marker's field.
 
 `line_bits` is the width of a codec's lowest field when that field is one
-biased integer coordinate, else None. Right-multiplying by an element that
-is the identity outside that field adds a constant to the field, so the
-measures module can convolve such elements as a dense 1-D kernel.
+biased integer coordinate, else None. Right-multiplying by any element adds
+its coordinate in that field to every code's field and moves the fields
+above it alike for codes that agree there, so the measures module moves
+such codes as contiguous runs and convolves the elements that are the
+identity outside the field as a dense 1-D kernel.
 """
 
 from __future__ import annotations
@@ -159,6 +162,8 @@ class AbelianCodec:
         return tuple(((code >> sh) & int(self._mask)) - self._bias for sh in self._shifts)
 
     def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+        if any(abs(v) >= self._limit for v in y):  # no coordinate stays, and v may not fit int64
+            return codes, np.zeros(len(codes), dtype=bool)
         ok = np.ones(len(codes), dtype=bool)
         out = np.zeros_like(codes)
         for sh, v in zip(self._shifts, y):

@@ -25,23 +25,29 @@ row in one fixed order; `_convolve_fast` and `_convolve_exact` are its two
 ledgers (float masses, and numerators over `mu._den * nu._den`). A group
 without a codec takes the same kernel with an empty pool.
 
-A convolution mu * nu on a codec group splits nu's pool in two.
-The line shifts are the atoms equal to the identity outside the codec's
-lowest field, when that field is one biased integer coordinate
-(`line_bits`); they only move that coordinate. They take the dense route:
-each fiber of mu (atoms that agree above the field) gets a zero-padded
-block of span + K - 1 slots, and one `np.convolve` with the line shifts as
-a length-K kernel yields the products with their codes already sorted.
-Every other atom of nu takes the sort route: `mul_right` on mu's codes,
-rows flushed through `_dedup` (a stable sort, then a sum per code), which
-sums each code's rows in the order they were produced. The dense route is
-chosen from the inputs alone, when every product stays inside the field,
-the dense length L is at most the rows the line shifts add to the sort
-route, and L * K <= rows * log2(rows); otherwise the line shifts take the
-sort route as well. Neither route keeps an atom whose weight sums to 0,
-and a convolution whose accumulator or dense window would pass
-`_ACC_BYTES` raises BudgetError; an exact row is priced with its numerator,
-at the size of the product's denominator.
+A convolution mu * nu takes one of two routes. When the codec's lowest
+field is one biased integer coordinate (`line_bits`), a fiber is the atoms
+that agree above that field, and the line shifts are nu's atoms equal to
+the identity outside it. Right-multiplying a fiber by y = (w|z) gives one
+contiguous run in the fiber of (fiber * w), shifted by z. The window route
+gives each target fiber one window spanning its runs, seeds the windows
+with the line shifts as one `np.convolve` over zero-padded fiber blocks,
+and adds every other atom y of nu, in spiral order, straight into its
+slots; `mul_right` runs on the fibers' first codes only and no row is
+sorted. Every other convolution takes the sort route: `mul_right` on mu's
+codes for every atom of nu, rows flushed through `_dedup` (a stable sort,
+then a sum per code). Each route sums a code's rows in one fixed order:
+the window route the dense seed first, then nu's other atoms in spiral
+order; the sort route nu's atoms in spiral order.
+
+The window route is chosen from the inputs alone: when the dense seed's
+cost test holds (`_line_plan`), neither operand has side atoms, every
+fiber's product encodes and stays inside the field, and the total window
+length is at most the |mu pool| * |nu pool| rows it replaces (the fill
+guard). Neither route keeps an atom whose weight sums to 0, and a
+convolution whose accumulator or windows would pass `_ACC_BYTES` raises
+BudgetError before allocating them; an exact row is priced with its
+numerator, at the size of the product's denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -403,11 +409,11 @@ def _check_rows(rows: int, row_bytes: int) -> None:
 
 
 def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
-    """Inputs of the dense route for mu * nu, or None when the sort route runs.
+    """Inputs of the dense seed for mu * nu, or None when the sort route runs.
 
     The line shifts are nu's pool atoms equal to the identity outside the
     codec's lowest field (`line_bits`), a biased integer coordinate; they
-    form one run of nu's sorted codes. The route is taken only when every
+    form one run of nu's sorted codes. The plan holds only when every
     mu pool atom times every line shift stays inside that field, and when
     the dense length L = sum over fibers (span + K - 1) is at most the
     rows the line shifts would add to the sort route, with L * K (the cost
@@ -445,27 +451,115 @@ def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
     return slice(lo, hi), kernel, z_min, pos, starts, blocks
 
 
-def _convolve_lines(mu: SparseMeasure, plan, row_bytes: int) -> tuple[np.ndarray, np.ndarray]:
+def _convolve_lines(mu: SparseMeasure, plan) -> np.ndarray:
     """mu's pool times nu's line shifts as one dense 1-D convolution.
 
     Each fiber of mu (the codes above the lowest field) gets a zero-padded
     block of `span + K - 1` slots, so one `np.convolve` over all blocks
-    never carries mass from one fiber into the next. The codes come out
-    sorted; slots whose weight is not > 0 (holes and underflow) are dropped.
+    never carries mass from one fiber into the next. Returns the blocks end
+    to end; the block of a fiber with field values lo..hi holds the weights
+    of lo + z_min .. hi + z_max. They seed the windows of `_sum_windows`.
     """
-    _, kernel, z_min, pos, starts, blocks = plan
+    _, kernel, _, pos, starts, blocks = plan
     L = int(blocks.sum())
-    _check_rows(L, row_bytes)
     offsets = np.cumsum(blocks) - blocks
     shift = pos[starts] - offsets  # field value minus slot, per fiber
     fiber_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(pos))))
     window = np.zeros(L, dtype=_DTYPE[mu.mode])
     window[pos - shift[fiber_of]] = mu._masses
-    dense = np.convolve(window, kernel)[:L]
-    keep = np.flatnonzero(dense > 0)
-    f = np.searchsorted(offsets, keep, side="right") - 1
-    base = mu._codes[starts] - pos[starts].astype(np.uint64)  # the fiber, field zeroed
-    return base[f] + (keep + shift[f] + z_min).astype(np.uint64), dense[keep]
+    return np.convolve(window, kernel)[:L]
+
+
+def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
+    """One window per target fiber of mu * nu, or None when the sort route runs.
+
+    A run is one fiber of mu times atoms of nu's pool: the line shifts
+    together make the fiber's dense block; each other pool atom y of nu
+    moves the fiber's atoms, as one contiguous run, to the fiber of
+    fiber * y, shifted by y's field value. Only the fibers' first codes go
+    through `mul_right`. The |fibers| * (1 + |others|) runs are sorted by
+    target fiber, and each target fiber gets one window spanning its runs.
+
+    The route is chosen from the inputs alone: None when `_line_plan` is
+    None, when mu or nu has side atoms, when a first code's product does not
+    encode, when a shifted run leaves the field, or when the total window
+    length L passes the |mu pool| * |nu pool| rows the windows replace (the
+    fill guard). Otherwise returns (the `_line_plan`, nu's other pool atoms
+    in spiral order with their weights, each window's origin, the window
+    lengths, run slots). A window's origin is its first code minus its first
+    slot (uint64 wraps), so slot k of the window holds code origin + k; run
+    slots[0] holds the first slot of each fiber's dense block and run
+    slots[j] the first slot of its run for the j-th other atom.
+    """
+    if mu._side or nu._side:
+        return None
+    plan = _line_plan(mu, nu)
+    if plan is None:
+        return None
+    codec = mu.group.codec()
+    b = np.uint64(codec.line_bits)
+    field = (1 << codec.line_bits) - 1
+    lines, kernel, z_min, pos, starts, blocks = plan
+    rest = np.r_[0 : lines.start, lines.stop : len(nu._codes)]
+    others = _spiral(
+        mu.group, zip(map(codec.decode_one, nu._codes[rest].tolist()), nu._masses[rest].tolist())
+    )
+    first = mu._codes[starts]
+    keys = np.empty((len(others) + 1, len(starts)), dtype=np.uint64)
+    los = np.empty(keys.shape, dtype=np.int64)
+    keys[0] = first >> b
+    los[0] = pos[starts] + z_min
+    for j, (y, _) in enumerate(others, start=1):
+        out, ok = codec.mul_right(first, y)
+        if not ok.all():
+            return None
+        keys[j] = out >> b
+        los[j] = (out & np.uint64(field)).astype(np.int64)
+    his = los + (blocks - len(kernel))  # each run's last field value
+    his[0] += len(kernel) - 1
+    if int(his.max()) > field:
+        return None
+    wkey, wid = np.unique(keys.ravel(), return_inverse=True)
+    wid = wid.reshape(keys.shape)
+    wlo = np.full(len(wkey), field, dtype=np.int64)
+    whi = np.zeros(len(wkey), dtype=np.int64)
+    np.minimum.at(wlo, wid, los)
+    np.maximum.at(whi, wid, his)
+    wlen = whi - wlo + 1
+    L = int(wlen.sum())
+    if L > len(mu._codes) * len(nu._codes):
+        return None
+    base = np.cumsum(wlen) - wlen
+    origin = ((wkey << b) | wlo.astype(np.uint64)) - base.astype(np.uint64)
+    return plan, others, origin, wlen, base[wid] + los - wlo[wid]
+
+
+def _sum_windows(mu: SparseMeasure, window, row_bytes: int):
+    """mu * nu summed straight into its windows, without sorting a row.
+
+    The windows are priced by `_check_rows` before they are allocated, then
+    seeded with `_convolve_lines`' dense blocks; each other atom y of nu, in
+    spiral order, then adds mu(x) * nu(y) into the slot of x * y for every x.
+    Right multiplication by one y is injective, so no slot gains two rows
+    from one y, and each code's rows are summed in the order a stable sort
+    of the same rows would sum them: the dense seed, then nu's other atoms
+    in spiral order. Returns the codes of the slots whose weight is
+    > 0, in window order (so ascending), with their weights.
+    """
+    plan, others, origin, wlen, slots = window
+    L = int(wlen.sum())
+    _check_rows(L, row_bytes)
+    _, _, _, pos, starts, blocks = plan
+    acc = np.zeros(L, dtype=_DTYPE[mu.mode])
+    dense = _convolve_lines(mu, plan)
+    acc[np.repeat(slots[0] - (np.cumsum(blocks) - blocks), blocks) + np.arange(len(dense))] = dense
+    counts = np.diff(np.append(starts, len(pos)))
+    rel = pos - np.repeat(pos[starts], counts)  # each atom's place in its fiber's run
+    for (_, wy), s in zip(others, slots[1:]):
+        # unbuffered, in index order; the indices are distinct
+        np.add.at(acc, np.repeat(s, counts) + rel, mu._masses * wy)
+    keep = np.flatnonzero(acc > 0)
+    return np.repeat(origin, wlen)[keep] + keep.astype(np.uint64), acc[keep]
 
 
 def _products(mu: SparseMeasure, nu: SparseMeasure):
@@ -476,10 +570,13 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     the weights are masses in float mode and numerators over
     mu._den * nu._den in exact mode.
 
-    Pending rows are flushed through `_dedup` once they pass 32 rows per
-    atom of mu's pool (at least 2^14, at most `_FLUSH_ROWS`), so about 32
-    of nu's `mul_right` blocks wait at a time rather than all of them. The
-    flush schedule never changes a sum.
+    When `_window_plan` holds, the product is summed into fiber windows
+    (`_sum_windows`) and has no side atoms. Otherwise every atom of nu takes
+    the sort route: `mul_right` on mu's codes, with pending rows flushed
+    through `_dedup` once they pass 32 rows per atom of mu's pool (at least
+    2^14, at most `_FLUSH_ROWS`), so about 32 of nu's `mul_right` blocks
+    wait at a time rather than all of them. The flush schedule never
+    changes a sum.
     """
     g = mu.group
     codec = g.codec()
@@ -487,6 +584,9 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     # an exact row also points to a Python-int numerator, priced at the
     # size of the product's denominator
     row_bytes = _ROW_BYTES + (sys.getsizeof(mu._den * nu._den) if mu.mode == "exact" else 0)
+    window = _window_plan(mu, nu)
+    if window is not None:
+        return *_sum_windows(mu, window, row_bytes), {}
 
     acc_codes = np.zeros(0, dtype=np.uint64)
     acc_masses = np.zeros(0, dtype=_DTYPE[mu.mode])
@@ -510,14 +610,9 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
         pend_masses.append(masses)
         pend_rows += len(codes)
 
-    plan = _line_plan(mu, nu)
-    lines = set()
-    if plan is not None:
-        lines = {codec.decode_one(c) for c in nu._codes[plan[0]].tolist()}
-        add(*_convolve_lines(mu, plan, row_bytes))
     for y, wy in _spiral(g, nu._atoms().items()):
         # an empty pool (always so without a codec) has no rows for mul_right
-        if len(mu_codes) and y not in lines:
+        if len(mu_codes):
             out, ok = codec.mul_right(mu_codes, y)
             if bool(ok.all()):
                 add(out, mu_masses * wy)

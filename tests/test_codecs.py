@@ -200,6 +200,30 @@ def test_product_codec_overflow_is_flagged_not_wrong():
     assert not bool(ok[0])  # would be 21 letters, must spill
 
 
+@pytest.mark.parametrize("v", [2**62, -(2**62), 2**63, -(2**63) - 1, 2**64])
+def test_abelian_codec_flags_a_coordinate_past_its_field(v):
+    # a coordinate as large as the field moves every row out of it, and one
+    # past int64 must not raise: the rows go to the side dict
+    for g, x, y in (
+        (FreeAbelian(1), (3,), (v,)),
+        (FreeAbelian(2), (1, 2), (0, v)),
+        (F2xZ, ((1,), (3,)), ((2,), (v,))),
+    ):
+        c = codec_for(g)
+        codes = np.array([c.encode_one(x)], dtype=np.uint64)
+        for mul in (c.mul_right, c.mul_left):
+            assert not mul(codes, y)[1].any()
+
+
+def test_abelian_codec_keeps_the_largest_shift_that_fits():
+    # the field's lowest value moved by 2^62 - 1 is its highest
+    g = FreeAbelian(1)
+    c = codec_for(g)
+    x, y = (-(2**61),), (2**62 - 1,)
+    out, ok = c.mul_right(np.array([c.encode_one(x)], dtype=np.uint64), y)
+    assert ok.all() and c.decode_one(int(out[0])) == g.mul(x, y) == (2**61 - 1,)
+
+
 LAMP = Lamplighter()
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -22,7 +24,7 @@ from groupwalk import (
 )
 from groupwalk import groups, measures
 from groupwalk.errors import BudgetError
-from groupwalk.measures import _line_plan, tv_left_translate
+from groupwalk.measures import _line_plan, _window_plan, tv_left_translate
 
 F2 = FreeGroup(2)
 Z = FreeAbelian(1)
@@ -424,20 +426,22 @@ def test_fast_path_agrees_with_reference():
 
 
 @st.composite
-def line_pairs(draw):
-    """(mu, nu) on F2 x Z that meet the dense route's conditions: mu holds
+def line_pairs(draw, others=st.tuples(long_words.filter(bool), st.tuples(centrals)), max_others=3,
+               bases=st.integers(-100, 100)):
+    """(mu, nu) on F2 x Z that meet `_line_plan`'s conditions: mu holds
     one to three fibers (free words) of 18-24 central coordinates out of a
-    24-wide window, so fibers have holes; nu holds three to six line shifts
-    out of a 9-wide kernel, so the kernel can be sparse, plus a few other atoms."""
+    24-wide window from a drawn base, so fibers have holes; nu holds three
+    to six line shifts out of a 9-wide kernel, so the kernel can be sparse,
+    plus up to `max_others` other atoms."""
     fibers = draw(st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=3))
     mu_items = {}
     for first, rest in enumerate(fibers):
-        base = draw(st.integers(-100, 100))
+        base = draw(bases)
         for off in draw(st.sets(st.integers(0, 23), min_size=18)):
             mu_items[(_reduced_word(first, rest), (base + off,))] = draw(float_masses)
     shifts = draw(st.sets(st.integers(-4, 4), min_size=3, max_size=6))
     nu_items = {((), (z,)): draw(float_masses) for z in shifts}
-    for x in draw(st.lists(st.tuples(long_words.filter(bool), st.tuples(centrals)), max_size=3)):
+    for x in draw(st.lists(others, max_size=max_others)):
         nu_items[x] = draw(float_masses)
     return (
         SparseMeasure.from_items(F2xZ, mu_items, "float", lost_mass=draw(float_lost)),
@@ -501,15 +505,20 @@ def test_float_convolve_matches_reference(group, pairs):
     check()
 
 
+def _exact(mu):
+    """mu with each float mass read as the exact binary fraction it is."""
+    return SparseMeasure.from_items(
+        mu.group, [(x, Fraction(m)) for x, m in mu.as_dict().items()], "exact",
+        lost_mass=Fraction(mu.lost_mass),
+    )
+
+
 @given(line_pairs(), st.integers(1, 40))
 @settings(max_examples=30, deadline=None)
 def test_exact_dense_route_matches_reference(pair, budget):
-    # the dense route's inputs with each float mass read as the exact binary
-    # fraction it is: np.convolve then runs on object-dtype numerators
-    mu, nu = (
-        SparseMeasure.from_items(F2xZ, [(x, Fraction(m)) for x, m in p.as_dict().items()], "exact")
-        for p in pair[:2]
-    )
+    # `_line_plan`'s inputs in exact mode: np.convolve then runs on
+    # object-dtype numerators
+    mu, nu = (_exact(p) for p in pair[:2])
     assert _line_plan(mu, nu) is not None
     for b in (None, budget):
         got, want = convolve(mu, nu, budget=b), convolve_reference(mu, nu, budget=b)
@@ -517,10 +526,141 @@ def test_exact_dense_route_matches_reference(pair, budget):
         assert_placed(got)
 
 
+def _convolve_on_route(monkeypatch, mu, nu, route):
+    """convolve(mu, nu), checking that it runs `route` and matches the oracle
+    in float and in exact mode."""
+    ran = []
+    real = measures._sum_windows
+    monkeypatch.setattr(measures, "_sum_windows", lambda *a: ran.append(1) or real(*a))
+    for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
+        assert (_window_plan(a, b) is not None) == (route == "window")
+        del ran[:]
+        got, want = convolve(a, b), convolve_reference(a, b)
+        assert bool(ran) == (route == "window")
+        assert_placed(got)
+        if a.mode == "exact":
+            assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
+        else:
+            g, w = got.as_dict(), want.as_dict()
+            assert set(g) == set(w)
+            assert all(g[x] == pytest.approx(m, abs=1e-12) for x, m in w.items())
+
+
+def test_window_fill_guard_sends_far_runs_to_the_sort_route(monkeypatch):
+    # a and b times a^-1 and b^-1 land in the fiber of e, 60000 apart: one
+    # window spanning both would hold 60001 slots for 2 rows
+    mu = SparseMeasure.from_items(F2xZ, [(((1,), (-30000,)), 0.5), (((2,), (30000,)), 0.5)], "float")
+    nu = SparseMeasure.from_items(
+        F2xZ, [(((), (0,)), 0.25), (((-1,), (0,)), 0.25), (((-2,), (0,)), 0.5)], "float"
+    )
+    assert _line_plan(mu, nu) is not None
+    _convolve_on_route(monkeypatch, mu, nu, "sort")
+
+
+@pytest.mark.parametrize("side", ["mu", "nu"])
+def test_a_side_atom_sends_the_convolution_to_the_sort_route(monkeypatch, side):
+    mu_items = {((1,), (c,)): 1.0 / (c + 2) for c in range(40)}
+    nu_items = {((), (-1,)): 0.25, ((), (0,)): 0.25, ((), (1,)): 0.25, ((2,), (3,)): 0.25}
+    far = ((), (40000,))  # past the 16-bit central field
+    (mu_items if side == "mu" else nu_items)[far] = 0.125
+    mu, nu = (SparseMeasure.from_items(F2xZ, d, "float") for d in (mu_items, nu_items))
+    assert (mu if side == "mu" else nu)._side and _line_plan(mu, nu) is not None
+    _convolve_on_route(monkeypatch, mu, nu, "sort")
+
+
+def test_a_run_past_the_field_sends_the_convolution_to_the_sort_route(monkeypatch):
+    # the line shifts keep the fiber inside the 16-bit central field, and the
+    # run's first atom times (b|(5)) encodes, but its last lands past 32767
+    mu = SparseMeasure.from_items(F2xZ, {((1,), (c,)): 1.0 / (c - 32690) for c in range(32700, 32768)}, "float")
+    nu = SparseMeasure.from_items(
+        F2xZ, {((), (-2,)): 0.25, ((), (-1,)): 0.25, ((), (0,)): 0.25, ((2,), (5,)): 0.25}, "float"
+    )
+    assert _line_plan(mu, nu) is not None and _leaves_line_field(mu, nu) is False
+    _convolve_on_route(monkeypatch, mu, nu, "sort")
+
+
+# other atoms of nu with short words and small central coordinates, on fibers
+# from one base: every product encodes, and no window can outgrow its rows
+short_others = st.tuples(words.filter(bool), st.tuples(st.integers(-3, 3)))
+
+
+@given(line_pairs(others=short_others, max_others=2, bases=st.just(0)))
+@settings(max_examples=40, deadline=None)
+def test_line_pairs_with_holes_take_the_window_route(pair):
+    mu, nu, _ = pair
+    with pytest.MonkeyPatch.context() as mp:
+        _convolve_on_route(mp, mu, nu, "window")
+
+
+def test_window_route_prices_its_windows_before_allocating(monkeypatch):
+    mu = SparseMeasure.from_items(F2xZ, {((1,), (c,)): 1.0 / (c + 2) for c in range(40)}, "float")
+    nu = SparseMeasure.from_items(
+        F2xZ, {((), (-1,)): 0.2, ((), (0,)): 0.2, ((), (1,)): 0.2, ((2,), (3,)): 0.2, ((-1,), (0,)): 0.2},
+        "float",
+    )
+
+    def allocated(*args):
+        raise AssertionError("the windows were seeded before they were priced")
+
+    for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
+        window = _window_plan(a, b)
+        assert window is not None
+        L = int(window[3].sum())
+        row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(measures, "_ACC_BYTES", L * row_bytes - 1)
+            mp.setattr(measures, "_convolve_lines", allocated)
+            with pytest.raises(BudgetError, match=f"needs {L} rows"):
+                convolve(a, b)
+
+
+# SHA-256 of (codes, masses, lost_mass.hex()) after each step n = 1..6 of the
+# f2xz curve from delta(e) at budget 20k: steps 3-6 take the window route,
+# whose sums must keep the bytes of the stable-sort dedup
+F2XZ_STEP_DIGESTS = [
+    "96990d11043ab02e26fbb1bbc23ecb58bec0c04e95a0c3a7edd1144f881ed068",
+    "426d0543ec6f19ee131af7b781dce6583a5490faae5f8d635adb3d50fd1e55ca",
+    "7c2f8bc2fcc530248fe07c1c5a1defe678b66885f5f9b9ded7db7b51499b3af7",
+    "7f891e4b14efd19acfa91855392c7cf70b865b95bee98671061c1477f2470fbb",
+    "4a035f4012c7ed2427950d0d14720a1bfdc60bca6e5812a45d2237499b8847db",
+    "744c5e0394cba13d5316e0a6ec1956637202fceccf3ae95ab2007879a674ec7a",
+]
+
+
+def test_f2xz_curve_steps_keep_their_bytes(f2xz_nu):
+    rho, got = delta(f2xz_nu.group), []
+    for _ in F2XZ_STEP_DIGESTS:
+        rho = convolve(rho, f2xz_nu, budget=20_000)
+        h = hashlib.sha256()
+        for part in (rho._codes.tobytes(), rho._masses.tobytes(), rho.lost_mass.hex().encode()):
+            h.update(part)
+        got.append(h.hexdigest())
+    assert got == F2XZ_STEP_DIGESTS
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize(
+    "group, wrap", [(Z, lambda v: (v,)), (F2xZ, lambda v: ((), (v,)))], ids=["free-abelian(1)", "F2xZ"]
+)
+def test_coordinates_past_int64_take_the_side_dict(group, wrap, mode):
+    far = wrap(2**64)
+    one = Fraction(1) if mode == "exact" else 1.0
+    e, x = delta(group, mode=mode), delta(group, far, mode=mode)
+    for a, b in ((e, x), (x, e)):
+        got = convolve(a, b)
+        assert got.as_dict() == convolve_reference(a, b).as_dict() == {far: one}
+        assert_placed(got)
+    assert tv_left_translate(e, far) == tv_distance(_translate(far, e), e) == (2 * one, 0 * one)
+    # far moves the pool atom e out of range, and its inverse brings the side atom far back
+    mu = SparseMeasure.from_items(group, [(group.identity, one / 2), (far, one / 2)], mode)
+    for t in (far, group.inv(far)):
+        assert tv_left_translate(mu, t) == tv_distance(_translate(t, mu), mu)
+
+
 def test_products_that_underflow_to_zero_are_dropped():
     # 1e-200 * 1e-200 is 0.0, and from_items keeps no zero atom, so neither
     # kernel route may: the first pair takes the sort route (with a side
-    # atom), the second the dense route
+    # atom), the second the window route
     tiny = 1e-200
     sort_pair = (
         SparseMeasure.from_items(F2xZ, [(((1,), (0,)), tiny), (((), (40000,)), tiny)], "float"),
@@ -530,7 +670,7 @@ def test_products_that_underflow_to_zero_are_dropped():
         SparseMeasure.from_items(F2xZ, [(((1,), (c,)), tiny) for c in range(40)], "float"),
         SparseMeasure.from_items(F2xZ, [(((), (z,)), tiny) for z in (-1, 0, 1)], "float"),
     )
-    assert _line_plan(*sort_pair) is None and _line_plan(*line_pair) is not None
+    assert _window_plan(*sort_pair) is None and _window_plan(*line_pair) is not None
     for mu, nu in (sort_pair, line_pair):
         assert convolve_reference(mu, nu).as_dict() == {}
         assert convolve(mu, nu).as_dict() == {}
