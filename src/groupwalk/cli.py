@@ -25,7 +25,7 @@ from groupwalk.diagnostics import TVReport, control_experiment, nondisjointness_
 from groupwalk.errors import BudgetError, GroupwalkError, SpecMismatchError
 from groupwalk.groups import GSet, parse_group
 from groupwalk.measures import delta
-from groupwalk.presets import CONTROL_ALIASES, fresh_state
+from groupwalk.presets import CONTROL_ALIASES, initial_state
 from groupwalk.walk import estimate_M
 
 EXIT_OK = 0
@@ -93,12 +93,27 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
 
 
 def _build_state(cfg: RunConfig, resume: str | None = None) -> ConstructionState:
-    if not resume:
-        return fresh_state(cfg)
-    payload = json.loads(Path(resume).read_text())
-    state = ConstructionState.from_json(json.dumps(payload.get("state", payload)))
-    if state.group.spec_text() != parse_group(cfg.group).spec_text():
-        raise SpecMismatchError("checkpoint group differs from configured group")
+    state = initial_state(cfg)
+    if resume:
+        # a checkpoint continues only the construction the config describes:
+        # the same group, catalogue (entries and seed), alpha rule and
+        # product cap, stopped at or before `cfg.stages`
+        payload = json.loads(Path(resume).read_text())
+        try:
+            ckpt = ConstructionState.from_json(json.dumps(payload.get("state", payload)))
+        except KeyError as exc:
+            raise SpecMismatchError(f"checkpoint has no {exc.args[0]!r} key") from None
+        have, want = json.loads(ckpt.to_json()), json.loads(state.to_json())
+        for key in ("group", "catalogue", "alpha", "product_cap"):
+            if have[key] != want[key]:
+                raise SpecMismatchError(
+                    f"checkpoint {key} {have[key]} differs from the configured {want[key]}"
+                )
+        if ckpt.stage > cfg.stages:
+            raise SpecMismatchError(
+                f"checkpoint has {ckpt.stage} stages, more than the {cfg.stages} configured"
+            )
+        state = ckpt
     return run_construction(state, cfg.stages)
 
 

@@ -28,9 +28,9 @@ window or the marker's field.
 `line_bits` is the width of a codec's lowest field when that field is one
 biased integer coordinate, else None. Right-multiplying by any element adds
 its coordinate in that field to every code's field and moves the fields
-above it alike for codes that agree there, so the measures module moves
-such codes as contiguous runs and convolves the elements that are the
-identity outside the field as a dense 1-D kernel.
+above it alike for codes that agree there. So `measures._window_plan` can
+move such codes as contiguous runs, and treat the elements that are the
+identity outside the field as one dense 1-D kernel.
 """
 
 from __future__ import annotations

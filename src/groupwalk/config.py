@@ -56,6 +56,9 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("float", "exact"):
             raise SpecMismatchError(f"mode must be float or exact, got {self.mode!r}")
+        if not 0 <= self.seed < 1 << 64:
+            # `derive` keys every stream by the seed's low 64 bits
+            raise SpecMismatchError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.threads < 1:
             raise SpecMismatchError("threads must be >= 1")
         if self.budget_atoms is not None and self.budget_atoms < 1:

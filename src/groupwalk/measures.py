@@ -15,9 +15,9 @@ Two arithmetic modes, never mixed:
 
 Every measure has one storage layout, the same in both modes: a packed
 pool of sorted uint64 codes (see `groupwalk.codecs`) with their weights,
-plus a side dict. One placement rule decides where an atom goes: an atom
-the group's codec can encode goes in the pool; every other atom goes in
-the side dict, which holds all atoms of a codec-less group and atoms whose
+plus a side dict. One placement rule, `_place`, decides where an atom goes:
+an atom the group's codec can encode goes in the pool; every other atom goes
+in the side dict, which holds all atoms of a codec-less group and atoms whose
 word or coordinate does not fit the codec's fields.
 
 Every convolution runs on one serial kernel, `_products`, which adds every
@@ -25,28 +25,18 @@ row in one fixed order; `_convolve_fast` and `_convolve_exact` are its two
 ledgers (float masses, and numerators over `mu._den * nu._den`). A group
 without a codec takes the same kernel with an empty pool.
 
-A convolution mu * nu takes one of two routes. When the codec's lowest
-field is one biased integer coordinate (`line_bits`), a fiber is the atoms
-that agree above that field, and the line shifts are nu's atoms equal to
-the identity outside it. Right-multiplying a fiber by y = (w|z) gives one
-contiguous run in the fiber of (fiber * w), shifted by z. The window route
-gives each target fiber one window spanning its runs, seeds the windows
-with the line shifts as one `np.convolve` over zero-padded fiber blocks,
-and adds every other atom y of nu, in spiral order, straight into its
-slots; `mul_right` runs on the fibers' first codes only and no row is
-sorted. Every other convolution takes the sort route: `mul_right` on mu's
-codes for every atom of nu, rows flushed through `_dedup` (a stable sort,
-then a sum per code). Each route sums a code's rows in one fixed order:
-the window route the dense seed first, then nu's other atoms in spiral
-order; the sort route nu's atoms in spiral order.
-
-The window route is chosen from the inputs alone: when the dense seed's
-cost test holds (`_line_plan`), neither operand has side atoms, every
-fiber's product encodes and stays inside the field, and the total window
-length is at most the |mu pool| * |nu pool| rows it replaces (the fill
-guard). Neither route keeps an atom whose weight sums to 0, and a
-convolution whose accumulator or windows would pass `_ACC_BYTES` raises
-BudgetError before allocating them; an exact row is priced with its
+A convolution mu * nu takes one of two routes, and `_window_plan` alone
+chooses, from the inputs. The window route runs on a codec whose lowest
+field is one biased integer coordinate (`line_bits`): the plan finds mu's
+fibers, nu's line shifts as a dense kernel, every fiber's run and one
+window per target fiber, and `_sum_windows` sums the product into those
+windows without sorting a row: the dense blocks first, then nu's other
+atoms in spiral order. Every other convolution takes the sort route:
+`mul_right` on mu's codes for every atom of nu, rows flushed through
+`_dedup` (a stable sort, then a sum per code), so a code's rows are summed
+in nu's spiral order. Neither route keeps an atom whose weight sums to 0,
+and a convolution whose accumulator or windows would pass `_ACC_BYTES`
+raises BudgetError before allocating them; an exact row is priced with its
 numerator, at the size of the product's denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
@@ -98,6 +88,17 @@ def _coerce_mass(m, mode: str):
     raise SpecMismatchError(f"float mode needs float weights, got {type(m).__name__}")
 
 
+def _place(codec, atoms: dict, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """The placement rule: pop every atom of `atoms` that the codec encodes.
+
+    Returns their codes and weights in `atoms`' order, unsorted; every other
+    atom (all of them without a codec) stays in `atoms`, the side dict.
+    """
+    codes = {} if codec is None else {x: c for x in atoms if (c := codec.encode_one(x)) is not None}
+    weights = [atoms.pop(x) for x in codes]
+    return np.array(list(codes.values()), dtype=np.uint64), np.array(weights, dtype=_DTYPE[mode])
+
+
 class SparseMeasure:
     """Finitely supported measure; see the module docstring for the contract.
 
@@ -118,6 +119,8 @@ class SparseMeasure:
         self.group = group
         self.mode = mode
         self.lost_mass = _zero(mode) if lost_mass is None else _coerce_mass(lost_mass, mode)
+        if not 0 <= self.lost_mass < math.inf:
+            raise SpecMismatchError(f"lost_mass {self.lost_mass} is not finite and >= 0")
         self._codes: np.ndarray = np.zeros(0, dtype=np.uint64)
         self._masses: np.ndarray = np.zeros(0, dtype=_DTYPE[mode])
         self._side: dict = {}
@@ -128,13 +131,14 @@ class SparseMeasure:
     @classmethod
     def from_items(cls, group: Group, items, mode: str = "float", lost_mass=None) -> "SparseMeasure":
         """Measure from input made outside the kernel: every atom is coerced and
-        validated, repeated elements are summed and zero weights dropped."""
+        validated, repeated elements are summed and zero weights dropped.
+        Weights and `lost_mass` must be finite and >= 0, or the bracket fails."""
         mu = cls(group, mode, lost_mass=lost_mass)
         data: dict = {}
         for x, m in items.items() if isinstance(items, dict) else items:
             m = _coerce_mass(m, mode)
-            if m < 0:
-                raise SpecMismatchError(f"negative weight {m} at {x!r}")
+            if not 0 <= m < math.inf:
+                raise SpecMismatchError(f"weight {m} at {x!r} is not finite and >= 0")
             if m != 0:
                 data[x] = data.get(x, _zero(mode)) + m
         for x in data:
@@ -142,22 +146,11 @@ class SparseMeasure:
         if mode == "exact":
             mu._den = math.lcm(*(m.denominator for m in data.values()))
             data = {x: m.numerator * (mu._den // m.denominator) for x, m in data.items()}
-        codec = group.codec()
-        if codec is None:
-            mu._side = data
-            return mu
-        codes, masses = [], []
-        for x, m in data.items():
-            c = codec.encode_one(x)
-            if c is None:
-                mu._side[x] = m
-            else:
-                codes.append(c)
-                masses.append(m)
-        codes = np.array(codes, dtype=np.uint64)
+        codes, masses = _place(group.codec(), data, mode)
         order = np.argsort(codes, kind="stable")
         mu._codes = codes[order]
-        mu._masses = np.array(masses, dtype=_DTYPE[mode])[order]
+        mu._masses = masses[order]
+        mu._side = data
         return mu
 
     @classmethod
@@ -408,18 +401,35 @@ def _check_rows(rows: int, row_bytes: int) -> None:
         )
 
 
-def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
-    """Inputs of the dense seed for mu * nu, or None when the sort route runs.
+def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
+    """The window route's plan for mu * nu, or None when the sort route runs.
 
-    The line shifts are nu's pool atoms equal to the identity outside the
-    codec's lowest field (`line_bits`), a biased integer coordinate; they
-    form one run of nu's sorted codes. The plan holds only when every
-    mu pool atom times every line shift stays inside that field, and when
-    the dense length L = sum over fibers (span + K - 1) is at most the
-    rows the line shifts would add to the sort route, with L * K (the cost
-    of the convolution) at most rows * log2(rows) (the cost of sorting them).
+    The codec's lowest field (`line_bits`) is a biased integer coordinate; a
+    fiber is mu's pool atoms that agree above it. The line shifts are nu's
+    pool atoms equal to the identity outside that field; they form one run
+    of nu's sorted codes, and as a kernel of K slots they turn each fiber
+    into a dense block of span + K slots. Each other pool atom y of nu moves
+    a fiber, as one contiguous run, to the fiber of fiber * y, shifted by
+    y's field value; only the fibers' first codes go through `mul_right`.
+    The runs are sorted by target fiber, and each target fiber gets one
+    window spanning its runs.
+
+    The route is chosen from the inputs alone. None when there is no line
+    field, no pool in mu, a side atom in mu or nu, or no line shift in nu;
+    when the dense blocks, L slots in all, cost more than sorting the rows
+    they replace (L > rows or L * K > rows * log2(rows)); when a first
+    code's product does not encode; when a run leaves the field; or when the
+    windows are longer than the |mu pool| * |nu pool| rows (the fill guard).
+
+    Otherwise returns (kernel, nu's other pool atoms in spiral order with
+    their weights, atoms per fiber, each atom's place in its fiber's run,
+    the dense block lengths, each window's origin, the window lengths, run
+    slots). A window's origin is its first code minus its first slot
+    (uint64 wraps), so slot k holds code origin + k; run slots[0] holds the
+    first slot of each fiber's dense block and slots[j] the first slot of
+    its run for the j-th other atom.
     """
-    if not len(mu._codes):
+    if mu._side or nu._side or not len(mu._codes):
         return None
     codec = mu.group.codec()
     b = codec.line_bits
@@ -433,91 +443,38 @@ def _line_plan(mu: SparseMeasure, nu: SparseMeasure):
     if lo == hi:
         return None
     z = (nu._codes[lo:hi] & np.uint64(field)).astype(np.int64) - (e & field)
-    z_min, z_max = int(z[0]), int(z[-1])
-    K = z_max - z_min + 1
-    pos = (mu._codes & np.uint64(field)).astype(np.int64)
-    fibers = mu._codes >> np.uint64(b)
-    starts = np.flatnonzero(np.concatenate([[True], fibers[1:] != fibers[:-1]]))
-    ends = np.append(starts[1:], len(pos)) - 1
-    if int(pos[starts].min()) + z_min < 0 or int(pos[ends].max()) + z_max > field:
-        return None
-    blocks = pos[ends] - pos[starts] + K
+    z_min = int(z[0])
+    K = int(z[-1]) - z_min + 1
+    rel = (mu._codes & np.uint64(field)).astype(np.int64)
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(mu._codes >> np.uint64(b)) != 0]))
+    counts = np.diff(np.append(starts, len(rel)))
+    lo_first = rel[starts]  # each fiber's first field value
+    rel -= np.repeat(lo_first, counts)  # now each atom's place in its fiber's run
+    blocks = rel[starts + counts - 1] + K
     L = int(blocks.sum())
-    rows = len(pos) * (hi - lo)
+    rows = len(rel) * (hi - lo)
     if L > rows or L * K > rows * math.log2(rows):
         return None
     kernel = np.zeros(K, dtype=_DTYPE[nu.mode])
     kernel[z - z_min] = nu._masses[lo:hi]
-    return slice(lo, hi), kernel, z_min, pos, starts, blocks
-
-
-def _convolve_lines(mu: SparseMeasure, plan) -> np.ndarray:
-    """mu's pool times nu's line shifts as one dense 1-D convolution.
-
-    Each fiber of mu (the codes above the lowest field) gets a zero-padded
-    block of `span + K - 1` slots, so one `np.convolve` over all blocks
-    never carries mass from one fiber into the next. Returns the blocks end
-    to end; the block of a fiber with field values lo..hi holds the weights
-    of lo + z_min .. hi + z_max. They seed the windows of `_sum_windows`.
-    """
-    _, kernel, _, pos, starts, blocks = plan
-    L = int(blocks.sum())
-    offsets = np.cumsum(blocks) - blocks
-    shift = pos[starts] - offsets  # field value minus slot, per fiber
-    fiber_of = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(pos))))
-    window = np.zeros(L, dtype=_DTYPE[mu.mode])
-    window[pos - shift[fiber_of]] = mu._masses
-    return np.convolve(window, kernel)[:L]
-
-
-def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
-    """One window per target fiber of mu * nu, or None when the sort route runs.
-
-    A run is one fiber of mu times atoms of nu's pool: the line shifts
-    together make the fiber's dense block; each other pool atom y of nu
-    moves the fiber's atoms, as one contiguous run, to the fiber of
-    fiber * y, shifted by y's field value. Only the fibers' first codes go
-    through `mul_right`. The |fibers| * (1 + |others|) runs are sorted by
-    target fiber, and each target fiber gets one window spanning its runs.
-
-    The route is chosen from the inputs alone: None when `_line_plan` is
-    None, when mu or nu has side atoms, when a first code's product does not
-    encode, when a shifted run leaves the field, or when the total window
-    length L passes the |mu pool| * |nu pool| rows the windows replace (the
-    fill guard). Otherwise returns (the `_line_plan`, nu's other pool atoms
-    in spiral order with their weights, each window's origin, the window
-    lengths, run slots). A window's origin is its first code minus its first
-    slot (uint64 wraps), so slot k of the window holds code origin + k; run
-    slots[0] holds the first slot of each fiber's dense block and run
-    slots[j] the first slot of its run for the j-th other atom.
-    """
-    if mu._side or nu._side:
-        return None
-    plan = _line_plan(mu, nu)
-    if plan is None:
-        return None
-    codec = mu.group.codec()
-    b = np.uint64(codec.line_bits)
-    field = (1 << codec.line_bits) - 1
-    lines, kernel, z_min, pos, starts, blocks = plan
-    rest = np.r_[0 : lines.start, lines.stop : len(nu._codes)]
+    rest = np.r_[0:lo, hi : len(nu._codes)]
     others = _spiral(
         mu.group, zip(map(codec.decode_one, nu._codes[rest].tolist()), nu._masses[rest].tolist())
     )
     first = mu._codes[starts]
     keys = np.empty((len(others) + 1, len(starts)), dtype=np.uint64)
     los = np.empty(keys.shape, dtype=np.int64)
-    keys[0] = first >> b
-    los[0] = pos[starts] + z_min
+    keys[0] = first >> np.uint64(b)
+    los[0] = lo_first + z_min
     for j, (y, _) in enumerate(others, start=1):
         out, ok = codec.mul_right(first, y)
         if not ok.all():
             return None
-        keys[j] = out >> b
+        keys[j] = out >> np.uint64(b)
         los[j] = (out & np.uint64(field)).astype(np.int64)
-    his = los + (blocks - len(kernel))  # each run's last field value
-    his[0] += len(kernel) - 1
-    if int(his.max()) > field:
+    his = los + (blocks - K)  # each run's last field value
+    his[0] += K - 1
+    if int(los[0].min()) < 0 or int(his.max()) > field:
         return None
     wkey, wid = np.unique(keys.ravel(), return_inverse=True)
     wid = wid.reshape(keys.shape)
@@ -526,35 +483,36 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
     np.minimum.at(wlo, wid, los)
     np.maximum.at(whi, wid, his)
     wlen = whi - wlo + 1
-    L = int(wlen.sum())
-    if L > len(mu._codes) * len(nu._codes):
+    if int(wlen.sum()) > len(mu._codes) * len(nu._codes):
         return None
     base = np.cumsum(wlen) - wlen
-    origin = ((wkey << b) | wlo.astype(np.uint64)) - base.astype(np.uint64)
-    return plan, others, origin, wlen, base[wid] + los - wlo[wid]
+    origin = ((wkey << np.uint64(b)) | wlo.astype(np.uint64)) - base.astype(np.uint64)
+    return kernel, others, counts, rel, blocks, origin, wlen, base[wid] + los - wlo[wid]
 
 
-def _sum_windows(mu: SparseMeasure, window, row_bytes: int):
-    """mu * nu summed straight into its windows, without sorting a row.
+def _sum_windows(mu: SparseMeasure, plan, row_bytes: int):
+    """mu * nu summed straight into the windows of `plan`, without sorting a row.
 
-    The windows are priced by `_check_rows` before they are allocated, then
-    seeded with `_convolve_lines`' dense blocks; each other atom y of nu, in
-    spiral order, then adds mu(x) * nu(y) into the slot of x * y for every x.
-    Right multiplication by one y is injective, so no slot gains two rows
-    from one y, and each code's rows are summed in the order a stable sort
-    of the same rows would sum them: the dense seed, then nu's other atoms
-    in spiral order. Returns the codes of the slots whose weight is
+    The windows are priced by `_check_rows` before they are allocated. Each
+    fiber's dense block is one `np.convolve` of the kernel over the fibers
+    laid end to end in zero-padded blocks (so no mass carries from one fiber
+    into the next), copied into the fiber's window. Each other atom y of nu,
+    in spiral order, then adds mu(x) * nu(y) into the slot of x * y for
+    every x. Right multiplication by one y is injective, so no slot gains two
+    rows from one y, and each code's rows are summed in the order a stable
+    sort of the same rows would sum them: the dense block, then nu's other
+    atoms in spiral order. Returns the codes of the slots whose weight is
     > 0, in window order (so ascending), with their weights.
     """
-    plan, others, origin, wlen, slots = window
+    kernel, others, counts, rel, blocks, origin, wlen, slots = plan
     L = int(wlen.sum())
     _check_rows(L, row_bytes)
-    _, _, _, pos, starts, blocks = plan
     acc = np.zeros(L, dtype=_DTYPE[mu.mode])
-    dense = _convolve_lines(mu, plan)
-    acc[np.repeat(slots[0] - (np.cumsum(blocks) - blocks), blocks) + np.arange(len(dense))] = dense
-    counts = np.diff(np.append(starts, len(pos)))
-    rel = pos - np.repeat(pos[starts], counts)  # each atom's place in its fiber's run
+    offsets = np.cumsum(blocks) - blocks
+    dense = np.zeros(int(blocks.sum()), dtype=_DTYPE[mu.mode])
+    dense[np.repeat(offsets, counts) + rel] = mu._masses
+    dense = np.convolve(dense, kernel)[: len(dense)]
+    acc[np.repeat(slots[0] - offsets, blocks) + np.arange(len(dense))] = dense
     for (_, wy), s in zip(others, slots[1:]):
         # unbuffered, in index order; the indices are distinct
         np.add.at(acc, np.repeat(s, counts) + rel, mu._masses * wy)
@@ -629,14 +587,7 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     # an atom the codec cannot hold times y can land back in codec range;
     # the placement rule sends those products to the packed pool, so no
     # element is split across both pools when the budget ranks atoms
-    back = {}
-    if codec is not None:
-        back = {z: c for z in side if (c := codec.encode_one(z)) is not None}
-    if back:
-        add(
-            np.array(list(back.values()), dtype=np.uint64),
-            np.array([side.pop(z) for z in back], dtype=_DTYPE[mu.mode]),
-        )
+    add(*_place(codec, side, mu.mode))
     flush()
     # products that underflow to zero are not atoms (from_items drops them too)
     held = acc_masses > 0
@@ -724,11 +675,9 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
         shifted, ok = codec.mul_left(mu._codes, t)
         for c, m in zip(mu._codes[~ok].tolist(), mu._masses[~ok].tolist()):
             moved[grp.mul(t, codec.decode_one(c))] = m
-        back = {z: c for z in moved if (c := codec.encode_one(z)) is not None}
-        codes = np.concatenate([shifted[ok], np.array(list(back.values()), dtype=np.uint64)])
-        masses = np.concatenate(
-            [mu._masses[ok], np.array([moved.pop(z) for z in back], dtype=_DTYPE[mu.mode])]
-        )
+        back, weights = _place(codec, moved, mu.mode)
+        codes = np.concatenate([shifted[ok], back])
+        masses = np.concatenate([mu._masses[ok], weights])
     value = _pool_l1(codes, masses, mu._codes, mu._masses) + _dict_l1(moved, mu._side, mu.mode)
     return mu._mass(value), mu.lost_mass + mu.lost_mass
 

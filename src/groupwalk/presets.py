@@ -64,8 +64,8 @@ def get_preset(name: str) -> Preset:
         ) from None
 
 
-def fresh_state(cfg: RunConfig) -> ConstructionState:
-    """Run the construction a resolved config describes, from stage 0 through `cfg.stages`."""
+def initial_state(cfg: RunConfig) -> ConstructionState:
+    """Stage 0 of the construction a resolved config describes."""
     g = parse_group(cfg.group)
     if not cfg.catalogue:
         if cfg.preset is not None:
@@ -74,13 +74,17 @@ def fresh_state(cfg: RunConfig) -> ConstructionState:
                 f"run it with `groupwalk control {cfg.preset}`"
             )
         raise SpecMismatchError("config has no catalogue entries and no preset")
-    state = new_state(
+    return new_state(
         g,
         catalogue_from_texts(g, cfg.catalogue, cfg.seed),
         AlphaSchedule(cfg.alpha),
         product_cap=cfg.product_cap,
     )
-    return run_construction(state, cfg.stages)
+
+
+def fresh_state(cfg: RunConfig) -> ConstructionState:
+    """Run the construction a resolved config describes, from stage 0 through `cfg.stages`."""
+    return run_construction(initial_state(cfg), cfg.stages)
 
 
 def preset_state(name: str, seed: int, stages: int | None = None) -> ConstructionState:

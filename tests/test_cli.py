@@ -65,6 +65,22 @@ def test_preset_resolution():
     assert parse_config_text("group = free(2)").resolved().stages == 32
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_config_accepts_seeds_at_both_ends_of_the_range(seed):
+    assert RunConfig(preset="f2xz", seed=seed).seed == seed
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seeds_outside_64_bits_are_config_errors(seed, tmp_path, capsys):
+    # `derive` keys the streams by the seed's low 64 bits, so 2^64 would run
+    # seed 0's streams under another fingerprint, and -1 those of 2^64 - 1
+    with pytest.raises(SpecMismatchError, match="seed"):
+        RunConfig(preset="f2xz", seed=int(seed))
+    rc = main(["construct", "--preset", "f2xz", "--stages", "1", "--seed", seed, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "error: seed must be in [0, 2^64)" in capsys.readouterr().err
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -107,6 +123,38 @@ def test_construct_resume_round_trip(tmp_path, capsys):
     rc = main(base + ["--stages", "9", "--resume", str(older), "--out", str(tmp_path / "p5")])
     assert rc == 1
     assert "weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, edit, message",
+    [
+        (["--seed", "2"], None, "checkpoint catalogue"),
+        (["--stages", "3"], None, "checkpoint has 5 stages, more than the 3 configured"),
+        (["--config", "catalogue.cfg"], None, "checkpoint catalogue"),
+        ([], lambda st: st.update(alpha="geometric"), "checkpoint alpha geometric"),
+        ([], lambda st: st.update(product_cap=7), "checkpoint product_cap 7"),
+        ([], lambda st: st.pop("catalogue"), "checkpoint has no 'catalogue' key"),
+    ],
+    ids=["seed", "more-stages", "catalogue-entries", "alpha", "product-cap", "missing-key"],
+)
+def test_resume_refuses_a_checkpoint_of_another_construction(tmp_path, capsys, flags, edit, message):
+    # a 5-stage, seed-1 checkpoint; each case differs from it in one way
+    base = ["construct", "--preset", "f2xz"]
+    assert main(base + ["--stages", "5", "--seed", "1", "--out", str(tmp_path / "p5")]) == 0
+    ckpt = tmp_path / "p5" / "state.json"
+    if edit is not None:
+        doc = json.loads(ckpt.read_text())
+        edit(doc["state"])
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(doc))
+    (tmp_path / "catalogue.cfg").write_text("catalogue = (e|(2)) @ center\n")
+    flags = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flags]
+    args = ["--seed", "1", "--stages", "6"]
+    capsys.readouterr()
+    rc = main(base + args + flags + ["--resume", str(ckpt), "--out", str(tmp_path / "p6")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error: ") and message in err
+    assert not (tmp_path / "p6").exists()
 
 
 def test_folner_command(capsys):

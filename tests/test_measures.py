@@ -23,8 +23,8 @@ from groupwalk import (
     uniform,
 )
 from groupwalk import groups, measures
-from groupwalk.errors import BudgetError
-from groupwalk.measures import _line_plan, _window_plan, tv_left_translate
+from groupwalk.errors import BudgetError, SpecMismatchError
+from groupwalk.measures import _window_plan, tv_left_translate
 
 F2 = FreeGroup(2)
 Z = FreeAbelian(1)
@@ -428,7 +428,7 @@ def test_fast_path_agrees_with_reference():
 @st.composite
 def line_pairs(draw, others=st.tuples(long_words.filter(bool), st.tuples(centrals)), max_others=3,
                bases=st.integers(-100, 100)):
-    """(mu, nu) on F2 x Z that meet `_line_plan`'s conditions: mu holds
+    """(mu, nu) on F2 x Z whose dense blocks fit (`_dense_blocks_fit`): mu holds
     one to three fibers (free words) of 18-24 central coordinates out of a
     24-wide window from a drawn base, so fibers have holes; nu holds three
     to six line shifts out of a 9-wide kernel, so the kernel can be sparse,
@@ -448,6 +448,19 @@ def line_pairs(draw, others=st.tuples(long_words.filter(bool), st.tuples(central
         SparseMeasure.from_items(F2xZ, nu_items, "float"),
         True,
     )
+
+
+def _dense_blocks_fit(mu, nu):
+    """`_window_plan` of mu's pool and nu's line shifts alone on F2 x Z holds:
+    mu's pool times the line shifts stays in the central field and passes the
+    dense cost test, whatever the rest of nu and the side atoms would do."""
+    encode = F2xZ.codec().encode_one
+
+    def part(p, keep):
+        atoms = {x: m for x, m in p.as_dict().items() if encode(x) is not None and keep(x)}
+        return SparseMeasure.from_items(F2xZ, atoms, p.mode)
+
+    return _window_plan(part(mu, lambda x: True), part(nu, lambda x: x[0] == ())) is not None
 
 
 def _leaves_line_field(mu, nu):
@@ -478,9 +491,10 @@ def test_float_convolve_matches_reference(group, pairs):
     def check(pair, budget):
         mu, nu, dense = pair
         if dense:
-            assert _line_plan(mu, nu) is not None
+            assert _dense_blocks_fit(mu, nu)
         if group is F2xZ and _leaves_line_field(mu, nu):
-            assert _line_plan(mu, nu) is None  # edge of the field: the sort route
+            # edge of the field: the sort route
+            assert not _dense_blocks_fit(mu, nu) and _window_plan(mu, nu) is None
         got = convolve(mu, nu)
         want = convolve_reference(mu, nu)
         g, w = got.as_dict(), want.as_dict()
@@ -516,10 +530,10 @@ def _exact(mu):
 @given(line_pairs(), st.integers(1, 40))
 @settings(max_examples=30, deadline=None)
 def test_exact_dense_route_matches_reference(pair, budget):
-    # `_line_plan`'s inputs in exact mode: np.convolve then runs on
-    # object-dtype numerators
+    # dense blocks in exact mode: np.convolve then runs on object-dtype
+    # numerators
     mu, nu = (_exact(p) for p in pair[:2])
-    assert _line_plan(mu, nu) is not None
+    assert _dense_blocks_fit(mu, nu)
     for b in (None, budget):
         got, want = convolve(mu, nu, budget=b), convolve_reference(mu, nu, budget=b)
         assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
@@ -553,7 +567,7 @@ def test_window_fill_guard_sends_far_runs_to_the_sort_route(monkeypatch):
     nu = SparseMeasure.from_items(
         F2xZ, [(((), (0,)), 0.25), (((-1,), (0,)), 0.25), (((-2,), (0,)), 0.5)], "float"
     )
-    assert _line_plan(mu, nu) is not None
+    assert _dense_blocks_fit(mu, nu)
     _convolve_on_route(monkeypatch, mu, nu, "sort")
 
 
@@ -564,7 +578,25 @@ def test_a_side_atom_sends_the_convolution_to_the_sort_route(monkeypatch, side):
     far = ((), (40000,))  # past the 16-bit central field
     (mu_items if side == "mu" else nu_items)[far] = 0.125
     mu, nu = (SparseMeasure.from_items(F2xZ, d, "float") for d in (mu_items, nu_items))
-    assert (mu if side == "mu" else nu)._side and _line_plan(mu, nu) is not None
+    assert (mu if side == "mu" else nu)._side and _dense_blocks_fit(mu, nu)
+    _convolve_on_route(monkeypatch, mu, nu, "sort")
+
+
+def test_nu_without_line_shifts_takes_the_sort_route(monkeypatch):
+    mu = SparseMeasure.from_items(F2xZ, {((1,), (c,)): 1.0 / (c + 2) for c in range(40)}, "float")
+    nu = SparseMeasure.from_items(F2xZ, {((2,), (3,)): 0.5, ((-1,), (0,)): 0.5}, "float")
+    assert not (mu._side or nu._side)
+    _convolve_on_route(monkeypatch, mu, nu, "sort")
+
+
+def test_a_product_past_the_word_field_sends_the_convolution_to_the_sort_route(monkeypatch):
+    # a^5 times a^16 has 21 letters, one past the free field of the F2 x Z
+    # codec, so the fiber's first code times (a^16|(0)) does not encode
+    mu = SparseMeasure.from_items(F2xZ, {((1,) * 5, (c,)): 1.0 / (c + 2) for c in range(40)}, "float")
+    nu = SparseMeasure.from_items(
+        F2xZ, {((), (-1,)): 0.25, ((), (0,)): 0.25, ((), (1,)): 0.25, ((1,) * 16, (0,)): 0.25}, "float"
+    )
+    assert _dense_blocks_fit(mu, nu) and not (mu._side or nu._side)
     _convolve_on_route(monkeypatch, mu, nu, "sort")
 
 
@@ -575,7 +607,22 @@ def test_a_run_past_the_field_sends_the_convolution_to_the_sort_route(monkeypatc
     nu = SparseMeasure.from_items(
         F2xZ, {((), (-2,)): 0.25, ((), (-1,)): 0.25, ((), (0,)): 0.25, ((2,), (5,)): 0.25}, "float"
     )
-    assert _line_plan(mu, nu) is not None and _leaves_line_field(mu, nu) is False
+    assert _dense_blocks_fit(mu, nu) and _leaves_line_field(mu, nu) is False
+    _convolve_on_route(monkeypatch, mu, nu, "sort")
+
+
+@pytest.mark.parametrize("edge", [-32768, 32767], ids=["below-0", "past-the-top"])
+def test_a_dense_block_past_the_field_sends_the_convolution_to_the_sort_route(monkeypatch, edge):
+    # the line shift -1 or +1 takes the fiber's atom at the edge of the 16-bit
+    # central field past it; the other atom's run stays inside
+    inward = -1 if edge > 0 else 1
+    mu = SparseMeasure.from_items(
+        F2xZ, {((1,), (edge + inward * k,)): 1.0 / (k + 2) for k in range(60)}, "float"
+    )
+    nu = SparseMeasure.from_items(
+        F2xZ, {((), (-1,)): 0.25, ((), (0,)): 0.25, ((), (1,)): 0.25, ((2,), (0,)): 0.25}, "float"
+    )
+    assert _leaves_line_field(mu, nu) and not _dense_blocks_fit(mu, nu)
     _convolve_on_route(monkeypatch, mu, nu, "sort")
 
 
@@ -603,13 +650,13 @@ def test_window_route_prices_its_windows_before_allocating(monkeypatch):
         raise AssertionError("the windows were seeded before they were priced")
 
     for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
-        window = _window_plan(a, b)
-        assert window is not None
-        L = int(window[3].sum())
+        plan = _window_plan(a, b)
+        assert plan is not None
+        L = int(plan[6].sum())
         row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
         with monkeypatch.context() as mp:
             mp.setattr(measures, "_ACC_BYTES", L * row_bytes - 1)
-            mp.setattr(measures, "_convolve_lines", allocated)
+            mp.setattr(measures.np, "convolve", allocated)
             with pytest.raises(BudgetError, match=f"needs {L} rows"):
                 convolve(a, b)
 
@@ -723,6 +770,32 @@ def test_serialization_round_trip_float(f2xz_nu):
     assert again.to_text() == f2xz_nu.to_text()
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_weights_and_ledgers_that_break_the_bracket_are_refused(mode):
+    # a negative ledger would make tv_left_translate's bracket negative, and
+    # a NaN or infinite weight leaves no bracket at all
+    e = F2xZ.identity
+    if mode == "float":
+        one, weights, ledgers = 1.0, [math.nan, math.inf, -math.inf, -0.5], [-0.25, math.nan, math.inf]
+    else:
+        one, weights, ledgers = Fraction(1), [Fraction(-1, 3), math.nan], [Fraction(-1, 4)]
+    for w in weights:
+        with pytest.raises(SpecMismatchError, match="weight"):
+            SparseMeasure.from_items(F2xZ, [(e, one), (((1,), (0,)), w)], mode)
+    for lost in ledgers:
+        with pytest.raises(SpecMismatchError, match="lost_mass"):
+            SparseMeasure.from_items(F2xZ, [(e, one)], mode, lost_mass=lost)
+    text = delta(F2xZ, mode=mode).to_text()
+    if mode == "float":
+        edits = [("0x1.0000000000000p+0 (e|(0))", "nan (e|(0))"), ("lost 0x0.0p+0", "lost -0x1p-2")]
+    else:
+        edits = [("lost 0/1", "lost -1/4")]
+    for old, new in edits:
+        assert old in text
+        with pytest.raises(SpecMismatchError):
+            SparseMeasure.from_text(text.replace(old, new))
+
+
 def test_serialization_skips_comment_lines():
     mu = delta(Z, (3,), mode="exact")
     text = "# fingerprint=abc seed=1\n" + mu.to_text()
@@ -749,7 +822,7 @@ def test_exact_rows_are_priced_with_their_numerators(group, atoms, monkeypatch):
     # int's size, and a cap of one float row per pair lies between the prices
     exact = SparseMeasure.from_items(group, {x: Fraction(1, 2**400) for x in atoms}, "exact")
     flt = SparseMeasure.from_items(group, {x: 2.0**-400 for x in atoms}, "float")
-    assert (_line_plan(flt, flt) is not None) == (group is F2xZ)
+    assert (_window_plan(flt, flt) is not None) == (group is F2xZ)
     monkeypatch.setattr(measures, "_ACC_BYTES", measures._ROW_BYTES * len(atoms) ** 2)
     assert len(convolve(flt, flt)) == len(convolve_reference(flt, flt))
     with pytest.raises(BudgetError, match="accumulator cap"):
