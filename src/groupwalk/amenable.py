@@ -3,8 +3,23 @@
 An AmenableSubgroup is an embedding descriptor over an ambient group:
 ``whole`` (amenable ambient), ``center``, ``factor:<j>`` (amenable direct
 factor), ``lamps`` (the lamp subgroup of a lamplighter) or ``trivial``.
-Each embedding declares an increasing Folner family (intervals, boxes,
-lamp blocks, the whole finite group) rather than searching generically;
+Each embedding declares an increasing Folner family by one rule,
+`_family`, with membership by the same rule in `_contains`:
+
+- on a direct product the family is the product of per-factor families:
+  ``factor:<j>`` is ``whole`` at factor j and ``trivial`` at every other
+  factor, and ``whole``, ``center`` and ``trivial`` apply factor by factor;
+- on any other group, ``center`` is ``whole`` when every generator is
+  central, else ``trivial``;
+- member m of ``whole`` is the interval or box [-m, m]^d on Z^d and the
+  rank-1 free group, and lamps lit in [-m, m] with the marker in [-m, m]
+  on the lamplighter; ``lamps`` keeps the marker at 0;
+- a finite subgroup (``trivial``, a cyclic group) is its own member at
+  every m;
+- a member is None only when it would pass `_MEMBER_SIZE_CAP` elements,
+  which is checked before the member is built, so a family past the cap
+  ends there.
+
 `folner_set` walks the family in order, symmetrizes the candidate, and
 verifies the invariance inequality |BF \\ F| < eps|F| with exact integer
 counts before returning.
@@ -28,7 +43,6 @@ from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import (
     CyclicGroup,
     DirectProduct,
-    FreeAbelian,
     FreeGroup,
     GSet,
     Group,
@@ -46,139 +60,94 @@ class AmenableSubgroup:
     embedding: str
 
     def __post_init__(self):
-        kind = self.embedding.split(":")[0]
+        g, kind = self.ambient, self.embedding.split(":")[0]
         # every admitted kind is a normal subgroup; certify_visibility relies on it
         if kind not in ("whole", "center", "factor", "trivial", "lamps"):
             raise SpecMismatchError(f"unknown embedding {self.embedding!r}")
-        if kind == "whole" and not self.ambient.is_amenable():
-            raise SpecMismatchError(f"{self.ambient.spec_text()} is not amenable")
+        if kind == "whole" and not g.is_amenable():
+            raise SpecMismatchError(f"{g.spec_text()} is not amenable")
         if kind == "factor":
-            if not isinstance(self.ambient, DirectProduct):
+            if not isinstance(g, DirectProduct):
                 raise SpecMismatchError("factor embedding needs a direct product")
-            j = self._factor_index()
-            if not (0 <= j < len(self.ambient.factors)):
-                raise SpecMismatchError(f"no factor {j} in {self.ambient.spec_text()}")
-            if not self.ambient.factors[j].is_amenable():
-                raise SpecMismatchError(f"factor {j} is not amenable")
-        if kind == "lamps" and not isinstance(self.ambient, Lamplighter):
+            kinds = _factor_kinds(g, self.embedding)
+            if "whole" not in kinds:
+                j = self.embedding.partition(":")[2]
+                raise SpecMismatchError(f"no factor {j} in {g.spec_text()}")
+            if not g.factors[kinds.index("whole")].is_amenable():
+                raise SpecMismatchError(f"factor {kinds.index('whole')} is not amenable")
+        if kind == "lamps" and not isinstance(g, Lamplighter):
             raise SpecMismatchError("lamps embedding needs a lamplighter ambient")
-
-    def _factor_index(self) -> int:
-        return int(self.embedding.split(":", 1)[1])
 
     def contains(self, x) -> bool:
         self.ambient.validate(x)
-        kind = self.embedding.split(":")[0]
-        if kind == "whole":
-            return True
-        if kind == "trivial":
-            return x == self.ambient.identity
-        if kind == "center":
-            return self.ambient.is_central(x)
-        if kind == "lamps":
-            return x[1] == 0
-        j = self._factor_index()
-        return all(
-            xi == f.identity
-            for i, (f, xi) in enumerate(zip(self.ambient.factors, x))
-            if i != j
-        )
+        return _contains(self.ambient, self.embedding, x)
 
     def folner_member(self, m: int) -> GSet | None:
-        """m-th member of the declared family (None once exhausted)."""
+        """m-th member of the declared family (None past the size cap)."""
         if m < 0:
             raise SpecMismatchError("family index must be >= 0")
-        kind = self.embedding.split(":")[0]
-        if kind == "trivial":
-            els = [self.ambient.identity] if m == 0 else None
-        elif kind == "whole":
-            els = _whole_family(self.ambient, m)
-        elif kind == "center":
-            els = _center_family(self.ambient, m)
-        elif kind == "lamps":
-            els = _lamp_blocks(m) if m == 0 or _lamp_block_size(m) <= _MEMBER_SIZE_CAP else None
-        else:
-            j = self._factor_index()
-            inner = _whole_family(self.ambient.factors[j], m)
-            if inner is None:
-                els = None
-            else:
-                els = []
-                for y in inner:
-                    e = list(self.ambient.identity)
-                    e[j] = y
-                    els.append(tuple(e))
-        if els is None:
-            return None
-        return GSet(self.ambient, frozenset(els))
+        els = _family(self.ambient, self.embedding, m)
+        return None if els is None else GSet(self.ambient, frozenset(els))
 
     def describe(self) -> str:
         return f"{self.embedding} of {self.ambient.spec_text()}"
 
 
-def _whole_family(group: Group, m: int):
-    """m-th Folner set of the whole (amenable) group, intrinsic coordinates."""
-    if isinstance(group, FreeAbelian):
-        if (2 * m + 1) ** group.rank > _MEMBER_SIZE_CAP:
+def _factor_kinds(g: DirectProduct, kind: str) -> list[str]:
+    """The kind of each factor of g: `factor:j` is `whole` at j and `trivial`
+    elsewhere; every other kind applies factor by factor."""
+    if kind.startswith("factor:"):
+        j = int(kind.split(":", 1)[1])
+        return ["whole" if i == j else "trivial" for i in range(len(g.factors))]
+    return [kind] * len(g.factors)
+
+
+def _leaf_kind(g: Group, kind: str) -> str:
+    """`center` of a non-product family is `whole` when every generator is
+    central, else `trivial`."""
+    if kind == "center":
+        return "whole" if all(map(g.is_central, g.generators())) else "trivial"
+    return kind
+
+
+def _contains(g: Group, kind: str, x) -> bool:
+    if isinstance(g, DirectProduct):
+        return all(map(_contains, g.factors, _factor_kinds(g, kind), x))
+    kind = _leaf_kind(g, kind)
+    if kind == "trivial":
+        return x == g.identity
+    return kind == "whole" or x[1] == 0  # lamps: marker at 0
+
+
+def _family(g: Group, kind: str, m: int):
+    """Elements of the m-th member of the `kind` family of g, or None when it
+    would pass `_MEMBER_SIZE_CAP`; every size is checked before the member
+    is built."""
+    if isinstance(g, DirectProduct):
+        parts = [_family(f, k, m) for f, k in zip(g.factors, _factor_kinds(g, kind))]
+        if any(p is None for p in parts) or math.prod(map(len, parts)) > _MEMBER_SIZE_CAP:
             return None
-        return [tuple(v) for v in itertools.product(range(-m, m + 1), repeat=group.rank)]
-    if isinstance(group, FreeGroup):  # amenable => rank 1
-        return [(1,) * j if j >= 0 else (-1,) * (-j) for j in range(-m, m + 1)]
-    if isinstance(group, CyclicGroup):
-        return list(range(group.n)) if m == 0 else None
-    if isinstance(group, Lamplighter):
-        return _lamp_position_blocks(m)
-    if isinstance(group, DirectProduct):
-        return _product_family(_whole_family, group.factors, m)
-    raise SpecMismatchError(f"no Folner family for {group.spec_text()}")
-
-
-def _center_family(group: Group, m: int):
-    if isinstance(group, (FreeAbelian, CyclicGroup)):
-        return _whole_family(group, m)
-    if isinstance(group, FreeGroup):
-        return _whole_family(group, m) if group.rank == 1 else ([group.identity] if m == 0 else None)
-    if isinstance(group, Lamplighter):
-        return [group.identity] if m == 0 else None
-    if isinstance(group, DirectProduct):
-        return _product_family(_center_family, group.factors, m)
-    raise SpecMismatchError(f"no center family for {group.spec_text()}")
-
-
-def _product_family(family, factors, m: int):
-    """m-th member of `family` on a direct product: the product of the
-    factors' m-th members, or None past the size cap."""
-    parts = []
-    for f in factors:
-        p = family(f, m)
-        if p is None:  # finite factor exhausted: stay at its last member
-            p = family(f, 0)
-        parts.append(p)
-    if math.prod(len(p) for p in parts) > _MEMBER_SIZE_CAP:
+        return list(itertools.product(*parts))
+    kind = _leaf_kind(g, kind)
+    if kind == "trivial":
+        return [g.identity]
+    if isinstance(g, CyclicGroup):
+        return list(range(g.n))
+    side = range(-m, m + 1)
+    if isinstance(g, Lamplighter):
+        # lamps lit in [-m, m]; the marker at 0 (lamps) or anywhere in [-m, m]
+        markers = (0,) if kind == "lamps" else side
+        if 2 ** len(side) * len(markers) > _MEMBER_SIZE_CAP:
+            return None
+        bits = itertools.product((0, 1), repeat=len(side))
+        lit = [tuple(itertools.compress(side, b)) for b in bits]
+        return [(lamps, pos) for lamps in lit for pos in markers]
+    # free abelian (a box) or the rank-1 free group (an interval)
+    if len(side) ** g.rank > _MEMBER_SIZE_CAP:
         return None
-    return [tuple(c) for c in itertools.product(*parts)]
-
-
-def _lamp_block_size(m: int) -> int:
-    return 2 ** (2 * m + 1)
-
-
-def _lamp_blocks(m: int):
-    """All lamp configurations supported in [-m, m], marker at 0."""
-    positions = list(range(-m, m + 1))
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(positions)):
-        lamps = tuple(p for p, b in zip(positions, bits) if b)
-        out.append((lamps, 0))
-    return out
-
-
-def _lamp_position_blocks(m: int):
-    """Configurations in [-m, m] with marker anywhere in [-m, m]."""
-    if _lamp_block_size(m) * (2 * m + 1) > _MEMBER_SIZE_CAP:
-        return None
-    blocks = _lamp_blocks(m)
-    return [(lamps, pos) for lamps, _ in blocks for pos in range(-m, m + 1)]
+    if isinstance(g, FreeGroup):
+        return [(1,) * j if j >= 0 else (-1,) * -j for j in side]
+    return list(itertools.product(side, repeat=g.rank))
 
 
 def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
@@ -205,8 +174,8 @@ def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
         member = H.folner_member(m)
         if member is None:
             raise BudgetError(
-                f"Folner family of {H.describe()} exhausted at index {m} "
-                f"without satisfying eps={eps}"
+                f"Folner family of {H.describe()} passes {_MEMBER_SIZE_CAP} elements "
+                f"at index {m} without satisfying eps={eps}"
             )
         F = member.symmetrized()
         if _invariance_holds(g, B, F, eps):

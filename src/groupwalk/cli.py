@@ -99,10 +99,9 @@ def _build_state(cfg: RunConfig, resume: str | None = None) -> ConstructionState
         # the same group, catalogue (entries and seed), alpha rule and
         # product cap, stopped at or before `cfg.stages`
         payload = json.loads(Path(resume).read_text())
-        try:
-            ckpt = ConstructionState.from_json(json.dumps(payload.get("state", payload)))
-        except KeyError as exc:
-            raise SpecMismatchError(f"checkpoint has no {exc.args[0]!r} key") from None
+        if isinstance(payload, dict):
+            payload = payload.get("state", payload)
+        ckpt = ConstructionState.from_json(json.dumps(payload))
         have, want = json.loads(ckpt.to_json()), json.loads(state.to_json())
         for key in ("group", "catalogue", "alpha", "product_cap"):
             if have[key] != want[key]:

@@ -201,43 +201,52 @@ class ConstructionState:
 
     @staticmethod
     def from_json(text: str) -> "ConstructionState":
-        d = json.loads(text)
-        if d.get("format") != "groupwalk-state 1":
-            raise SpecMismatchError("not a groupwalk-state v1 payload")
-        g = parse_group(d["group"])
-        cat_doc = d["catalogue"]
-        # older checkpoints also write a null schedule field here, and a null
-        # "radius" per entry (ignored); a non-null setting this code does not
-        # read must stop the resume rather than be silently dropped
-        unread = sorted(
-            k for k, v in cat_doc.items() if k not in ("seed", "entries") and v is not None
-        )
-        if unread:
-            raise SpecMismatchError(f"checkpoint catalogue sets unsupported keys {unread}")
-        cat = catalogue_from_texts(
-            g, [(e["S"], e["H"]) for e in cat_doc["entries"]], cat_doc["seed"]
-        )
-        records = tuple(
-            StageRecord(
-                i=r["i"],
-                entry_index=r["entry"],
-                c=g.element_from_text(r["c"]),
-                B=GSet.from_texts(g, r["B"]),
-                F=GSet(g, frozenset(g.element_from_text(t) for t in r["F"]), r["F_truncated"]),
-                defect=r["defect"],
-                truncated=r["truncated"],
+        """The state a `to_json` payload describes; any malformed payload, such
+        as a missing key or a value of the wrong type, is a SpecMismatchError."""
+        try:
+            d = json.loads(text)
+            if d.get("format") != "groupwalk-state 1":
+                raise SpecMismatchError("not a groupwalk-state v1 payload")
+            g = parse_group(d["group"])
+            cat_doc = d["catalogue"]
+            # older checkpoints also write a null schedule field here, and a null
+            # "radius" per entry (ignored); a non-null setting this code does not
+            # read must stop the resume rather than be silently dropped
+            unread = sorted(
+                k for k, v in cat_doc.items() if k not in ("seed", "entries") and v is not None
             )
-            for r in d["records"]
-        )
-        A = GSet(g, frozenset(g.element_from_text(t) for t in d["A"]), d["A_truncated"])
-        return ConstructionState(
-            group=g,
-            catalogue=cat,
-            alpha=AlphaSchedule(d["alpha"]),
-            A=A,
-            records=records,
-            product_cap=d["product_cap"],
-        )
+            if unread:
+                raise SpecMismatchError(f"checkpoint catalogue sets unsupported keys {unread}")
+            cat = catalogue_from_texts(
+                g, [(e["S"], e["H"]) for e in cat_doc["entries"]], cat_doc["seed"]
+            )
+            records = tuple(
+                StageRecord(
+                    i=r["i"],
+                    entry_index=r["entry"],
+                    c=g.element_from_text(r["c"]),
+                    B=GSet.from_texts(g, r["B"]),
+                    F=GSet(g, frozenset(g.element_from_text(t) for t in r["F"]), r["F_truncated"]),
+                    defect=r["defect"],
+                    truncated=r["truncated"],
+                )
+                for r in d["records"]
+            )
+            if [r.i for r in records] != list(range(1, len(records) + 1)):
+                raise SpecMismatchError("checkpoint records are not stages 1, 2, ... in order")
+            A = GSet(g, frozenset(g.element_from_text(t) for t in d["A"]), d["A_truncated"])
+            return ConstructionState(
+                group=g,
+                catalogue=cat,
+                alpha=AlphaSchedule(d["alpha"]),
+                A=A,
+                records=records,
+                product_cap=d["product_cap"],
+            )
+        except KeyError as exc:
+            raise SpecMismatchError(f"checkpoint has no {exc.args[0]!r} key") from None
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise SpecMismatchError(f"malformed checkpoint: {exc}") from None
 
 
 def catalogue_from_texts(g: Group, entries, seed: int) -> VisibilityCatalogue:

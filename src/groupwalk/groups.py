@@ -33,9 +33,6 @@ def _coord_rank(m: int) -> int:
 class Group:
     """Base class: one instance describes one concrete group."""
 
-    def spec_key(self) -> tuple:
-        raise NotImplementedError
-
     def spec_text(self) -> str:
         raise NotImplementedError
 
@@ -87,49 +84,29 @@ class Group:
         """b^-1 a b."""
         return self.mul(self.mul(self.inv(b), a), b)
 
-    # -- shells / enumeration ------------------------------------------
+    def shell(self, r: int) -> tuple:
+        """Elements of word length exactly r, in spiral order (empty past a
+        finite group's last shell).
 
-    def _shells(self) -> list[list]:
-        if not hasattr(self, "_shell_cache"):
-            self._shell_cache: list[list] = [[self.identity]]
-            self._shell_seen = {self.identity}
-            self._shell_done = False
-        return self._shell_cache
-
-    def _extend_shells(self) -> bool:
-        """Grow the shell cache by one radius. Returns False when exhausted."""
-        shells = self._shells()
-        if self._shell_done:
-            return False
-        frontier = shells[-1]
-        gens = self.generators()
-        nxt = set()
-        for x in frontier:
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in self._shell_seen:
-                    nxt.add(y)
-        if not nxt:
-            self._shell_done = True
-            return False
-        self._shell_seen.update(nxt)
-        shells.append(sorted(nxt, key=self.sort_key))
-        return True
-
-    def shell(self, r: int) -> list:
-        """Elements of word length exactly r, in spiral order."""
+        The generators are symmetric, so shell n+1 is the neighbours of shell
+        n minus shells n and n-1; each shell is built once and cached.
+        """
         if r < 0:
             raise SpecMismatchError("radius must be >= 0")
-        shells = self._shells()
-        while len(shells) <= r and self._extend_shells():
-            pass
-        return list(shells[r]) if r < len(shells) else []
+        if not hasattr(self, "_shell_cache"):
+            self._shell_cache = [(), (self.identity,)]  # shells -1 and 0
+        shells = self._shell_cache
+        while len(shells) <= r + 1 and shells[-1]:
+            near = set(shells[-2]).union(shells[-1])
+            nxt = {self.mul(x, g) for g in self.generators() for x in shells[-1]} - near
+            shells.append(tuple(sorted(nxt, key=self.sort_key)))
+        return shells[r + 1] if r + 1 < len(shells) else ()
 
     def __eq__(self, other):
-        return isinstance(other, Group) and self.spec_key() == other.spec_key()
+        return isinstance(other, Group) and self.spec_text() == other.spec_text()
 
     def __hash__(self):
-        return hash(self.spec_key())
+        return hash(self.spec_text())
 
     def __repr__(self):
         return self.spec_text()
@@ -150,9 +127,6 @@ class FreeGroup(Group):
             raise SpecMismatchError("free group rank capped at 26 (single-char labels)")
         self.rank = rank
         self.labels = tuple(string.ascii_lowercase[:rank])
-
-    def spec_key(self):
-        return ("free", self.rank)
 
     def spec_text(self):
         return f"free({self.rank})"
@@ -237,9 +211,6 @@ class FreeAbelian(Group):
             raise SpecMismatchError("free-abelian rank must be >= 1")
         self.rank = rank
 
-    def spec_key(self):
-        return ("free-abelian", self.rank)
-
     def spec_text(self):
         return f"free-abelian({self.rank})"
 
@@ -307,9 +278,6 @@ class CyclicGroup(Group):
             raise SpecMismatchError("cyclic order must be >= 2")
         self.n = n
 
-    def spec_key(self):
-        return ("cyclic", self.n)
-
     def spec_text(self):
         return f"cyclic({self.n})"
 
@@ -362,9 +330,6 @@ class DirectProduct(Group):
         if len(factors) < 2:
             raise SpecMismatchError("direct product needs >= 2 factors")
         self.factors = tuple(factors)
-
-    def spec_key(self):
-        return ("product",) + tuple(f.spec_key() for f in self.factors)
 
     def spec_text(self):
         return "product(" + ",".join(f.spec_text() for f in self.factors) + ")"
@@ -435,9 +400,6 @@ class Lamplighter(Group):
         if lamp_order != 2:
             raise SpecMismatchError("only order-2 lamps are supported")
         self.lamp_order = lamp_order
-
-    def spec_key(self):
-        return ("lamplighter", self.lamp_order)
 
     def spec_text(self):
         return f"lamplighter({self.lamp_order})"
@@ -614,19 +576,15 @@ def enumerate_element(group: Group, i: int):
     """
     if i < 1:
         raise SpecMismatchError("enumeration index must be >= 1")
-    if not hasattr(group, "_enum_cache"):
-        group._enum_cache = []
-        group._enum_radius = -1
-    cache = group._enum_cache
-    while len(cache) < i:
-        group._enum_radius += 1
-        sh = group.shell(group._enum_radius)
-        if not sh and getattr(group, "_shell_done", False):
+    k, r = i, 0
+    while k > len(shell := group.shell(r)):
+        if not shell:
             raise SpecMismatchError(
-                f"enumeration exhausted: {group.spec_text()} has {len(cache)} elements"
+                f"enumeration exhausted: {group.spec_text()} has {i - k} elements"
             )
-        cache.extend(sh)
-    return cache[i - 1]
+        k -= len(shell)
+        r += 1
+    return shell[k - 1]
 
 
 def _truncate_to_radius(group: Group, elements: set, cap: int) -> frozenset:

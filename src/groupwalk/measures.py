@@ -217,6 +217,8 @@ class SparseMeasure:
 
     @classmethod
     def from_text(cls, text: str) -> "SparseMeasure":
+        """The measure a `to_text` payload describes; any malformed payload is
+        a SpecMismatchError."""
         from groupwalk.groups import parse_group
 
         lines = [
@@ -228,17 +230,24 @@ class SparseMeasure:
         for line in lines[1:5]:
             k, _, v = line.partition(" ")
             hdr[k] = v.strip()
-        group = parse_group(hdr["group"])
-        mode = hdr["mode"]
-        lost = _mass_from_text(hdr["lost"], mode)
-        n = int(hdr["atoms"])
-        body = lines[5 : 5 + n]
-        if len(body) != n:
-            raise SpecMismatchError(f"expected {n} atom lines, found {len(body)}")
-        items = []
-        for line in body:
-            m_txt, _, el_txt = line.partition(" ")
-            items.append((group.element_from_text(el_txt.strip()), _mass_from_text(m_txt, mode)))
+        try:
+            group = parse_group(hdr["group"])
+            mode = hdr["mode"]
+            lost = _mass_from_text(hdr["lost"], mode)
+            n = int(hdr["atoms"])
+            body = lines[5 : 5 + n]
+            if len(body) != n:
+                raise SpecMismatchError(f"expected {n} atom lines, found {len(body)}")
+            items = []
+            for line in body:
+                m_txt, _, el_txt = line.partition(" ")
+                items.append(
+                    (group.element_from_text(el_txt.strip()), _mass_from_text(m_txt, mode))
+                )
+        except KeyError as exc:
+            raise SpecMismatchError(f"measure has no {exc.args[0]!r} header line") from None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecMismatchError(f"malformed measure: {exc}") from None
         return cls.from_items(group, items, mode, lost_mass=lost)
 
     def __repr__(self):

@@ -17,7 +17,9 @@ from groupwalk import (
     certify_visibility,
     folner_set,
 )
+from groupwalk import amenable
 from groupwalk.amenable import VisibilityCertificate, invariance_defect
+from groupwalk.cli import main
 
 Z = FreeAbelian(1)
 F2xZ = DirectProduct((FreeGroup(2), FreeAbelian(1)))
@@ -87,6 +89,40 @@ def test_folner_on_product_factor():
     B = GSet(g, frozenset([((1,), 0), ((-1,), 0)]))
     F = folner_set(H, B, Fraction(1, 2))
     assert all(x[1] == 0 for x in F.elements)
+
+
+def test_a_factor_past_the_cap_ends_the_family(monkeypatch, capsys):
+    # Z's interval passes the cap at member 25, so F2 x Z's center family
+    # ends there rather than shrinking back to a member that fits
+    monkeypatch.setattr(amenable, "_MEMBER_SIZE_CAP", 50)
+    assert AmenableSubgroup(F2xZ, "center").folner_member(24) is not None
+    assert AmenableSubgroup(F2xZ, "center").folner_member(25) is None
+    argv = ["--preset", "f2xz", "--embedding", "center", "--b", "(e|(1))", "--eps", "1/100"]
+    assert main(["folner"] + argv) == 2
+    assert "budget exhausted" in capsys.readouterr().err
+
+
+def test_a_lamplighter_factor_past_the_cap_ends_the_family():
+    # the lamplighter's member 7 alone has 2^15 * 15 elements, more than
+    # the cap, so the product's member 7 is None, not 2 * 15 elements
+    g = DirectProduct((LAMP, Z))
+    assert len(AmenableSubgroup(g, "whole").folner_member(4)) == 2**9 * 9 * 9
+    assert AmenableSubgroup(g, "whole").folner_member(7) is None
+
+
+@pytest.mark.parametrize(
+    "group, embedding, size",
+    [
+        (FreeGroup(2), "trivial", 1),
+        (CyclicGroup(5), "whole", 5),
+        (DirectProduct((Z, CyclicGroup(3))), "factor:1", 3),
+    ],
+    ids=["trivial", "cyclic", "z-x-c3-factor1"],
+)
+def test_a_finite_subgroup_is_its_own_member(group, embedding, size):
+    H = AmenableSubgroup(group, embedding)
+    assert len(H.folner_member(0)) == size
+    assert H.folner_member(5) == H.folner_member(0)
 
 
 def test_embedding_validation():

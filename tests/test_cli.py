@@ -157,6 +157,29 @@ def test_resume_refuses_a_checkpoint_of_another_construction(tmp_path, capsys, f
     assert not (tmp_path / "p6").exists()
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["state"].update(records=5) or doc,
+        lambda doc: doc["state"]["records"][0].update(B=7) or doc,
+        # a renumbered stage would weight its atoms with another alpha_i
+        lambda doc: doc["state"]["records"][0].update(i=2) or doc,
+        lambda doc: [doc],
+    ],
+    ids=["records-not-a-list", "B-not-a-list", "stage-renumbered", "not-an-object"],
+)
+def test_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
+    base = ["construct", "--preset", "f2xz", "--seed", "1"]
+    assert main(base + ["--stages", "2", "--out", str(tmp_path / "p2")]) == 0
+    doc = json.loads((tmp_path / "p2" / "state.json").read_text())
+    ckpt = tmp_path / "malformed.json"
+    ckpt.write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    rc = main(base + ["--stages", "3", "--resume", str(ckpt), "--out", str(tmp_path / "p3")])
+    assert rc == 1 and capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "p3").exists()
+
+
 def test_folner_command(capsys):
     rc = main(
         [

@@ -1,3 +1,4 @@
+import hashlib
 from functools import reduce
 
 import pytest
@@ -153,6 +154,29 @@ def test_enumeration_covers_balls(g):
     b = ball(g, 2)
     listed = {enumerate_element(g, i) for i in range(1, len(b) + 1)}
     assert listed == b.elements
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (
+            "product(free(2),free-abelian(1))",
+            "0d4a923a8491203ecb82d1865496cfe61e6caebb643a508c241ed92c0094540a",
+        ),
+        ("lamplighter(2)", "b77c2e43dbe666685044b240f137cccdb4dc3d7663142e1957656aefd23bf1ca"),
+        (
+            "product(free-abelian(1),cyclic(3))",
+            "a4501a909a9b5cb9cca4cb774be8d6792798bbe91c7333a05114751da88d169d",
+        ),
+    ],
+    ids=["f2xz", "lamplighter", "z-x-c3"],
+)
+def test_enumeration_keeps_its_order(spec, digest):
+    # the spiral enumeration c_i is a declared sequence: its first 200
+    # elements, one text per line, must not move
+    g = parse_group(spec)
+    text = "\n".join(g.element_to_text(enumerate_element(g, i)) for i in range(1, 201))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_enumeration_exhaustion_on_finite_group():

@@ -796,6 +796,23 @@ def test_weights_and_ledgers_that_break_the_bracket_are_refused(mode):
             SparseMeasure.from_text(text.replace(old, new))
 
 
+@pytest.mark.parametrize(
+    "mode, old, new",
+    [
+        ("exact", "1/1 (e|(0))", "nan (e|(0))"),
+        ("exact", "1/1 (e|(0))", "1/0 (e|(0))"),
+        ("float", "atoms 1", "atoms x"),
+        ("float", "mode float\n", ""),
+    ],
+    ids=["exact-nan", "zero-denominator", "atom-count", "missing-header"],
+)
+def test_malformed_measure_text_is_a_spec_mismatch(mode, old, new):
+    text = delta(F2xZ, mode=mode).to_text()
+    assert old in text
+    with pytest.raises(SpecMismatchError):
+        SparseMeasure.from_text(text.replace(old, new))
+
+
 def test_serialization_skips_comment_lines():
     mu = delta(Z, (3,), mode="exact")
     text = "# fingerprint=abc seed=1\n" + mu.to_text()
