@@ -17,6 +17,7 @@ from groupwalk import (
     estimate_M,
     tv_distance,
 )
+from groupwalk.config import RunConfig
 from groupwalk.presets import preset_state
 from groupwalk.walk import coupling_independence
 
@@ -29,7 +30,7 @@ def run(argv=None):
     ap.add_argument("--horizon", type=int, default=8_192)
     ap.add_argument("--eps", type=float, default=0.25)
     ap.add_argument("--warmup", type=int, default=4)
-    ap.add_argument("--seed", type=int, default=20260813)
+    ap.add_argument("--seed", type=int, default=RunConfig.seed)
     args = ap.parse_args(argv)
 
     state = preset_state("f2xz", seed=args.seed, stages=args.stages)

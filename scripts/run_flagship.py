@@ -10,11 +10,12 @@ import sys
 from pathlib import Path
 
 from groupwalk.cli import main as cli
+from groupwalk.config import RunConfig
 
 
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=20260813)
+    ap.add_argument("--seed", type=int, default=RunConfig.seed)
     ap.add_argument("--stages", type=int, default=32)
     ap.add_argument("--trials", type=int, default=10_000)
     ap.add_argument("--horizon", type=int, default=16_384)

@@ -10,13 +10,14 @@ import argparse
 import sys
 
 from groupwalk import build_measure, delta, tv_curve
+from groupwalk.config import RunConfig
 from groupwalk.presets import preset_state
 
 
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--depths", type=int, nargs="+", default=[4, 8, 16, 32])
-    ap.add_argument("--seed", type=int, default=20260813)
+    ap.add_argument("--seed", type=int, default=RunConfig.seed)
     ap.add_argument("--threshold", type=float, default=0.5)
     ap.add_argument("--n-max", type=int, default=12)
     ap.add_argument("--budget", type=int, default=2_000_000)

@@ -4,6 +4,11 @@ Subcommands: construct, folner, certify, tv-curve, report, control, couple.
 Exit codes: 0 success, 1 usage/config error (including refuted certificates
 and failed controls), 2 budget exhaustion, 3 INCONCLUSIVE verdict.
 
+Every command builds its `RunConfig` through `_config_from`: each flag whose
+dest is a `RunConfig` field beats the `--config` file, which beats the
+command's own defaults (only `control` has any, from `presets.CONTROLS`),
+then the preset, then the `RunConfig` default.
+
 Every artifact embeds the config fingerprint and seed, carries no
 timestamps, and is byte-identical for identical config+seed. `--threads` is
 accepted for existing command lines and has no effect.
@@ -14,18 +19,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set
-from groupwalk.config import RunConfig, config_file_values, load_config, parse_config_text
+from groupwalk.config import RunConfig, parse_config_text
 from groupwalk.construction import ConstructionState, build_measure, run_construction
 from groupwalk.diagnostics import TVReport, control_experiment, nondisjointness_report
 from groupwalk.errors import BudgetError, GroupwalkError, SpecMismatchError
 from groupwalk.groups import GSet, parse_group
 from groupwalk.measures import delta
-from groupwalk.presets import CONTROL_ALIASES, initial_state
+from groupwalk.presets import get_control, initial_state
 from groupwalk.walk import estimate_M
 
 EXIT_OK = 0
@@ -59,31 +64,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slack", type=float)
 
 
-_COMMON_KEYS = (
-    "preset",
-    "group",
-    "seed",
-    "threads",
-    "stages",
-    "budget_atoms",
-    "mode",
-    "out_dir",
-    "n_max",
-    "trials",
-    "horizon",
-    "warmup",
-    "slack",
-)
+_FIELDS = {f.name for f in fields(RunConfig)}
 
 
-def _config_from(args, **extra) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _COMMON_KEYS}
-    overrides.update(extra)
-    if args.config:
-        cfg = load_config(args.config, **overrides)
-    else:
-        cfg = parse_config_text("", **overrides)
-    return cfg.resolved()
+def _config_from(args, defaults: dict | None = None, **extra) -> RunConfig:
+    """The resolved config: `extra`, then every flag whose dest is a `RunConfig`
+    field, over the `--config` file, over `defaults`."""
+    flags = {k: v for k, v in vars(args).items() if k in _FIELDS}
+    flags.update(extra)
+    text = Path(args.config).read_text() if args.config else ""
+    return parse_config_text(text, defaults, **flags).resolved()
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:
@@ -151,9 +141,9 @@ def cmd_folner(args) -> int:
     H = AmenableSubgroup(g, args.embedding)
     B = GSet.from_texts(g, tuple(args.b.split())) if args.b else GSet(g, frozenset())
     try:
-        eps = Fraction(args.eps)
+        eps = Fraction(args.folner_eps)
     except ZeroDivisionError:
-        raise SpecMismatchError(f"--eps {args.eps!r} has a zero denominator") from None
+        raise SpecMismatchError(f"--eps {args.folner_eps!r} has a zero denominator") from None
     F = folner_set(H, B, eps)
     doc = {
         "fingerprint": cfg.fingerprint(),
@@ -236,29 +226,18 @@ def cmd_control(args) -> int:
     name = args.control_preset or args.preset
     if name is None:
         raise SpecMismatchError("control needs a preset name")
-    canon = CONTROL_ALIASES.get(name.lower())
-    if canon is None:
-        raise SpecMismatchError(
-            f"unknown control {name!r}; expected one of {sorted(CONTROL_ALIASES)}"
-        )
-    if args.group is None and args.preset is None:
-        args.group = "free(2)" if canon == "free-group-srw" else "free-abelian(1)"
-    cfg = _config_from(args)
-    # a flag beats the config file; with neither, the control's own defaults
-    # (50 stages; n_max 10 or 50) apply rather than the RunConfig ones
-    in_file = config_file_values(args.config) if args.config else {}
-    stages = next(v for v in (args.stages, in_file.get("stages"), 50) if v is not None)
-    n_max = args.n_max if args.n_max is not None else in_file.get("n_max")
-    if (args.mode or in_file.get("mode")) == "float":
+    control = get_control(name)
+    # the control's group stands in for --group unless a group or preset is named
+    pinned = {"group": control.group_text} if args.group is None and args.preset is None else {}
+    defaults = {"stages": control.stages, "n_max": control.n_max, "mode": "exact"}
+    cfg = _config_from(args, defaults, **pinned)
+    if cfg.mode == "float":
         raise SpecMismatchError(
             "control runs in exact arithmetic only: --mode float (or mode = float "
             "in the config file) does not apply"
         )
-    rep = control_experiment(canon, seed=cfg.seed, stages=stages, n_max=n_max)
-    # fingerprint the arithmetic, stage count and horizon that ran, not the
-    # config defaults
-    fp = replace(cfg, stages=stages, n_max=rep.n_max, mode="exact").fingerprint()
-    rep = replace(rep, fingerprint=fp)
+    rep = control_experiment(control.name, seed=cfg.seed, stages=cfg.stages, n_max=cfg.n_max)
+    rep = replace(rep, fingerprint=cfg.fingerprint())
     _write(_out_path(cfg, "control.csv"), rep.to_csv())
     _write(_out_path(cfg, "control.json"), rep.to_json())
     print(f"control={name} floor: {rep.control_floor} verdict={rep.verdict.upper()}")
@@ -266,7 +245,7 @@ def cmd_control(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    cfg = _config_from(args, eps=args.eps_cfg)
+    cfg = _config_from(args)
     state = _build_state(cfg)
     S = GSet.from_texts(state.group, cfg.catalogue[0][0])
     rep = estimate_M(
@@ -307,7 +286,7 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--embedding", required=True, help="whole|center|factor:<j>|lamps|trivial")
     p.add_argument("--b", default="", help="space-separated element texts for B")
-    p.add_argument("--eps", default="1/4", help="invariance tolerance as a fraction")
+    p.add_argument("--eps", dest="folner_eps", default="1/4", help="invariance tolerance as a fraction")
     p.set_defaults(fn=cmd_folner)
 
     p = sub.add_parser("certify", help="visibility certificates for the catalogue")
@@ -333,7 +312,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("couple", help="decomposition-event threshold estimate")
     _add_common(p)
-    p.add_argument("--eps", dest="eps_cfg", type=float, help="tolerance for 1-eps hit probability")
+    p.add_argument("--eps", type=float, help="tolerance for 1-eps hit probability")
     p.set_defaults(fn=cmd_couple)
 
     return parser

@@ -1,35 +1,26 @@
-"""Run configuration: file format, CLI merge, and fingerprinting.
+"""Run configuration: file format, precedence, and fingerprinting.
 
-Config files are plain `key = value` lines (# comments allowed). The
-fingerprint is a SHA-256 over every semantics-bearing field; `threads` and
-`out_dir` are deliberately excluded so the same experiment is recognized as
-the same run wherever it wrote. `threads` is still accepted and validated so
-existing configs and command lines keep working, but the kernel is serial
+Config files are plain `key = value` lines (# comments allowed); each key is
+a `RunConfig` field, read as that field's annotated type. Each value comes
+from the first of these that sets it: a command-line flag, the config file,
+the command's own defaults, the preset (`resolved`), the `RunConfig` default.
+
+The fingerprint is a SHA-256 over every semantics-bearing field; `threads`
+and `out_dir` are deliberately excluded so the same experiment is recognized
+as the same run wherever it wrote. `threads` is still accepted and validated
+so existing configs and command lines keep working, but the kernel is serial
 and ignores it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import typing
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from groupwalk.errors import SpecMismatchError
 
 _NON_SEMANTIC = {"threads", "out_dir"}
-
-_INT_FIELDS = {
-    "seed",
-    "stages",
-    "budget_atoms",
-    "product_cap",
-    "trials",
-    "horizon",
-    "n_max",
-    "warmup",
-    "threads",
-}
-_FLOAT_FIELDS = {"eps", "slack"}
 
 
 @dataclass(frozen=True)
@@ -96,22 +87,23 @@ class RunConfig:
         return out
 
 
-def parse_config_text(text: str, **overrides) -> RunConfig:
-    values = _parse_values(text)
+# each field's type, `int | None` read as int
+_FIELD_TYPES = {
+    name: (typing.get_args(hint) or (hint,))[0]
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+
+
+def parse_config_text(text: str, defaults: dict | None = None, **overrides) -> RunConfig:
+    """The config of `overrides` (None values skipped) over the file `text`
+    over `defaults` over the `RunConfig` defaults."""
+    values = dict(defaults or {})
+    values.update(_parse_values(text))
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return RunConfig(**values)
     except TypeError as exc:
         raise SpecMismatchError(str(exc)) from None
-
-
-def load_config(path: str | Path, **overrides) -> RunConfig:
-    return parse_config_text(Path(path).read_text(), **overrides)
-
-
-def config_file_values(path: str | Path) -> dict:
-    """The keys a config file sets, with their values, before any default applies."""
-    return _parse_values(Path(path).read_text())
 
 
 def _parse_values(text: str) -> dict:
@@ -125,28 +117,25 @@ def _parse_values(text: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
         val = val.strip()
-        if key not in {f.name for f in fields(RunConfig)}:
+        if key not in _FIELD_TYPES:
             raise SpecMismatchError(f"config line {lineno}: unknown key {key!r}")
         values[key] = _coerce(key, val)
     return values
 
 
 def _coerce(key: str, val: str):
-    if key in _INT_FIELDS:
-        if val.lower() in ("none", "") and key == "budget_atoms":
-            return None
-        try:
-            return int(val.replace("_", ""))
-        except ValueError:
-            raise SpecMismatchError(f"{key} expects an integer, got {val!r}") from None
-    if key in _FLOAT_FIELDS:
-        try:
-            return float(val)
-        except ValueError:
-            raise SpecMismatchError(f"{key} expects a number, got {val!r}") from None
+    kind = _FIELD_TYPES[key]
     if key == "catalogue":
         return _parse_catalogue(val)
-    return val
+    if key == "budget_atoms" and val.lower() in ("none", ""):
+        return None
+    if kind not in (int, float):
+        return val
+    try:
+        return int(val.replace("_", "")) if kind is int else float(val)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise SpecMismatchError(f"{key} expects {noun}, got {val!r}") from None
 
 
 def _parse_catalogue(val: str) -> tuple[tuple[tuple[str, ...], str], ...]:

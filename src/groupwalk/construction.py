@@ -20,6 +20,9 @@ conjugated by A_i, i times, each round capped at `product_cap` elements.
 A capped round keeps a subset of the true set, and the truncation is
 recorded per stage so the state can report through which stage the
 conjugate sets are complete.
+
+A checkpoint is resumed by replaying the stage rule: `from_json` reads each
+stage's B_i and truncation flag, and rebuilds everything else from them.
 """
 
 from __future__ import annotations
@@ -31,12 +34,11 @@ from fractions import Fraction
 import numpy as np
 
 from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set, invariance_defect
+from groupwalk.config import RunConfig
 from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import GSet, Group, enumerate_element, iterated_conjugate_set, parse_group
 from groupwalk.measures import SparseMeasure
-
-_DEFAULT_PRODUCT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -149,7 +151,7 @@ class ConstructionState:
     records: tuple[StageRecord, ...]
     # bound on each round's conjugate set when R_i is conjugated by A_i,
     # i times; a stage whose round exceeds it keeps a radius and is truncated
-    product_cap: int = _DEFAULT_PRODUCT_CAP
+    product_cap: int = RunConfig.product_cap
 
     @property
     def stage(self) -> int:
@@ -201,8 +203,13 @@ class ConstructionState:
 
     @staticmethod
     def from_json(text: str) -> "ConstructionState":
-        """The state a `to_json` payload describes; any malformed payload, such
-        as a missing key or a value of the wrong type, is a SpecMismatchError."""
+        """The state a `to_json` payload describes, rebuilt by the stage rule.
+
+        Only each record's `B` and `truncated` flag are read: the rule's
+        other outputs (entry, c, F, defect and A) are rebuilt from them, and
+        a payload that differs from the rebuilt one, or is malformed (a
+        missing key, a value of the wrong type), is a SpecMismatchError.
+        """
         try:
             d = json.loads(text)
             if d.get("format") != "groupwalk-state 1":
@@ -220,29 +227,19 @@ class ConstructionState:
             cat = catalogue_from_texts(
                 g, [(e["S"], e["H"]) for e in cat_doc["entries"]], cat_doc["seed"]
             )
-            records = tuple(
-                StageRecord(
-                    i=r["i"],
-                    entry_index=r["entry"],
-                    c=g.element_from_text(r["c"]),
-                    B=GSet.from_texts(g, r["B"]),
-                    F=GSet(g, frozenset(g.element_from_text(t) for t in r["F"]), r["F_truncated"]),
-                    defect=r["defect"],
-                    truncated=r["truncated"],
-                )
-                for r in d["records"]
-            )
-            if [r.i for r in records] != list(range(1, len(records) + 1)):
-                raise SpecMismatchError("checkpoint records are not stages 1, 2, ... in order")
-            A = GSet(g, frozenset(g.element_from_text(t) for t in d["A"]), d["A_truncated"])
-            return ConstructionState(
-                group=g,
-                catalogue=cat,
-                alpha=AlphaSchedule(d["alpha"]),
-                A=A,
-                records=records,
-                product_cap=d["product_cap"],
-            )
+            state = new_state(g, cat, AlphaSchedule(d["alpha"]), d["product_cap"])
+            for r in d["records"]:
+                if not isinstance(r["truncated"], bool):
+                    raise SpecMismatchError(f"checkpoint truncated {r['truncated']!r} is not a bool")
+                idx = cat.draw_index(state.stage + 1)
+                state = _add_stage(state, idx, GSet.from_texts(g, r["B"]), r["truncated"])
+            rebuilt = json.loads(state.to_json())
+            for key in ("records", "A", "A_truncated"):
+                if d[key] != rebuilt[key]:
+                    raise SpecMismatchError(
+                        f"checkpoint {key!r} does not match the stage rule's replay of its B sets"
+                    )
+            return state
         except KeyError as exc:
             raise SpecMismatchError(f"checkpoint has no {exc.args[0]!r} key") from None
         except (TypeError, ValueError, AttributeError) as exc:
@@ -264,7 +261,7 @@ def new_state(
     group: Group,
     catalogue: VisibilityCatalogue,
     alpha: AlphaSchedule | None = None,
-    product_cap: int = _DEFAULT_PRODUCT_CAP,
+    product_cap: int = RunConfig.product_cap,
 ) -> ConstructionState:
     for e in catalogue.entries:
         if e.S.group != group or e.H.ambient != group:
@@ -280,13 +277,12 @@ def new_state(
 
 
 def construction_step(state: ConstructionState) -> ConstructionState:
-    """Run stage i = stage+1: draw (R_i, H_i), build B_i, F_i, grow A."""
+    """Run stage i = stage+1: draw (R_i, H_i), build B_i, then add the stage."""
     g = state.group
     i = state.stage + 1
     idx = state.catalogue.draw_index(i)
     entry = state.catalogue.entries[idx]
     R, H = entry.S, entry.H
-    c_i = enumerate_element(g, i)
 
     central = [r for r in R.elements if g.is_central(r)]
     rest = [r for r in R.elements if not g.is_central(r)]
@@ -301,9 +297,16 @@ def construction_step(state: ConstructionState) -> ConstructionState:
         conjugates |= C.elements
 
     B0 = frozenset(x for x in conjugates if H.contains(x))
-    B = GSet(g, B0).symmetrized()
+    return _add_stage(state, idx, GSet(g, B0).symmetrized(), truncated)
+
+
+def _add_stage(state: ConstructionState, idx: int, B: GSet, truncated: bool) -> ConstructionState:
+    """Stage i = stage+1 from entry `idx` and its B_i: c_i, F_i, the defect, A_{i+1}."""
+    g = state.group
+    i = state.stage + 1
+    c_i = enumerate_element(g, i)
     try:
-        F = folner_set(H, B, Fraction(1, i))
+        F = folner_set(state.catalogue.entries[idx].H, B, Fraction(1, i))
     except BudgetError as exc:
         raise BudgetError(str(exc), stage=i) from exc
     defect = invariance_defect(g, B, F)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from groupwalk.config import RunConfig
 from groupwalk.construction import build_measure
 from groupwalk.errors import ConvolutionRefused, SpecMismatchError
 from groupwalk.groups import FreeGroup, GSet
@@ -28,7 +29,7 @@ from groupwalk.measures import (
     tv_left_translate,
     uniform,
 )
-from groupwalk.presets import CONTROL_ALIASES, preset_state
+from groupwalk.presets import get_control, preset_state
 
 
 @dataclass(frozen=True)
@@ -232,23 +233,23 @@ def _describe_measure(mu: SparseMeasure) -> str:
 def control_experiment(
     preset: str,
     seed: int | None = None,
-    stages: int = 50,
+    stages: int | None = None,
     n_max: int | None = None,
 ) -> TVReport:
     """Known-answer curves: a free control that must stay high, an amenable
-    control that must fall.
+    control that must fall. `stages` and `n_max` default to the control's
+    entry in `presets.CONTROLS`.
 
     `free-group-srw` (alias `f2-control`): simple random walk on the rank-2
     free group, t = a, exact arithmetic; requires d_1 = 2 and d_10 >= 1.
     `amenable-sanity` (alias `z-amenable`): the constructed measure on the
     integers, t = 1, exact arithmetic; requires d_n < 0.2 by n <= 50.
     """
-    name = CONTROL_ALIASES.get(preset.lower())
-    if name == "free-group-srw":
-        return _control_free(seed, 10 if n_max is None else n_max)
-    if name == "amenable-sanity":
-        return _control_amenable(seed, stages, 50 if n_max is None else n_max)
-    raise SpecMismatchError(f"unknown control preset {preset!r}")
+    control = get_control(preset)
+    n_max = control.n_max if n_max is None else n_max
+    if control.name == "free-group-srw":
+        return _control_free(seed, n_max)
+    return _control_amenable(seed, control.stages if stages is None else stages, n_max)
 
 
 def _control_report(
@@ -292,7 +293,7 @@ def _control_free(seed: int | None, n_max: int) -> TVReport:
 
 
 def _control_amenable(seed: int | None, stages: int, n_max: int) -> TVReport:
-    st = preset_state("z-amenable", seed=seed if seed is not None else 20260813, stages=stages)
+    st = preset_state("z-amenable", seed=RunConfig.seed if seed is None else seed, stages=stages)
     return _control_report(
         build_measure(st, mode="exact"), (1,), n_max, 0.2,
         lambda d: min(d.values()) < 0.2,

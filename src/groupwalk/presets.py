@@ -1,8 +1,13 @@
-"""Shipped experiment presets.
+"""Shipped experiment presets and known-answer controls.
 
 Each preset fixes a group, a catalogue of (S, H) pairs and a stage count.
 `f2-control` is not a construction preset at all — it is the free-group
-control walk and is handled by `diagnostics.control_experiment`.
+control walk. It stays here so that `--preset f2-control` resolves: `control`
+runs it, and `construct` points at `groupwalk control f2-control`.
+
+`CONTROLS` declares each control once, under its name and its alias: the
+group it runs on, its default horizon and its stage count. Both
+`diagnostics.control_experiment` and the `control` command read it.
 """
 
 from __future__ import annotations
@@ -47,11 +52,22 @@ PRESETS: dict[str, Preset] = {
     ),
 }
 
-CONTROL_ALIASES = {
-    "free-group-srw": "free-group-srw",
-    "f2-control": "free-group-srw",
-    "amenable-sanity": "amenable-sanity",
-    "z-amenable": "amenable-sanity",
+
+@dataclass(frozen=True)
+class Control:
+    name: str  # canonical name
+    group_text: str
+    n_max: int  # default horizon
+    stages: int = 50  # built by the amenable control; fingerprinted by both
+
+
+_FREE_CONTROL = Control("free-group-srw", "free(2)", n_max=10)
+_AMENABLE_CONTROL = Control("amenable-sanity", "free-abelian(1)", n_max=50)
+CONTROLS: dict[str, Control] = {
+    "free-group-srw": _FREE_CONTROL,
+    "f2-control": _FREE_CONTROL,
+    "amenable-sanity": _AMENABLE_CONTROL,
+    "z-amenable": _AMENABLE_CONTROL,
 }
 
 
@@ -61,6 +77,15 @@ def get_preset(name: str) -> Preset:
     except KeyError:
         raise SpecMismatchError(
             f"unknown preset {name!r}; available: {sorted(PRESETS)}"
+        ) from None
+
+
+def get_control(name: str) -> Control:
+    try:
+        return CONTROLS[name.lower()]
+    except KeyError:
+        raise SpecMismatchError(
+            f"unknown control {name!r}; expected one of {sorted(CONTROLS)}"
         ) from None
 
 

@@ -48,10 +48,31 @@ def test_config_rejects_unknown_keys():
         parse_config_text("preset = f2xz\nbogus = 1")
     with pytest.raises(SpecMismatchError):
         parse_config_text("stages = three\npreset = f2xz")
+    # only budget_atoms reads `none`, though stages is optional too
+    with pytest.raises(SpecMismatchError, match="stages expects an integer"):
+        parse_config_text("stages = none\npreset = f2xz")
+    with pytest.raises(SpecMismatchError, match="slack expects a number"):
+        parse_config_text("slack = x\npreset = f2xz")
     with pytest.raises(SpecMismatchError):
         parse_config_text("")  # neither preset nor group
     with pytest.raises(SpecMismatchError):
         parse_config_text("preset = f2xz\ncertificate_radius = 3")  # a removed key
+
+
+def test_config_layers_flags_over_file_over_defaults():
+    cfg = parse_config_text("preset = f2xz\nstages = 3\nslack = 0.25", {"stages": 50, "n_max": 9}, n_max=4)
+    assert (cfg.stages, cfg.n_max, cfg.slack) == (3, 4, 0.25)
+    # the defaults beat the preset's own stage count
+    assert parse_config_text("preset = f2xz", {"stages": 50}).resolved().stages == 50
+
+
+@pytest.mark.parametrize(
+    "line, value",
+    [("budget_atoms = none", None), ("budget_atoms = 2_000", 2000), ("eps = 0.5", 0.5), ("mode = exact", "exact")],
+)
+def test_config_values_take_their_field_types(line, value):
+    key = line.split()[0]
+    assert getattr(parse_config_text(f"preset = f2xz\n{line}"), key) == value
 
 
 def test_preset_resolution():
@@ -165,8 +186,18 @@ def test_resume_refuses_a_checkpoint_of_another_construction(tmp_path, capsys, f
         # a renumbered stage would weight its atoms with another alpha_i
         lambda doc: doc["state"]["records"][0].update(i=2) or doc,
         lambda doc: [doc],
+        # each value below is one the stage rule never builds from B
+        lambda doc: doc["state"]["records"][0].update(defect=-7) or doc,
+        lambda doc: doc["state"]["records"][0].update(truncated="no") or doc,
+        lambda doc: doc["state"]["records"][0].update(entry=5) or doc,
+        lambda doc: doc["state"]["records"][0].update(c="(a|(0))") or doc,
+        # |B F \ F| = 2 >= |F| for this F
+        lambda doc: doc["state"]["records"][0].update(F=["(e|(0))"]) or doc,
     ],
-    ids=["records-not-a-list", "B-not-a-list", "stage-renumbered", "not-an-object"],
+    ids=[
+        "records-not-a-list", "B-not-a-list", "stage-renumbered", "not-an-object",
+        "defect", "truncated-not-a-bool", "entry", "c", "F",
+    ],
 )
 def test_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
     base = ["construct", "--preset", "f2xz", "--seed", "1"]
@@ -308,6 +339,39 @@ def test_control_fingerprints_what_it_runs(tmp_path, capsys):
     # a flag beats the config file
     flag = ["--config", str(cfg), "--mode", "exact", "--out", str(refused)]
     assert main(["control", "f2-control", "--n-max", "3"] + flag) == 0
+
+
+# (argv, artifact, its fingerprint); a fingerprint names a run across
+# versions, so however the settings are merged these values must not move
+FINGERPRINTS = [
+    (["control", "free-group-srw"], "control.json", "a784dcdfd026ce2f"),
+    (["control", "f2-control", "--n-max", "3"], "control.json", "59310248120c88e5"),
+    (["control", "--preset", "f2-control"], "control.json", "e1342b183260b855"),
+    (["control", "amenable-sanity", "--config", "z.cfg"], "control.json", "e4766d764a150110"),
+    (
+        ["couple", "--preset", "f2xz", "--stages", "8", "--trials", "400", "--horizon", "1024", "--eps", "0.5"],
+        "couple.json",
+        "5ddb7c92ac93cfa8",
+    ),
+    (
+        ["folner", "--preset", "f2xz", "--embedding", "center", "--b", "(e|(1))", "--eps", "1/3"],
+        "folner.json",
+        "4e4a7ac43ba97cf5",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, artifact, fingerprint",
+    FINGERPRINTS,
+    ids=["free-control", "free-control-n3", "preset-control", "amenable-control-file", "couple-eps", "folner-eps"],
+)
+def test_fingerprints_keep_their_values(tmp_path, capsys, argv, artifact, fingerprint):
+    (tmp_path / "z.cfg").write_text("stages = 10\nn_max = 4\n")
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    main(argv + ["--out", str(tmp_path / "out")])  # ten amenable stages fail their control: exit 1
+    capsys.readouterr()
+    assert json.loads((tmp_path / "out" / artifact).read_text())["fingerprint"] == fingerprint
 
 
 @pytest.mark.parametrize("command", ["construct", "report", "couple"])
