@@ -37,6 +37,7 @@ from groupwalk.construction import (
     construction_step,
     make_entry,
     new_state,
+    resume_construction,
     run_construction,
 )
 from groupwalk.diagnostics import (
@@ -84,6 +85,7 @@ __all__ = [
     "new_state",
     "construction_step",
     "run_construction",
+    "resume_construction",
     "build_measure",
     "WalkModel",
     "empirical_increment_law",

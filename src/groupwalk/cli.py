@@ -9,6 +9,10 @@ dest is a `RunConfig` field beats the `--config` file, which beats the
 command's own defaults (only `control` has any, from `presets.CONTROLS`),
 then the preset, then the `RunConfig` default.
 
+`construct --resume` hands the checkpoint to
+`construction.resume_construction`, which runs its stages again and
+continues only if they equal it.
+
 Every artifact embeds the config fingerprint and seed, carries no
 timestamps, and is byte-identical for identical config+seed. `--threads` is
 accepted for existing command lines and has no effect.
@@ -25,7 +29,12 @@ from pathlib import Path
 
 from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set
 from groupwalk.config import RunConfig, parse_config_text
-from groupwalk.construction import ConstructionState, build_measure, run_construction
+from groupwalk.construction import (
+    ConstructionState,
+    build_measure,
+    resume_construction,
+    run_construction,
+)
 from groupwalk.diagnostics import TVReport, control_experiment, nondisjointness_report
 from groupwalk.errors import BudgetError, GroupwalkError, SpecMismatchError
 from groupwalk.groups import GSet, parse_group
@@ -85,24 +94,7 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
 def _build_state(cfg: RunConfig, resume: str | None = None) -> ConstructionState:
     state = initial_state(cfg)
     if resume:
-        # a checkpoint continues only the construction the config describes:
-        # the same group, catalogue (entries and seed), alpha rule and
-        # product cap, stopped at or before `cfg.stages`
-        payload = json.loads(Path(resume).read_text())
-        if isinstance(payload, dict):
-            payload = payload.get("state", payload)
-        ckpt = ConstructionState.from_json(json.dumps(payload))
-        have, want = json.loads(ckpt.to_json()), json.loads(state.to_json())
-        for key in ("group", "catalogue", "alpha", "product_cap"):
-            if have[key] != want[key]:
-                raise SpecMismatchError(
-                    f"checkpoint {key} {have[key]} differs from the configured {want[key]}"
-                )
-        if ckpt.stage > cfg.stages:
-            raise SpecMismatchError(
-                f"checkpoint has {ckpt.stage} stages, more than the {cfg.stages} configured"
-            )
-        state = ckpt
+        return resume_construction(state, Path(resume).read_text(), cfg.stages)
     return run_construction(state, cfg.stages)
 
 

@@ -21,8 +21,9 @@ A capped round keeps a subset of the true set, and the truncation is
 recorded per stage so the state can report through which stage the
 conjugate sets are complete.
 
-A checkpoint is resumed by replaying the stage rule: `from_json` reads each
-stage's B_i and truncation flag, and rebuilds everything else from them.
+A checkpoint is resumed by running it again: `resume_construction` runs the
+checkpoint's stages from stage 0 and continues only if they equal the
+checkpoint's, so every resumed stage is one the stage rule builds.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set,
 from groupwalk.config import RunConfig
 from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
-from groupwalk.groups import GSet, Group, enumerate_element, iterated_conjugate_set, parse_group
+from groupwalk.groups import GSet, Group, enumerate_element, iterated_conjugate_set
 from groupwalk.measures import SparseMeasure
 
 
@@ -201,50 +202,6 @@ class ConstructionState:
             sort_keys=True,
         )
 
-    @staticmethod
-    def from_json(text: str) -> "ConstructionState":
-        """The state a `to_json` payload describes, rebuilt by the stage rule.
-
-        Only each record's `B` and `truncated` flag are read: the rule's
-        other outputs (entry, c, F, defect and A) are rebuilt from them, and
-        a payload that differs from the rebuilt one, or is malformed (a
-        missing key, a value of the wrong type), is a SpecMismatchError.
-        """
-        try:
-            d = json.loads(text)
-            if d.get("format") != "groupwalk-state 1":
-                raise SpecMismatchError("not a groupwalk-state v1 payload")
-            g = parse_group(d["group"])
-            cat_doc = d["catalogue"]
-            # older checkpoints also write a null schedule field here, and a null
-            # "radius" per entry (ignored); a non-null setting this code does not
-            # read must stop the resume rather than be silently dropped
-            unread = sorted(
-                k for k, v in cat_doc.items() if k not in ("seed", "entries") and v is not None
-            )
-            if unread:
-                raise SpecMismatchError(f"checkpoint catalogue sets unsupported keys {unread}")
-            cat = catalogue_from_texts(
-                g, [(e["S"], e["H"]) for e in cat_doc["entries"]], cat_doc["seed"]
-            )
-            state = new_state(g, cat, AlphaSchedule(d["alpha"]), d["product_cap"])
-            for r in d["records"]:
-                if not isinstance(r["truncated"], bool):
-                    raise SpecMismatchError(f"checkpoint truncated {r['truncated']!r} is not a bool")
-                idx = cat.draw_index(state.stage + 1)
-                state = _add_stage(state, idx, GSet.from_texts(g, r["B"]), r["truncated"])
-            rebuilt = json.loads(state.to_json())
-            for key in ("records", "A", "A_truncated"):
-                if d[key] != rebuilt[key]:
-                    raise SpecMismatchError(
-                        f"checkpoint {key!r} does not match the stage rule's replay of its B sets"
-                    )
-            return state
-        except KeyError as exc:
-            raise SpecMismatchError(f"checkpoint has no {exc.args[0]!r} key") from None
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise SpecMismatchError(f"malformed checkpoint: {exc}") from None
-
 
 def catalogue_from_texts(g: Group, entries, seed: int) -> VisibilityCatalogue:
     """The catalogue of `(S texts, embedding)` pairs on g, each entry certified."""
@@ -277,7 +234,7 @@ def new_state(
 
 
 def construction_step(state: ConstructionState) -> ConstructionState:
-    """Run stage i = stage+1: draw (R_i, H_i), build B_i, then add the stage."""
+    """Run stage i = stage+1: draw (R_i, H_i), build B_i, c_i, F_i, the defect and A_{i+1}."""
     g = state.group
     i = state.stage + 1
     idx = state.catalogue.draw_index(i)
@@ -296,17 +253,10 @@ def construction_step(state: ConstructionState) -> ConstructionState:
         truncated = C.truncated
         conjugates |= C.elements
 
-    B0 = frozenset(x for x in conjugates if H.contains(x))
-    return _add_stage(state, idx, GSet(g, B0).symmetrized(), truncated)
-
-
-def _add_stage(state: ConstructionState, idx: int, B: GSet, truncated: bool) -> ConstructionState:
-    """Stage i = stage+1 from entry `idx` and its B_i: c_i, F_i, the defect, A_{i+1}."""
-    g = state.group
-    i = state.stage + 1
+    B = GSet(g, frozenset(x for x in conjugates if H.contains(x))).symmetrized()
     c_i = enumerate_element(g, i)
     try:
-        F = folner_set(state.catalogue.entries[idx].H, B, Fraction(1, i))
+        F = folner_set(H, B, Fraction(1, i))
     except BudgetError as exc:
         raise BudgetError(str(exc), stage=i) from exc
     defect = invariance_defect(g, B, F)
@@ -329,6 +279,51 @@ def run_construction(state: ConstructionState, k: int) -> ConstructionState:
     while state.stage < k:
         state = construction_step(state)
     return state
+
+
+def resume_construction(state: ConstructionState, checkpoint: str, k: int) -> ConstructionState:
+    """The stage-0 `state` run through stage k, resuming the n-stage `checkpoint`.
+
+    `checkpoint` is `to_json` text, bare or under the "state" key that
+    `construct` writes. Its settings must equal `state`'s (older checkpoints'
+    null catalogue keys dropped) and n must be at most k. The n stages are run
+    again and must equal its records, A and A_truncated, so a resume costs a
+    direct run and continues only what the stage rule builds. Anything else is
+    a SpecMismatchError naming the key (for records, the stage) that differs.
+    """
+    want = json.loads(state.to_json())
+    try:
+        have = json.loads(checkpoint)
+        if isinstance(have, dict):
+            have = have.get("state", have)
+        cat = {key: v for key, v in have["catalogue"].items() if v is not None}
+        cat["entries"] = [
+            {key: v for key, v in e.items() if v is not None} for e in cat.get("entries", [])
+        ]
+        for key in ("format", "group", "catalogue", "alpha", "product_cap"):
+            value = cat if key == "catalogue" else have[key]
+            if value != want[key]:
+                raise SpecMismatchError(
+                    f"checkpoint {key} {value} differs from the configured {want[key]}"
+                )
+        records, A, A_truncated = have["records"], have["A"], have["A_truncated"]
+    except KeyError as exc:
+        raise SpecMismatchError(f"checkpoint has no {exc.args[0]!r} key") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SpecMismatchError(f"malformed checkpoint: {exc}") from None
+    if not isinstance(records, list):
+        raise SpecMismatchError("checkpoint records is not a list")
+    if len(records) > k:
+        raise SpecMismatchError(f"checkpoint has {len(records)} stages, more than the {k} configured")
+    done = run_construction(state, len(records)) if records else state
+    built = json.loads(done.to_json())
+    for j, (record, rebuilt) in enumerate(zip(records, built["records"]), 1):
+        if record != rebuilt:
+            raise SpecMismatchError(f"checkpoint records differ from the stage rule's at stage {j}")
+    for key, value in (("A", A), ("A_truncated", A_truncated)):
+        if value != built[key]:
+            raise SpecMismatchError(f"checkpoint {key} differs from the stage rule's")
+    return run_construction(done, k)
 
 
 def build_measure(state: ConstructionState, mode: str = "exact") -> SparseMeasure:

@@ -6,9 +6,11 @@ import pytest
 from groupwalk import measures
 from groupwalk.cli import main
 from groupwalk.config import RunConfig, parse_config_text
+from groupwalk.construction import run_construction
 from groupwalk.diagnostics import control_experiment
 from groupwalk.errors import SpecMismatchError
 from groupwalk.measures import SparseMeasure
+from groupwalk.presets import initial_state
 
 
 def sha(p):
@@ -178,6 +180,23 @@ def test_resume_refuses_a_checkpoint_of_another_construction(tmp_path, capsys, f
     assert not (tmp_path / "p6").exists()
 
 
+def _forged_B(doc):
+    """The 2-stage seed-1 run whose R_1 is (e|(5)), under the preset's catalogue."""
+    cfg = parse_config_text("catalogue = (e|(5)) @ center\n", preset="f2xz", seed=1).resolved()
+    forged = json.loads(run_construction(initial_state(cfg), 2).to_json())
+    assert sorted(forged["records"][0]["B"]) == ["(e|(-5))", "(e|(5))"]
+    forged["catalogue"] = doc["state"]["catalogue"]
+    doc["state"] = forged
+    return doc
+
+
+def _all_truncated(doc):
+    for r in doc["state"]["records"]:
+        r["truncated"] = True
+    doc["state"]["A_truncated"] = True
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -193,10 +212,15 @@ def test_resume_refuses_a_checkpoint_of_another_construction(tmp_path, capsys, f
         lambda doc: doc["state"]["records"][0].update(c="(a|(0))") or doc,
         # |B F \ F| = 2 >= |F| for this F
         lambda doc: doc["state"]["records"][0].update(F=["(e|(0))"]) or doc,
+        # a whole consistent construction, of another R_1, is not this one
+        _forged_B,
+        _all_truncated,
+        lambda doc: doc["state"]["catalogue"]["entries"][0].update(radius=3) or doc,
     ],
     ids=[
         "records-not-a-list", "B-not-a-list", "stage-renumbered", "not-an-object",
         "defect", "truncated-not-a-bool", "entry", "c", "F",
+        "forged-B", "all-truncated", "entry-radius",
     ],
 )
 def test_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
@@ -207,7 +231,9 @@ def test_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
     ckpt.write_text(json.dumps(edit(doc)))
     capsys.readouterr()
     rc = main(base + ["--stages", "3", "--resume", str(ckpt), "--out", str(tmp_path / "p3")])
-    assert rc == 1 and capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    # the refusal names what differs, never printing the records or A lists
+    assert rc == 1 and err.startswith("error: ") and "(e|(0))" not in err
     assert not (tmp_path / "p3").exists()
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from groupwalk import (
     AlphaSchedule,
     AmenableSubgroup,
     BudgetError,
-    ConstructionState,
     FreeAbelian,
     GSet,
     Lamplighter,
@@ -20,6 +20,7 @@ from groupwalk import (
     enumerate_element,
     make_entry,
     new_state,
+    resume_construction,
     run_construction,
 )
 from groupwalk.amenable import invariance_defect
@@ -172,25 +173,38 @@ def test_budget_error_names_the_stage_once():
 
 
 def test_state_json_round_trip(f2xz_state):
-    text = f2xz_state.to_json()
-    again = ConstructionState.from_json(text)
+    # resuming a checkpoint at its own stage count gives back the same state
+    s = f2xz_state
+    text = s.to_json()
+    stage0 = new_state(s.group, s.catalogue, s.alpha, s.product_cap)
+    again = resume_construction(stage0, text, s.stage)
     assert again.to_json() == text
     assert again.stage == f2xz_state.stage
     assert again.A.elements == f2xz_state.A.elements
 
 
 def test_resume_equals_single_run():
-    mk = lambda: new_state(Z, _z_catalogue(), AlphaSchedule("harmonic"))
-    direct = run_construction(mk(), 10)
-    half = run_construction(mk(), 5)
-    resumed = run_construction(
-        ConstructionState.from_json(half.to_json()), 10
-    )
-    assert resumed.to_json() == direct.to_json()
-    assert (
-        build_measure(resumed, mode="exact").to_text()
-        == build_measure(direct, mode="exact").to_text()
-    )
+    z = lambda: new_state(Z, _z_catalogue(), AlphaSchedule("harmonic"))
+    # the lamp ({0}|0) is not central, so each resumed stage conjugates it by A_i again
+    lamp = lambda: new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic"))
+    for mk, n, k in ((z, 5, 10), (lamp, 4, 5)):
+        direct = run_construction(mk(), k)
+        half = run_construction(mk(), n)
+        resumed = resume_construction(mk(), half.to_json(), k)
+        assert resumed.to_json() == direct.to_json()
+        assert (
+            build_measure(resumed, mode="exact").to_text()
+            == build_measure(direct, mode="exact").to_text()
+        )
+
+
+def test_resume_names_the_first_stage_that_differs():
+    mk = lambda: new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic"))
+    doc = json.loads(run_construction(mk(), 4).to_json())
+    assert len(doc["records"][3]["B"]) > 2
+    doc["records"][3]["B"] = doc["records"][3]["B"][:2]
+    with pytest.raises(SpecMismatchError, match="^checkpoint records differ .* at stage 4$"):
+        resume_construction(mk(), json.dumps(doc), 5)
 
 
 def test_run_construction_is_idempotent_at_target():
