@@ -20,9 +20,14 @@ Each embedding declares an increasing Folner family by one rule,
   which is checked before the member is built, so a family past the cap
   ends there.
 
-`folner_set` walks the family in order, symmetrizes the candidate, and
-verifies the invariance inequality |BF \\ F| < eps|F| with exact integer
-counts before returning.
+`folner_search` walks the family in order from a given member, symmetrizes
+the candidate, and verifies the invariance inequality |BF \\ F| < eps|F|
+with exact integer counts before returning the member, its index and the
+defect it counted. `folner_set` starts at member 0. A later start is sound
+when every member below it is known to fail for (B, eps): that is so when
+an earlier search stopped there for some B' inside B and some eps' >= eps,
+because |BF \\ F| only grows with B and eps|F| only shrinks with eps. The
+construction starts each stage's search that way (see `construction`).
 
 `certify_visibility` checks the meets-every-conjugate property
 S ^ gamma intersects H for all gamma. Every embedding kind admitted here
@@ -150,11 +155,14 @@ def _family(g: Group, kind: str, m: int):
     return list(itertools.product(side, repeat=g.rank))
 
 
-def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
-    """Smallest declared-family member F (symmetrized) with |BF \\ F| < eps|F|.
+def folner_search(H: AmenableSubgroup, B: GSet, eps, start: int = 0) -> tuple[GSet, int, int]:
+    """(F, m, defect): the first declared-family member F = member m
+    (symmetrized), m >= start, with |BF \\ F| < eps|F|, and that defect.
 
     The inequality is verified with exact integer counts on every return;
-    eps may be a Fraction, int or string accepted by Fraction.
+    eps may be a Fraction, int or string accepted by Fraction. An empty B
+    gives ({e}, 0, 0). A `start` above 0 returns the smallest such member
+    only when every member below `start` is known to fail for (B, eps).
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -168,8 +176,8 @@ def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
                 f"Rejected input: {g.element_to_text(b)} outside {H.describe()}"
             )
     if len(B) == 0:
-        return GSet(g, frozenset([g.identity]))
-    m = 0
+        return GSet(g, frozenset([g.identity])), 0, 0
+    m = start
     while True:
         member = H.folner_member(m)
         if member is None:
@@ -178,19 +186,22 @@ def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
                 f"at index {m} without satisfying eps={eps}"
             )
         F = member.symmetrized()
-        if _invariance_holds(g, B, F, eps):
-            return F
+        defect = invariance_defect(g, B, F)
+        if defect * eps.denominator < eps.numerator * len(F):
+            return F, m, defect
         m += 1
+
+
+def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
+    """Smallest declared-family member F (symmetrized) with |BF \\ F| < eps|F|,
+    searched from member 0."""
+    return folner_search(H, B, eps)[0]
 
 
 def invariance_defect(g: Group, B: GSet, F: GSet) -> int:
     """|BF \\ F| as an exact integer."""
     BF = {g.mul(b, f) for b in B.elements for f in F.elements}
     return len(BF - F.elements)
-
-
-def _invariance_holds(g: Group, B: GSet, F: GSet, eps: Fraction) -> bool:
-    return invariance_defect(g, B, F) * eps.denominator < eps.numerator * len(F)
 
 
 @dataclass(frozen=True)

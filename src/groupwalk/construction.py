@@ -21,6 +21,15 @@ A capped round keeps a subset of the true set, and the truncation is
 recorded per stage so the state can report through which stage the
 conjugate sets are complete.
 
+Each stage's Folner search starts where an earlier stage of the same
+catalogue entry stopped: at the largest family index m of an earlier record
+of that entry whose B is a subset of B_i, else at 0. Every member below that
+m failed for (r.B, 1/r.i) at that record, and |BF \\ F| only grows with B while
+|F|/i only shrinks as i grows, so those members fail at stage i too and the
+warm search returns the cold search's F_i. The index comes from the records
+alone, so a resumed run, which runs its stages again, starts each search at
+the same member. The stage keeps the defect the search verified.
+
 A checkpoint is resumed by running it again: `resume_construction` runs the
 checkpoint's stages from stage 0 and continues only if they equal the
 checkpoint's, so every resumed stage is one the stage rule builds.
@@ -34,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set, invariance_defect
+from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_search
 from groupwalk.config import RunConfig
 from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
@@ -141,6 +150,7 @@ class StageRecord:
     F: GSet
     defect: int  # |B F \ F|, exact
     truncated: bool  # any conjugation round at this stage was capped
+    m: int  # family index of F_i; not written by to_json
 
 
 @dataclass(frozen=True)
@@ -255,11 +265,15 @@ def construction_step(state: ConstructionState) -> ConstructionState:
 
     B = GSet(g, frozenset(x for x in conjugates if H.contains(x))).symmetrized()
     c_i = enumerate_element(g, i)
+    # members below an earlier same-entry m with a smaller B fail here too
+    start = max(
+        (r.m for r in state.records if r.entry_index == idx and r.B.elements <= B.elements),
+        default=0,
+    )
     try:
-        F = folner_set(H, B, Fraction(1, i))
+        F, m, defect = folner_search(H, B, Fraction(1, i), start)
     except BudgetError as exc:
         raise BudgetError(str(exc), stage=i) from exc
-    defect = invariance_defect(g, B, F)
 
     new_A = GSet(
         g,
@@ -267,7 +281,7 @@ def construction_step(state: ConstructionState) -> ConstructionState:
         state.A.truncated or truncated,
     )
     rec = StageRecord(
-        i=i, entry_index=idx, c=c_i, B=B, F=F, defect=defect, truncated=truncated
+        i=i, entry_index=idx, c=c_i, B=B, F=F, defect=defect, truncated=truncated, m=m
     )
     return replace(state, A=new_A, records=state.records + (rec,))
 

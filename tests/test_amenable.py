@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from groupwalk import (
+    AlphaSchedule,
     AmenableSubgroup,
     CyclicGroup,
     DirectProduct,
@@ -15,10 +17,16 @@ from groupwalk import (
     Lamplighter,
     SpecMismatchError,
     certify_visibility,
+    construction_step,
     folner_set,
+    make_entry,
+    new_state,
+    parse_group,
+    run_construction,
 )
 from groupwalk import amenable
-from groupwalk.amenable import VisibilityCertificate, invariance_defect
+from groupwalk.amenable import VisibilityCertificate, folner_search, invariance_defect
+from groupwalk.construction import VisibilityCatalogue, catalogue_from_texts
 from groupwalk.cli import main
 
 Z = FreeAbelian(1)
@@ -38,12 +46,14 @@ def test_folner_interval_on_z():
     # [-3, 3]: defect 2 < 7/3
     assert F.elements == frozenset((k,) for k in range(-3, 4))
     assert invariance_defect(Z, B, F) == 2
+    assert folner_search(H, B, Fraction(1, 3)) == (F, 3, 2)
 
 
 def test_folner_empty_b_gives_identity():
     H = AmenableSubgroup(Z, "whole")
     F = folner_set(H, GSet(Z, frozenset()), Fraction(1, 5))
     assert F.elements == frozenset([Z.identity])
+    assert folner_search(H, GSet(Z, frozenset()), Fraction(1, 5)) == (F, 0, 0)
 
 
 def test_folner_rejects_b_outside_h():
@@ -89,6 +99,83 @@ def test_folner_on_product_factor():
     B = GSet(g, frozenset([((1,), 0), ((-1,), 0)]))
     F = folner_set(H, B, Fraction(1, 2))
     assert all(x[1] == 0 for x in F.elements)
+
+
+# (group, embedding, word-length radius of B's pool, largest 1/eps)
+_WARM_CASES = [
+    ("free-abelian(1)", "whole", 4, 12),
+    ("free-abelian(2)", "whole", 2, 5),
+    ("product(free(2), free-abelian(1))", "center", 3, 10),
+    ("product(free-abelian(1), cyclic(3))", "factor:0", 3, 10),
+    ("lamplighter(2)", "lamps", 3, 8),
+]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_warm_search_from_a_smaller_b_and_larger_eps_is_the_cold_search(data):
+    # every member below m1 fails for (B1, eps1), so it fails for B2 >= B1
+    # and eps2 <= eps1 too, and starting at m1 skips only failing members
+    text, embedding, radius, denom = data.draw(st.sampled_from(_WARM_CASES))
+    g = parse_group(text)
+    H = AmenableSubgroup(g, embedding)
+    pool = sorted(
+        (x for r in range(1, radius + 1) for x in g.shell(r) if H.contains(x)), key=g.sort_key
+    )
+    B2 = frozenset(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+    B1 = frozenset(data.draw(st.lists(st.sampled_from(sorted(B2, key=g.sort_key)), max_size=4)))
+    d1 = data.draw(st.integers(1, denom))
+    d2 = data.draw(st.integers(d1, denom))
+    _, m1, _ = folner_search(H, GSet(g, B1), Fraction(1, d1))
+    cold = folner_search(H, GSet(g, B2), Fraction(1, d2))
+    assert folner_search(H, GSet(g, B2), Fraction(1, d2), start=m1) == cold
+    assert cold[1] >= m1
+
+
+@pytest.mark.parametrize(
+    "group, entries, seed, cap, stages, honest",
+    [
+        # cap 20 truncates stage 4's conjugation, and stage 5 would refuse |A_5| = 130
+        ("lamplighter(2)", [(("({0}|0)", "({}|1)"), "lamps")], 1, 20, 4, 3),
+        ("lamplighter(2)", [(("({0}|0)",), "lamps")], 1, 600, 5, 5),
+        (
+            "product(free(2), free-abelian(1))",
+            [(("(e|(1))",), "center"), (("(e|(2))", "(e|(-5))"), "factor:1"), (("(e|(3))",), "center")],
+            7,
+            10**6,
+            24,
+            24,
+        ),
+    ],
+    ids=["lamplighter-truncated", "lamplighter", "f2xz-3-entries"],
+)
+def test_every_stage_record_is_a_cold_search(group, entries, seed, cap, stages, honest):
+    g = parse_group(group)
+    state = new_state(g, catalogue_from_texts(g, entries, seed), AlphaSchedule(), product_cap=cap)
+    state = run_construction(state, stages)
+    assert state.honest_through() == honest
+    for r in state.records:
+        H = state.catalogue.entries[r.entry_index].H
+        assert (r.F, r.m, r.defect) == folner_search(H, r.B, Fraction(1, r.i)), r.i
+
+
+def test_a_record_whose_b_is_not_inside_the_stage_b_does_not_move_the_start():
+    # On the lamplighter no cap that truncates a stage lets the next one run
+    # (F_i's 2^(2m+1) lamp patterns pass the cap), so B never shrinks within
+    # a run; stage 1 is rewritten here as a stage of B = +-1..+-5, which
+    # stopped at member 5, while stage 4 (B = {+-1}, eps 1/4) stops at 4.
+    H = AmenableSubgroup(Z, "whole")
+    catalogue = VisibilityCatalogue((make_entry(GSet(Z, frozenset([(1,)])), H),), seed=1)
+    state = run_construction(new_state(Z, catalogue), 3)
+    wide = GSet(Z, frozenset((k,) for k in range(-5, 6) if k))
+    F, m, defect = folner_search(H, wide, 1)
+    assert m == 5
+    first = replace(state.records[0], B=wide, F=F, m=m, defect=defect)
+    state = replace(state, records=(first,) + state.records[1:])
+    stage4 = construction_step(state).records[-1]
+    assert not wide.elements <= stage4.B.elements
+    assert (stage4.F, stage4.m, stage4.defect) == folner_search(H, stage4.B, Fraction(1, 4))
+    assert stage4.m == 4
 
 
 def test_a_factor_past_the_cap_ends_the_family(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -24,7 +25,8 @@ from groupwalk import (
     run_construction,
 )
 from groupwalk.amenable import invariance_defect
-from groupwalk.presets import preset_state
+from groupwalk.config import parse_config_text
+from groupwalk.presets import fresh_state, preset_state
 
 Z = FreeAbelian(1)
 
@@ -221,3 +223,30 @@ def test_run_construction_is_idempotent_at_target():
 def test_new_state_rejects_foreign_catalogue():
     with pytest.raises(SpecMismatchError):
         new_state(Lamplighter(), _z_catalogue(), AlphaSchedule("harmonic"))
+
+
+# state.json digests of runs made before the Folner search started where the
+# entry's last search stopped; the warm start must not move a byte
+_PINNED_STATES = [
+    ("preset = f2xz\nseed = 1\nstages = 128", "4048f15b47e4cc38ea7fe7d9b10656e93fc619fa7fea2c7de145c972b73f2980"),
+    ("preset = z-amenable\nseed = 1\nstages = 100", "da6d29e64e1889a92086f1cd3438418c8d6d01f5fcbcde48bc923adf240186f9"),
+    (
+        "group = lamplighter(2)\ncatalogue = ({0}|0) @ lamps\nseed = 1\nstages = 5",
+        "eacec63f5aade9fe2c23a67afbc7fd12434402ba52e7c24e2e7979bfa7d49cff",
+    ),
+    (
+        "group = product(free(2), free-abelian(1))\n"
+        "catalogue = (e|(1)) @ center; (e|(2)) (e|(-5)) @ factor:1; (e|(3)) @ center\n"
+        "seed = 7\nstages = 60",
+        "db5b7198af8e5c4ca16069d822f9bf1f562f8b72ab4f64b4b8b943f95e978894",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, digest", _PINNED_STATES, ids=["f2xz-128", "z-100", "lamplighter-5", "f2xz-3-entries"]
+)
+def test_state_json_bytes_are_pinned(config, digest):
+    state = fresh_state(parse_config_text(config).resolved())
+    assert state.product_cap == 1_000_000
+    assert hashlib.sha256(state.to_json().encode()).hexdigest() == digest
