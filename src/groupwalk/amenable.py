@@ -242,7 +242,7 @@ def certify_visibility(S: GSet, H: AmenableSubgroup) -> VisibilityCertificate:
     hit = any(H.contains(x) for x in S.elements)
     return VisibilityCertificate(
         g.spec_text(),
-        tuple(g.element_to_text(x) for x in S.sorted_elements()),
+        tuple(S.to_texts()),
         H.embedding,
         "pass" if hit else "refuted",
     )

@@ -9,9 +9,9 @@ dest is a `RunConfig` field beats the `--config` file, which beats the
 command's own defaults (only `control` has any, from `presets.CONTROLS`),
 then the preset, then the `RunConfig` default.
 
-`construct --resume` hands the checkpoint to
-`construction.resume_construction`, which runs its stages again and
-continues only if they equal it.
+`construct --resume` hands the checkpoint to `presets.fresh_state`, whose
+`construction.resume_construction` runs its stages again and continues only
+if they equal it.
 
 Every artifact embeds the config fingerprint and seed, carries no
 timestamps, and is byte-identical for identical config+seed. `--threads` is
@@ -29,17 +29,12 @@ from pathlib import Path
 
 from groupwalk.amenable import AmenableSubgroup, certify_visibility, folner_set
 from groupwalk.config import RunConfig, parse_config_text
-from groupwalk.construction import (
-    ConstructionState,
-    build_measure,
-    resume_construction,
-    run_construction,
-)
+from groupwalk.construction import build_measure
 from groupwalk.diagnostics import TVReport, control_experiment, nondisjointness_report
 from groupwalk.errors import BudgetError, GroupwalkError, SpecMismatchError
 from groupwalk.groups import GSet, parse_group
 from groupwalk.measures import delta
-from groupwalk.presets import get_control, initial_state
+from groupwalk.presets import fresh_state, get_control
 from groupwalk.walk import estimate_M
 
 EXIT_OK = 0
@@ -91,13 +86,6 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return d / name
 
 
-def _build_state(cfg: RunConfig, resume: str | None = None) -> ConstructionState:
-    state = initial_state(cfg)
-    if resume:
-        return resume_construction(state, Path(resume).read_text(), cfg.stages)
-    return run_construction(state, cfg.stages)
-
-
 def _write(path: Path, text: str) -> None:
     path.write_text(text)
     print(f"wrote {path}")
@@ -108,7 +96,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_construct(args) -> int:
     cfg = _config_from(args)
-    state = _build_state(cfg, resume=args.resume)
+    state = fresh_state(cfg, Path(args.resume).read_text() if args.resume else None)
     nu = build_measure(state, mode=cfg.mode)
     fp = cfg.fingerprint()
     header = f"# fingerprint={fp} seed={cfg.seed}\n"
@@ -181,7 +169,7 @@ def cmd_certify(args) -> int:
 def _report(args, stem: str, stop_early: bool) -> TVReport:
     """Build nu, run the non-disjointness report, write `<stem>.csv` and `<stem>.json`."""
     cfg = _config_from(args)
-    state = _build_state(cfg)
+    state = fresh_state(cfg)
     nu = build_measure(state, mode=cfg.mode)
     mu = delta(state.group, mode=cfg.mode)
     S = GSet.from_texts(state.group, cfg.catalogue[0][0])
@@ -238,7 +226,7 @@ def cmd_control(args) -> int:
 
 def cmd_couple(args) -> int:
     cfg = _config_from(args)
-    state = _build_state(cfg)
+    state = fresh_state(cfg)
     S = GSet.from_texts(state.group, cfg.catalogue[0][0])
     rep = estimate_M(
         state,

@@ -210,7 +210,7 @@ def nondisjointness_report(
     return TVReport(
         group_text=g.spec_text(),
         mu_desc=_describe_measure(mu),
-        S_texts=tuple(g.element_to_text(t) for t in t_list),
+        S_texts=tuple(S.to_texts()),
         bound=bound,
         slack=slack,
         n_max=n_max,

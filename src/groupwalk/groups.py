@@ -21,7 +21,6 @@ from typing import Iterator
 
 from groupwalk.errors import BudgetError, SpecMismatchError
 
-_DEFAULT_SET_CAP = 10**7
 _PAIR_GUARD = 5 * 10**7
 
 
@@ -603,7 +602,7 @@ def _truncate_to_radius(group: Group, elements: set, cap: int) -> frozenset:
     return frozenset(ordered[:cut])
 
 
-def product_power(A: GSet, k: int, cap: int | None = None) -> GSet:
+def product_power(A: GSet, k: int, cap: int) -> GSet:
     """k-fold product set {a_1 ... a_k : a_j in A}.
 
     Under a cap the result is shrunk to the largest word-length radius that
@@ -615,7 +614,6 @@ def product_power(A: GSet, k: int, cap: int | None = None) -> GSet:
         raise SpecMismatchError("product_power of empty set")
     if k < 1:
         raise SpecMismatchError("product_power exponent must be >= 1")
-    cap = _DEFAULT_SET_CAP if cap is None else cap
     if cap < len(A):
         raise BudgetError(f"product_power cap {cap} < |A| = {len(A)}")
     g = A.group
@@ -633,11 +631,10 @@ def product_power(A: GSet, k: int, cap: int | None = None) -> GSet:
     return GSet(g, frozenset(cur), truncated)
 
 
-def conjugate_set(A: GSet, B: GSet, cap: int | None = None) -> GSet:
+def conjugate_set(A: GSet, B: GSet, cap: int) -> GSet:
     """{b^-1 a b : a in A, b in B}, deduplicated."""
     if A.group != B.group:
         raise SpecMismatchError("conjugate_set arguments from different groups")
-    cap = _DEFAULT_SET_CAP if cap is None else cap
     if cap < 1:
         raise BudgetError("conjugate_set cap must be >= 1")
     if len(A) * len(B) > _PAIR_GUARD:
@@ -653,7 +650,7 @@ def conjugate_set(A: GSet, B: GSet, cap: int | None = None) -> GSet:
     return GSet(g, frozenset(out), truncated)
 
 
-def iterated_conjugate_set(R: GSet, A: GSet, k: int, cap: int | None = None) -> GSet:
+def iterated_conjugate_set(R: GSet, A: GSet, k: int, cap: int) -> GSet:
     """{p^-1 r p : r in R, p in product_power(A, k)}, without forming A^k.
 
     Conjugating by a_1 ... a_k is conjugating by a_1, then by a_2, ..., then
@@ -664,7 +661,6 @@ def iterated_conjugate_set(R: GSet, A: GSet, k: int, cap: int | None = None) -> 
     set, with the truncated flag set. A round that changes nothing is a
     fixed point, and the loop stops there.
     """
-    cap = _DEFAULT_SET_CAP if cap is None else cap
     if cap < len(A):
         raise BudgetError(f"conjugation cap {cap} < |A| = {len(A)}")
     g = R.group

@@ -423,12 +423,12 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
     The runs are sorted by target fiber, and each target fiber gets one
     window spanning its runs.
 
-    The route is chosen from the inputs alone. None when there is no line
-    field, no pool in mu, a side atom in mu or nu, or no line shift in nu;
-    when the dense blocks, L slots in all, cost more than sorting the rows
-    they replace (L > rows or L * K > rows * log2(rows)); when a first
-    code's product does not encode; when a run leaves the field; or when the
-    windows are longer than the |mu pool| * |nu pool| rows (the fill guard).
+    The route is chosen from the inputs alone. None when the product is one
+    the windows cannot represent: no line field, no pool in mu, a side atom
+    in mu or nu, no line shift in nu, a first code whose product does not
+    encode, or a run that leaves the field; and None when the windows are
+    longer than the |mu pool| * |nu pool| rows the sort route would hold
+    (the fill guard).
 
     Otherwise returns (kernel, nu's other pool atoms in spiral order with
     their weights, atoms per fiber, each atom's place in its fiber's run,
@@ -460,10 +460,6 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
     lo_first = rel[starts]  # each fiber's first field value
     rel -= np.repeat(lo_first, counts)  # now each atom's place in its fiber's run
     blocks = rel[starts + counts - 1] + K
-    L = int(blocks.sum())
-    rows = len(rel) * (hi - lo)
-    if L > rows or L * K > rows * math.log2(rows):
-        return None
     kernel = np.zeros(K, dtype=_DTYPE[nu.mode])
     kernel[z - z_min] = nu._masses[lo:hi]
     rest = np.r_[0:lo, hi : len(nu._codes)]
@@ -508,10 +504,11 @@ def _sum_windows(mu: SparseMeasure, plan, row_bytes: int):
     into the next), copied into the fiber's window. Each other atom y of nu,
     in spiral order, then adds mu(x) * nu(y) into the slot of x * y for
     every x. Right multiplication by one y is injective, so no slot gains two
-    rows from one y, and each code's rows are summed in the order a stable
-    sort of the same rows would sum them: the dense block, then nu's other
-    atoms in spiral order. Returns the codes of the slots whose weight is
-    > 0, in window order (so ascending), with their weights.
+    rows from one y. Each code sums its line-shift rows in `np.convolve`'s
+    order, then nu's other atoms in spiral order, where the sort route sums
+    every row in nu's spiral order: float sums agree to a few ulps, not bit
+    for bit, and exact sums are equal. Returns the codes of the slots whose
+    weight is > 0, in window order (so ascending), with their weights.
     """
     kernel, others, counts, rel, blocks, origin, wlen, slots = plan
     L = int(wlen.sum())
@@ -698,13 +695,11 @@ def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
     value +- bracket, where bracket = mu.lost_mass + nu.lost_mass.
     """
     _check_compat(mu, nu)
-    bracket = mu.lost_mass + nu.lost_mass
-    if mu.mode == "float":
-        value = _dict_l1(mu._side, nu._side, "float")
-        return value + float(_pool_l1(mu._codes, mu._masses, nu._codes, nu._masses)), bracket
-    # numerators brought over the one denominator mu._den * nu._den
+    # stored weights brought over the one denominator mu._den * nu._den
+    # (both 1 in float mode)
     a, b = nu._den, mu._den
     scaled = [{x: m * k for x, m in p._side.items()} for p, k in ((mu, a), (nu, b))]
-    value = _dict_l1(*scaled, "exact")
+    value = _dict_l1(*scaled, mu.mode)
     value += _pool_l1(mu._codes, mu._masses * a, nu._codes, nu._masses * b)
-    return Fraction(value, a * b), bracket
+    value = Fraction(value, a * b) if mu.mode == "exact" else float(value)
+    return value, mu.lost_mass + nu.lost_mass

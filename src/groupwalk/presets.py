@@ -20,6 +20,7 @@ from groupwalk.construction import (
     ConstructionState,
     catalogue_from_texts,
     new_state,
+    resume_construction,
     run_construction,
 )
 from groupwalk.errors import SpecMismatchError
@@ -107,8 +108,14 @@ def initial_state(cfg: RunConfig) -> ConstructionState:
     )
 
 
-def fresh_state(cfg: RunConfig) -> ConstructionState:
-    """Run the construction a resolved config describes, from stage 0 through `cfg.stages`."""
+def fresh_state(cfg: RunConfig, checkpoint: str | None = None) -> ConstructionState:
+    """Run the construction a resolved config describes, from stage 0 through `cfg.stages`.
+
+    Given a checkpoint's text, `resume_construction` runs it instead, which
+    continues only if the stages it runs again equal the checkpoint's.
+    """
+    if checkpoint is not None:
+        return resume_construction(initial_state(cfg), checkpoint, cfg.stages)
     return run_construction(initial_state(cfg), cfg.stages)
 
 

@@ -297,14 +297,13 @@ def estimate_M(
         raise SpecMismatchError("eps must be in (0, 1]")
     if trials < 1 or horizon < 1 or N < 0:
         raise SpecMismatchError("trials, horizon >= 1 and N >= 0 required")
-    g = state.group
     cat = state.catalogue
     matching = [
         j for j, e in enumerate(cat.entries) if e.S.elements == S.elements
     ]
     if not matching:
         raise SpecMismatchError("S is not a catalogue entry")
-    s_texts = tuple(g.element_to_text(x) for x in S.sorted_elements())
+    s_texts = tuple(S.to_texts())
     if eps >= 1.0:
         return DecompositionReport(
             s_texts, N, eps, trials, horizon, seed, 0, 0.0, (0.0, 0.0), 1.0, (), False

@@ -167,9 +167,9 @@ def test_budgeted_float_curve_is_within_brackets_of_exact(preset, stages, budget
     for f, e in zip(fast, exact):
         assert abs(f.value - e.value) <= f.bracket + e.bracket + 1e-12
     if preset == "f2xz":
-        # every step after the first takes the window route
+        # every step takes the window route
         rho, windows = delta(g), []
         for _ in range(n_max):
             windows.append(_window_plan(rho, nu) is not None)
             rho = convolve(rho, nu, budget=budget)
-        assert windows == [False] + [True] * (n_max - 1)
+        assert windows == [True] * n_max

@@ -211,7 +211,7 @@ def test_conjugate_set_oracle(data):
     by = data.draw(st.lists(elements(F2), min_size=1, max_size=3))
     R = GSet(F2, frozenset(els))
     A = GSet(F2, frozenset(by))
-    got = conjugate_set(R, A)
+    got = conjugate_set(R, A, cap=10**6)
     want = frozenset(
         F2.mul(F2.mul(F2.inv(a), r), a) for r in R.elements for a in A.elements
     )
@@ -225,8 +225,8 @@ def test_iterated_conjugation_matches_product_power(g, data):
     R = GSet(g, frozenset(data.draw(st.lists(elements(g), min_size=1, max_size=3))))
     A = GSet(g, frozenset(data.draw(st.lists(elements(g), max_size=3))) | {g.identity})
     i = data.draw(st.integers(1, 4))
-    want = conjugate_set(R, product_power(A, i))
-    got = iterated_conjugate_set(R, A, i)
+    want = conjugate_set(R, product_power(A, i, cap=10**6), cap=10**6)
+    got = iterated_conjugate_set(R, A, i, cap=10**6)
     assert got.elements == want.elements and not got.truncated
     # e is in A, so the rounds only grow: a cap is exceeded by some round
     # exactly when the whole set exceeds it
@@ -240,9 +240,9 @@ def test_iterated_conjugation_matches_product_power(g, data):
 def test_iterated_conjugation_pair_guard_truncates(monkeypatch):
     R = GSet(F2, frozenset([(1,)]))
     A = GSet(F2, frozenset([(), (1,), (-1,), (2,), (-2,)]))
-    want = conjugate_set(R, product_power(A, 3))
+    want = conjugate_set(R, product_power(A, 3, cap=10**6), cap=10**6)
     monkeypatch.setattr(groups, "_PAIR_GUARD", 20)
-    got = iterated_conjugate_set(R, A, 3)
+    got = iterated_conjugate_set(R, A, 3, cap=10**6)
     assert got.truncated
     assert got.elements < want.elements
 

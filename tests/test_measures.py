@@ -452,8 +452,8 @@ def line_pairs(draw, others=st.tuples(long_words.filter(bool), st.tuples(central
 
 def _dense_blocks_fit(mu, nu):
     """`_window_plan` of mu's pool and nu's line shifts alone on F2 x Z holds:
-    mu's pool times the line shifts stays in the central field and passes the
-    dense cost test, whatever the rest of nu and the side atoms would do."""
+    mu's pool times the line shifts stays in the central field, whatever the
+    rest of nu and the side atoms would do."""
     encode = F2xZ.codec().encode_one
 
     def part(p, keep):
@@ -639,6 +639,20 @@ def test_line_pairs_with_holes_take_the_window_route(pair):
         _convolve_on_route(mp, mu, nu, "window")
 
 
+def test_a_wide_line_kernel_takes_the_window_route(monkeypatch):
+    # three atoms of one fiber meet 129 line shifts, one per slot of [-64, 64],
+    # and one other atom: the dense block (131 slots) times the kernel's 129
+    # is 16,899 products for the 387 rows the line shifts make, and the
+    # windows (134 slots) fit the 390 rows, so the window route runs
+    mu = SparseMeasure.from_items(F2xZ, {((1,), (c,)): 1.0 / (c + 2) for c in range(3)}, "float")
+    nu_items = {((), (z,)): 1.0 / (z + 100) for z in range(-64, 65)}
+    nu_items[((2,), (0,))] = 0.25
+    nu = SparseMeasure.from_items(F2xZ, nu_items, "float")
+    plan = _window_plan(mu, nu)
+    assert plan is not None and len(plan[0]) == 129 and int(plan[6].sum()) == 134
+    _convolve_on_route(monkeypatch, mu, nu, "window")
+
+
 def test_window_route_prices_its_windows_before_allocating(monkeypatch):
     mu = SparseMeasure.from_items(F2xZ, {((1,), (c,)): 1.0 / (c + 2) for c in range(40)}, "float")
     nu = SparseMeasure.from_items(
@@ -661,23 +675,46 @@ def test_window_route_prices_its_windows_before_allocating(monkeypatch):
                 convolve(a, b)
 
 
+def _f2xz_curve_steps(nu, steps=6, budget=20_000):
+    """rho_n = rho_{n-1} * nu from delta(e) at `budget`, for n = 1..steps."""
+    rho, out = delta(nu.group), []
+    for _ in range(steps):
+        rho = convolve(rho, nu, budget=budget)
+        out.append(rho)
+    return out
+
+
+def test_f2xz_curve_routes_agree_to_the_stated_tolerance(f2xz_nu, monkeypatch):
+    # every step takes the window route, which sums a code's line-shift rows
+    # with np.convolve before its other rows; the sort route sums them in
+    # spiral order, so the two agree on every atom but not bit for bit
+    # (2.4e-15 relative at most here)
+    windows = _f2xz_curve_steps(f2xz_nu)
+    for rho in [delta(f2xz_nu.group)] + windows[:-1]:
+        assert _window_plan(rho, f2xz_nu) is not None
+    monkeypatch.setattr(measures, "_window_plan", lambda mu, nu: None)
+    for w, s in zip(windows, _f2xz_curve_steps(f2xz_nu)):
+        assert np.array_equal(w._codes, s._codes)
+        assert np.all(np.abs(w._masses - s._masses) <= 4e-15 * s._masses)
+        assert w.lost_mass == pytest.approx(s.lost_mass, rel=4e-15, abs=0)
+
+
 # SHA-256 of (codes, masses, lost_mass.hex()) after each step n = 1..6 of the
-# f2xz curve from delta(e) at budget 20k: steps 3-6 take the window route,
-# whose sums must keep the bytes of the stable-sort dedup
+# f2xz curve from delta(e) at budget 20k: every step takes the window route,
+# whose bytes must not drift; the test above checks them against the sort route
 F2XZ_STEP_DIGESTS = [
     "96990d11043ab02e26fbb1bbc23ecb58bec0c04e95a0c3a7edd1144f881ed068",
-    "426d0543ec6f19ee131af7b781dce6583a5490faae5f8d635adb3d50fd1e55ca",
-    "7c2f8bc2fcc530248fe07c1c5a1defe678b66885f5f9b9ded7db7b51499b3af7",
-    "7f891e4b14efd19acfa91855392c7cf70b865b95bee98671061c1477f2470fbb",
-    "4a035f4012c7ed2427950d0d14720a1bfdc60bca6e5812a45d2237499b8847db",
-    "744c5e0394cba13d5316e0a6ec1956637202fceccf3ae95ab2007879a674ec7a",
+    "b4230e5a9bc66eb2f08b1aceb8f1b77a05d4429204f26ccaa588ce62b5211d06",
+    "4cbab4d1c86ca7db2b6960ff79734a12658b1c4cbdb668856a38ec8d4b10a2b3",
+    "c6b1457627da54c488f25369d92c6056abecbd3b89e58609bc95ea3929075854",
+    "3105b2d8f3bfc2d58a2b8bad7a45611211f3114a5cee413c6c77ca5fe3403c4b",
+    "1ac305f9d8e89aab253971fcdfe0e3900a3b8ce46c419abcfc9aa2c882c5d4e3",
 ]
 
 
 def test_f2xz_curve_steps_keep_their_bytes(f2xz_nu):
-    rho, got = delta(f2xz_nu.group), []
-    for _ in F2XZ_STEP_DIGESTS:
-        rho = convolve(rho, f2xz_nu, budget=20_000)
+    got = []
+    for rho in _f2xz_curve_steps(f2xz_nu, len(F2XZ_STEP_DIGESTS)):
         h = hashlib.sha256()
         for part in (rho._codes.tobytes(), rho._masses.tobytes(), rho.lost_mass.hex().encode()):
             h.update(part)
