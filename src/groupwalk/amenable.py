@@ -29,6 +29,16 @@ an earlier search stopped there for some B' inside B and some eps' >= eps,
 because |BF \\ F| only grows with B and eps|F| only shrinks with eps. The
 construction starts each stage's search that way (see `construction`).
 
+`invariance_defect` counts |BF \\ F| on the group's packed codes (see
+`groupwalk.codecs`) when the group has a codec that encodes every element of
+F: one `mul_left` per b, then |BF \\ F| = |BF u F| - |F| from one sort.
+A product the codec flags is recomputed with the group law; it joins the
+codes when it encodes, else it lies outside F and is counted once.
+A group without a codec, or an F with an element past the codec's fields (a
+lamp outside [-23, 23], a free word past the codec's length, a coordinate
+past its field), is counted with the group law on sets. The route follows
+from the inputs alone, and both give the same integer.
+
 `certify_visibility` checks the meets-every-conjugate property
 S ^ gamma intersects H for all gamma. Every embedding kind admitted here
 is a normal subgroup, so conjugation fixes H and the property reduces to
@@ -43,6 +53,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import (
@@ -199,9 +211,37 @@ def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
 
 
 def invariance_defect(g: Group, B: GSet, F: GSet) -> int:
-    """|BF \\ F| as an exact integer."""
-    BF = {g.mul(b, f) for b in B.elements for f in F.elements}
-    return len(BF - F.elements)
+    """|BF \\ F| as an exact integer.
+
+    Counted on the group's packed codes when it has a codec that encodes
+    every element of F, else with the group law on sets. On codes,
+    |BF \\ F| = |BF u F| - |F|, with one `mul_left` per b and one sort. A
+    row `mul_left` flags is multiplied by the group law and joins the codes
+    when its product encodes, else it lies outside F (every element of F
+    encodes) and is counted once in a set.
+    """
+    codec = g.codec()
+    fs = list(F.elements)
+    codes = [] if codec is None else [codec.encode_one(f) for f in fs]
+    if codec is None or None in codes:
+        BF = {g.mul(b, f) for b in B.elements for f in F.elements}
+        return len(BF - F.elements)
+    F_codes = np.array(codes, dtype=np.uint64)
+    parts, extra, outside = [F_codes], [], set()
+    for b in B.elements:
+        out, ok = codec.mul_left(F_codes, b)
+        parts.append(out[ok])
+        for j in np.flatnonzero(~ok):
+            x = g.mul(b, fs[j])
+            c = codec.encode_one(x)
+            if c is None:
+                outside.add(x)
+            else:
+                extra.append(c)
+    parts.append(np.array(extra, dtype=np.uint64))
+    union = np.sort(np.concatenate(parts))  # BF u F, with repeats
+    distinct = len(union) - int(np.count_nonzero(union[1:] == union[:-1]))
+    return distinct - len(fs) + len(outside)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from groupwalk import (
@@ -37,6 +38,11 @@ LAMP = Lamplighter()
 def ball(group, radius):
     """All elements of word length <= radius, from the group's shells."""
     return GSet(group, frozenset(x for r in range(radius + 1) for x in group.shell(r)))
+
+
+def _defect_by_group_law(g, B, F):
+    """|BF \\ F| by the group law on sets, independent of the library's count."""
+    return len({g.mul(b, f) for b in B.elements for f in F.elements} - F.elements)
 
 
 def test_folner_interval_on_z():
@@ -73,6 +79,87 @@ def test_folner_invariance_always_exact(denom, radius):
     assert F.is_symmetric()
     # the defining inequality, with integer counts
     assert invariance_defect(Z, B, F) * denom < len(F)
+
+
+def _word(n):
+    return tuple(1 if j % 2 == 0 else 2 for j in range(n))  # abab..., reduced
+
+
+_Z_EDGE = (1 << 15) - 1, -(1 << 15), 1 << 15, 1 << 16  # 16-bit field; 1 << 16 flags every row
+# each group's pool: a small ball, plus elements at and past its codec's edges
+_DEFECT_POOLS = {
+    "free(2)": [_word(n) for n in (27, 28, 29)],
+    "free-abelian(2)": [(v, 0) for v in ((1 << 30) - 1, -(1 << 30), 1 << 30, -(1 << 30) - 1)]
+    + [(1 << 31, 0), (1, -(1 << 31))],  # a coordinate of size 2^31 flags every row
+    "cyclic(5)": [],
+    "lamplighter(2)": [((p,), 0) for p in (-24, -23, 23, 24)]
+    + [((-23, 23), 1), ((22,), 2), ((), (1 << 15) - 1), ((), -(1 << 15)), ((), 1 << 15)],
+    "product(free(2), free-abelian(1))": [(_word(n), (0,)) for n in (19, 20, 21)]
+    + [((), (v,)) for v in _Z_EDGE],
+    "product(free-abelian(1), cyclic(3))": [((v,), 1) for v in _Z_EDGE],
+    "product(lamplighter(2), free-abelian(1))": [(((24,), 0), (1,))],  # no codec
+}
+
+
+@st.composite
+def _defect_inputs(draw):
+    text = draw(st.sampled_from(sorted(_DEFECT_POOLS)))
+    g = parse_group(text)
+    pool = sorted(set(ball(g, 2).elements).union(_DEFECT_POOLS[text]), key=g.sort_key)
+    B = draw(st.lists(st.sampled_from(pool), max_size=4))
+    F = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return text, B, F, draw(st.booleans())
+
+
+class _SpyCodec:
+    """The group's codec; `mul_left` tallies the rows it flags, and with
+    `overflag` also flags every even row it does not, so those rows take the
+    flagged path although their products encode."""
+
+    def __init__(self, codec, overflag):
+        self.codec, self.overflag = codec, overflag
+        self.calls = self.flagged = self.overflagged = 0
+
+    def encode_one(self, x):
+        return self.codec.encode_one(x)
+
+    def mul_left(self, codes, t):
+        out, ok = self.codec.mul_left(codes, t)
+        self.calls += 1
+        self.flagged += int(np.count_nonzero(~ok))
+        if self.overflag:
+            even = np.arange(len(codes)) % 2 == 0
+            self.overflagged += int(np.count_nonzero(ok & even))
+            ok = ok & ~even
+        return out, ok
+
+
+def test_the_code_count_is_the_group_law_count_at_every_codec_edge():
+    routes = set()
+
+    @given(_defect_inputs())
+    @example(("lamplighter(2)", [((), 1)], [((23,), 0), ((), 0)], False))  # lamp 23 -> 24
+    @example(("lamplighter(2)", [((), 1)], [((24,), 0)], False))  # F does not encode
+    @example(("free-abelian(2)", [(1, 0), (-1, 0)], [(0, 0), (1, 0), (-1, 0)], True))
+    @example(("product(lamplighter(2), free-abelian(1))", [(((), 1), (0,))], [(((), 0), (0,))], False))
+    @settings(max_examples=200, deadline=None)
+    def check(drawn):
+        text, B, F, overflag = drawn
+        g = parse_group(text)
+        spy = None if g.codec() is None else _SpyCodec(g.codec(), overflag)
+        g.codec = lambda: spy
+        B, F = GSet(g, frozenset(B)), GSet(g, frozenset(F))
+        # an over-flagged row re-encodes and joins the codes, so it is never counted twice
+        assert invariance_defect(g, B, F) == _defect_by_group_law(g, B, F)
+        if spy is None:
+            routes.add("no codec")
+        elif B.elements and not spy.calls:
+            routes.add("F does not encode")
+        else:
+            routes.update(n for n in ("flagged", "overflagged") if getattr(spy, n))
+
+    check()
+    assert routes == {"no codec", "F does not encode", "flagged", "overflagged"}
 
 
 @given(st.integers(2, 12))
