@@ -1,4 +1,4 @@
-"""Folner sets inside registered amenable subgroups, and visibility certificates.
+"""Folner sets inside registered amenable subgroups, and the visibility check.
 
 An AmenableSubgroup is an embedding descriptor over an ambient group:
 ``whole`` (amenable ambient), ``center``, ``factor:<j>`` (amenable direct
@@ -39,17 +39,16 @@ lamp outside [-23, 23], a free word past the codec's length, a coordinate
 past its field), is counted with the group law on sets. The route follows
 from the inputs alone, and both give the same integer.
 
-`certify_visibility` checks the meets-every-conjugate property
-S ^ gamma intersects H for all gamma. Every embedding kind admitted here
-is a normal subgroup, so conjugation fixes H and the property reduces to
-S intersects H; an embedding that is not normal must not be admitted
-without a check that searches over gamma.
+`certify_visibility` decides the meets-every-conjugate property
+S ^ gamma intersects H for all gamma, and returns it as a bool. Every
+embedding kind admitted here is a normal subgroup, so conjugation fixes H
+and the property reduces to S intersects H; an embedding that is not
+normal must not be admitted without a check that searches over gamma.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,29 +243,8 @@ def invariance_defect(g: Group, B: GSet, F: GSet) -> int:
     return distinct - len(fs) + len(outside)
 
 
-@dataclass(frozen=True)
-class VisibilityCertificate:
-    """Outcome of a meets-every-conjugate check for (S, H)."""
-
-    group_text: str
-    S_texts: tuple[str, ...]
-    embedding: str
-    verdict: str  # "pass" | "refuted"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "group": self.group_text,
-                "S": list(self.S_texts),
-                "subgroup": self.embedding,
-                "verdict": self.verdict,
-            },
-            sort_keys=True,
-        )
-
-
-def certify_visibility(S: GSet, H: AmenableSubgroup) -> VisibilityCertificate:
-    """Certify (or refute) that S meets every conjugate of H.
+def certify_visibility(S: GSet, H: AmenableSubgroup) -> bool:
+    """Whether S meets every conjugate of H.
 
     Relies on H being normal, which holds for every kind that
     `AmenableSubgroup.__post_init__` admits (whole, trivial and center by
@@ -279,10 +257,4 @@ def certify_visibility(S: GSet, H: AmenableSubgroup) -> VisibilityCertificate:
         raise SpecMismatchError("S must be a non-empty GSet")
     if S.group != g:
         raise SpecMismatchError("S lives on a different group")
-    hit = any(H.contains(x) for x in S.elements)
-    return VisibilityCertificate(
-        g.spec_text(),
-        tuple(S.to_texts()),
-        H.embedding,
-        "pass" if hit else "refuted",
-    )
+    return any(H.contains(x) for x in S.elements)

@@ -7,15 +7,20 @@ and failed controls), 2 budget exhaustion, 3 INCONCLUSIVE verdict.
 Every command builds its `RunConfig` through `_config_from`: each flag whose
 dest is a `RunConfig` field beats the `--config` file, which beats the
 command's own defaults (only `control` has any, from `presets.CONTROLS`),
-then the preset, then the `RunConfig` default.
+then the preset, then the `RunConfig` default. A control runs its own group:
+its defaults name it, and a config whose group, or whose preset's group, is
+another exits 1.
 
 `construct --resume` hands the checkpoint to `presets.fresh_state`, whose
 `construction.resume_construction` runs its stages again and continues only
 if they equal it.
 
-Every artifact embeds the config fingerprint and seed, carries no
-timestamps, and is byte-identical for identical config+seed. `--threads` is
-accepted for existing command lines and has no effect.
+Provenance is stamped here and nowhere else: `_stamped` turns a command's
+payload into the bytes it writes, a dict as sorted-key JSON with the config
+fingerprint and seed added, a text under one `# fingerprint=... seed=...`
+line. Artifacts carry no timestamps, so they are byte-identical for
+identical config+seed. `--threads` is accepted for existing command lines
+and has no effect.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +39,7 @@ from groupwalk.diagnostics import TVReport, control_experiment, nondisjointness_
 from groupwalk.errors import BudgetError, GroupwalkError, SpecMismatchError
 from groupwalk.groups import GSet, parse_group
 from groupwalk.measures import delta
-from groupwalk.presets import fresh_state, get_control
+from groupwalk.presets import fresh_state, get_control, get_preset
 from groupwalk.walk import estimate_M
 
 EXIT_OK = 0
@@ -71,24 +76,28 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 _FIELDS = {f.name for f in fields(RunConfig)}
 
 
-def _config_from(args, defaults: dict | None = None, **extra) -> RunConfig:
-    """The resolved config: `extra`, then every flag whose dest is a `RunConfig`
-    field, over the `--config` file, over `defaults`."""
+def _config_from(args, defaults: dict | None = None) -> RunConfig:
+    """The resolved config: every flag whose dest is a `RunConfig` field, over
+    the `--config` file, over `defaults`."""
     flags = {k: v for k, v in vars(args).items() if k in _FIELDS}
-    flags.update(extra)
     text = Path(args.config).read_text() if args.config else ""
     return parse_config_text(text, defaults, **flags).resolved()
 
 
-def _out_path(cfg: RunConfig, name: str) -> Path:
+def _stamped(cfg: RunConfig, payload: dict | str) -> str:
+    """The bytes of an artifact: a dict as sorted-key JSON with the config's
+    fingerprint and seed added, a text under one line naming them."""
+    if isinstance(payload, dict):
+        return json.dumps({**payload, "fingerprint": cfg.fingerprint(), "seed": cfg.seed}, sort_keys=True)
+    return f"# fingerprint={cfg.fingerprint()} seed={cfg.seed}\n{payload}"
+
+
+def _write(cfg: RunConfig, name: str, payload: dict | str) -> None:
+    """Write the stamped `payload` to `name` in the config's output directory."""
     d = Path(cfg.out_dir)
     d.mkdir(parents=True, exist_ok=True)
-    return d / name
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
-    print(f"wrote {path}")
+    (d / name).write_text(_stamped(cfg, payload))
+    print(f"wrote {d / name}")
 
 
 # -- subcommands -----------------------------------------------------------
@@ -98,15 +107,8 @@ def cmd_construct(args) -> int:
     cfg = _config_from(args)
     state = fresh_state(cfg, Path(args.resume).read_text() if args.resume else None)
     nu = build_measure(state, mode=cfg.mode)
-    fp = cfg.fingerprint()
-    header = f"# fingerprint={fp} seed={cfg.seed}\n"
-    _write(_out_path(cfg, "measure.txt"), header + nu.to_text())
-    checkpoint = {
-        "fingerprint": fp,
-        "seed": cfg.seed,
-        "state": json.loads(state.to_json()),
-    }
-    _write(_out_path(cfg, "state.json"), json.dumps(checkpoint, sort_keys=True))
+    _write(cfg, "measure.txt", nu.to_text())
+    _write(cfg, "state.json", {"state": json.loads(state.to_json())})
     total = nu.total_mass()
     print(
         f"stages={state.stage} atoms={len(nu)} total_mass={total} "
@@ -126,8 +128,6 @@ def cmd_folner(args) -> int:
         raise SpecMismatchError(f"--eps {args.folner_eps!r} has a zero denominator") from None
     F = folner_set(H, B, eps)
     doc = {
-        "fingerprint": cfg.fingerprint(),
-        "seed": cfg.seed,
         "group": g.spec_text(),
         "embedding": args.embedding,
         "B": sorted(B.to_texts()),
@@ -135,10 +135,9 @@ def cmd_folner(args) -> int:
         "size": len(F),
         "F": sorted(F.to_texts()),
     }
-    text = json.dumps(doc, sort_keys=True)
-    print(text)
+    print(_stamped(cfg, doc))
     if args.out_dir:
-        _write(_out_path(cfg, "folner.json"), text)
+        _write(cfg, "folner.json", doc)
     return EXIT_OK
 
 
@@ -148,22 +147,13 @@ def cmd_certify(args) -> int:
     if not cfg.catalogue:
         raise SpecMismatchError("nothing to certify: no catalogue entries")
     certs = []
-    refuted = 0
     for s_texts, embedding in cfg.catalogue:
         S = GSet.from_texts(g, s_texts)
-        H = AmenableSubgroup(g, embedding)
-        c = certify_visibility(S, H)
-        certs.append(json.loads(c.to_json()))
-        print(f"S={{{', '.join(sorted(s_texts))}}} H={embedding}: {c.verdict}")
-        if c.verdict != "pass":
-            refuted += 1
-    doc = {
-        "fingerprint": cfg.fingerprint(),
-        "seed": cfg.seed,
-        "certificates": certs,
-    }
-    _write(_out_path(cfg, "certificates.json"), json.dumps(doc, sort_keys=True))
-    return EXIT_USAGE if refuted else EXIT_OK
+        verdict = "pass" if certify_visibility(S, AmenableSubgroup(g, embedding)) else "refuted"
+        certs.append({"group": g.spec_text(), "S": S.to_texts(), "subgroup": embedding, "verdict": verdict})
+        print(f"S={{{', '.join(sorted(s_texts))}}} H={embedding}: {verdict}")
+    _write(cfg, "certificates.json", {"certificates": certs})
+    return EXIT_OK if all(c["verdict"] == "pass" for c in certs) else EXIT_USAGE
 
 
 def _report(args, stem: str, stop_early: bool) -> TVReport:
@@ -180,12 +170,10 @@ def _report(args, stem: str, stop_early: bool) -> TVReport:
         n_max=cfg.n_max,
         budget=cfg.budget_atoms,
         slack=cfg.slack,
-        fingerprint=cfg.fingerprint(),
-        seed=cfg.seed,
         stop_early=stop_early,
     )
-    _write(_out_path(cfg, f"{stem}.csv"), rep.to_csv())
-    _write(_out_path(cfg, f"{stem}.json"), rep.to_json())
+    _write(cfg, f"{stem}.csv", rep.to_csv())
+    _write(cfg, f"{stem}.json", rep.to_dict())
     return rep
 
 
@@ -207,19 +195,20 @@ def cmd_control(args) -> int:
     if name is None:
         raise SpecMismatchError("control needs a preset name")
     control = get_control(name)
-    # the control's group stands in for --group unless a group or preset is named
-    pinned = {"group": control.group_text} if args.group is None and args.preset is None else {}
-    defaults = {"stages": control.stages, "n_max": control.n_max, "mode": "exact"}
-    cfg = _config_from(args, defaults, **pinned)
+    defaults = {"group": control.group_text, "stages": control.stages, "n_max": control.n_max, "mode": "exact"}
+    cfg = _config_from(args, defaults)
+    # a preset names a group too, though the defaults' group beats it
+    for text in (cfg.group, get_preset(cfg.preset).group_text if cfg.preset else cfg.group):
+        if parse_group(text) != parse_group(control.group_text):
+            raise SpecMismatchError(f"control {control.name} runs on {control.group_text}, not {text}")
     if cfg.mode == "float":
         raise SpecMismatchError(
             "control runs in exact arithmetic only: --mode float (or mode = float "
             "in the config file) does not apply"
         )
     rep = control_experiment(control.name, seed=cfg.seed, stages=cfg.stages, n_max=cfg.n_max)
-    rep = replace(rep, fingerprint=cfg.fingerprint())
-    _write(_out_path(cfg, "control.csv"), rep.to_csv())
-    _write(_out_path(cfg, "control.json"), rep.to_json())
+    _write(cfg, "control.csv", rep.to_csv())
+    _write(cfg, "control.json", rep.to_dict())
     print(f"control={name} floor: {rep.control_floor} verdict={rep.verdict.upper()}")
     return EXIT_OK if rep.verdict == "pass" else EXIT_USAGE
 
@@ -237,9 +226,7 @@ def cmd_couple(args) -> int:
         horizon=cfg.horizon,
         seed=cfg.seed,
     )
-    doc = json.loads(rep.to_json())
-    doc["fingerprint"] = cfg.fingerprint()
-    _write(_out_path(cfg, "couple.json"), json.dumps(doc, sort_keys=True))
+    _write(cfg, "couple.json", rep.to_dict())
     if rep.failed:
         print(
             f"horizon {cfg.horizon} exhausted: hit probability "

@@ -109,7 +109,7 @@ class CatalogueEntry:
 
 def make_entry(S: GSet, H: AmenableSubgroup) -> CatalogueEntry:
     """The entry (S, H), refused unless S meets every conjugate of H."""
-    if certify_visibility(S, H).verdict != "pass":
+    if not certify_visibility(S, H):
         raise SpecMismatchError(f"set is not visible through {H.describe()}")
     return CatalogueEntry(S, H)
 

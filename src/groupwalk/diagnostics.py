@@ -11,11 +11,13 @@ Curves are computed incrementally: one right-convolution per step feeds
 both the translated and untranslated track, and all t in S share the
 single mu * nu^{*n} track. Every value comes with the bracket
 lost(translated) + lost(untranslated) from the measure ledgers.
+
+A `TVReport` is the run's result only: `to_csv` and `to_dict` hold no
+config fingerprint or seed, which the `cli` stamps on every artifact.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from groupwalk.config import RunConfig
@@ -123,44 +125,36 @@ class TVReport:
     per_n_min: tuple[tuple[int, float, float], ...]  # (n, min value, its bracket)
     verdict: str  # "pass" | "inconclusive" | "fail" (fail only in controls)
     control_floor: str | None = None
-    fingerprint: str = ""
-    seed: int | None = None
 
     def to_csv(self) -> str:
-        lines = [f"# fingerprint={self.fingerprint} seed={self.seed}"]
-        lines.append("t,n,value,bracket")
+        lines = ["t,n,value,bracket"]
         for curve in self.curves:
             for p in curve.points:
                 lines.append(f"{curve.t_text},{p.n},{p.value!r},{p.bracket!r}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "group": self.group_text,
-                "mu": self.mu_desc,
-                "S": list(self.S_texts),
-                "bound": self.bound,
-                "slack": self.slack,
-                "n_max": self.n_max,
-                "budget": self.budget,
-                "verdict": self.verdict,
-                "control_floor": self.control_floor,
-                "fingerprint": self.fingerprint,
-                "seed": self.seed,
-                "per_n_min": [list(r) for r in self.per_n_min],
-                "curves": [
-                    {
-                        "t": c.t_text,
-                        "budget_flag": c.budget_flag,
-                        "stopped_early": c.stopped_early,
-                        "points": [[p.n, p.value, p.bracket] for p in c.points],
-                    }
-                    for c in self.curves
-                ],
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "group": self.group_text,
+            "mu": self.mu_desc,
+            "S": list(self.S_texts),
+            "bound": self.bound,
+            "slack": self.slack,
+            "n_max": self.n_max,
+            "budget": self.budget,
+            "verdict": self.verdict,
+            "control_floor": self.control_floor,
+            "per_n_min": [list(r) for r in self.per_n_min],
+            "curves": [
+                {
+                    "t": c.t_text,
+                    "budget_flag": c.budget_flag,
+                    "stopped_early": c.stopped_early,
+                    "points": [[p.n, p.value, p.bracket] for p in c.points],
+                }
+                for c in self.curves
+            ],
+        }
 
 
 def nondisjointness_report(
@@ -170,8 +164,6 @@ def nondisjointness_report(
     n_max: int,
     budget: int | None = None,
     slack: float = 0.5,
-    fingerprint: str = "",
-    seed: int | None = None,
     stop_early: bool = True,
 ) -> TVReport:
     """Compare min_{t in S} min_n d_n against 2(1 - 1/|S|)|mu| + slack.
@@ -218,8 +210,6 @@ def nondisjointness_report(
         curves=curves,
         per_n_min=tuple((p.n, p.value, p.bracket) for p in mins),
         verdict="pass" if any(meets(p) for p in mins) else "inconclusive",
-        fingerprint=fingerprint,
-        seed=seed,
     )
 
 
@@ -238,7 +228,8 @@ def control_experiment(
 ) -> TVReport:
     """Known-answer curves: a free control that must stay high, an amenable
     control that must fall. `stages` and `n_max` default to the control's
-    entry in `presets.CONTROLS`.
+    entry in `presets.CONTROLS`; `seed` reaches only the amenable
+    construction.
 
     `free-group-srw` (alias `f2-control`): simple random walk on the rank-2
     free group, t = a, exact arithmetic; requires d_1 = 2 and d_10 >= 1.
@@ -248,7 +239,7 @@ def control_experiment(
     control = get_control(preset)
     n_max = control.n_max if n_max is None else n_max
     if control.name == "free-group-srw":
-        return _control_free(seed, n_max)
+        return _control_free(n_max)
     return _control_amenable(seed, control.stages if stages is None else stages, n_max)
 
 
@@ -259,7 +250,6 @@ def _control_report(
     slack: float,
     passes,
     floor: str,
-    seed: int | None,
     stop_below: float | None = None,
 ) -> TVReport:
     """The one-curve report of a control: d_n(t) from delta(e), judged by `passes({n: d_n})`."""
@@ -277,18 +267,16 @@ def _control_report(
         per_n_min=tuple((p.n, p.value, p.bracket) for p in curve.points),
         verdict="pass" if passes({p.n: p.value for p in curve.points}) else "fail",
         control_floor=floor,
-        seed=seed,
     )
 
 
-def _control_free(seed: int | None, n_max: int) -> TVReport:
+def _control_free(n_max: int) -> TVReport:
     F2 = FreeGroup(2)
     nu = uniform(GSet(F2, frozenset([(1,), (-1,), (2,), (-2,)])), mode="exact")
     return _control_report(
         nu, (1,), n_max, 0.0,
         lambda d: d[1] == 2.0 and d[n_max] >= 1.0,
         f"d_1 = 2 and d_{n_max} >= 1.0 (free walk must stay far)",
-        seed,
     )
 
 
@@ -298,5 +286,5 @@ def _control_amenable(seed: int | None, stages: int, n_max: int) -> TVReport:
         build_measure(st, mode="exact"), (1,), n_max, 0.2,
         lambda d: min(d.values()) < 0.2,
         f"d_n < 0.2 for some n <= {n_max} (amenable walk must mix)",
-        seed, stop_below=0.2 - 1e-12,
+        stop_below=0.2 - 1e-12,
     )

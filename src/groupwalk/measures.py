@@ -281,20 +281,13 @@ def delta(group: Group, x=None, mode: str = "float") -> SparseMeasure:
     return SparseMeasure.from_items(group, [(x, one)], mode)
 
 
-def uniform(S, mode: str = "float", group: Group | None = None) -> SparseMeasure:
-    """Uniform probability measure on a finite set (GSet or iterable)."""
-    if isinstance(S, GSet):
-        group = S.group
-        elements = list(S.elements)
-    else:
-        if group is None:
-            raise SpecMismatchError("uniform needs a GSet or an explicit group")
-        elements = list(S)
-    if not elements:
+def uniform(S: GSet, mode: str = "float") -> SparseMeasure:
+    """Uniform probability measure on a finite GSet."""
+    if not S.elements:
         raise SpecMismatchError("uniform measure on empty set")
-    n = len(set(elements))
+    n = len(S.elements)
     w = Fraction(1, n) if mode == "exact" else 1.0 / n
-    return SparseMeasure.from_items(group, [(x, w) for x in set(elements)], mode)
+    return SparseMeasure.from_items(S.group, [(x, w) for x in S.elements], mode)
 
 
 # -- shared accounting helpers -------------------------------------------

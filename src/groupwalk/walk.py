@@ -30,7 +30,6 @@ results are independent of batching. Two layouts remain:
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,25 +232,22 @@ class DecompositionReport:
     failed: bool
     ci_method: str = "wilson-95"
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "S": list(self.S_texts),
-                "N": self.N,
-                "eps": self.eps,
-                "trials": self.trials,
-                "horizon": self.horizon,
-                "seed": self.seed,
-                "M": self.M,
-                "hit_probability": self.hit_probability,
-                "ci": list(self.ci),
-                "remainder_estimate": self.remainder_estimate,
-                "curve": [list(row) for row in self.curve],
-                "failed": self.failed,
-                "ci_method": self.ci_method,
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "S": list(self.S_texts),
+            "N": self.N,
+            "eps": self.eps,
+            "trials": self.trials,
+            "horizon": self.horizon,
+            "seed": self.seed,
+            "M": self.M,
+            "hit_probability": self.hit_probability,
+            "ci": list(self.ci),
+            "remainder_estimate": self.remainder_estimate,
+            "curve": [list(row) for row in self.curve],
+            "failed": self.failed,
+            "ci_method": self.ci_method,
+        }
 
 
 def _first_clearing(order: np.ndarray, trials: int, target: float) -> int | None:

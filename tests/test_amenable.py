@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from groupwalk import (
     run_construction,
 )
 from groupwalk import amenable
-from groupwalk.amenable import VisibilityCertificate, folner_search, invariance_defect
+from groupwalk.amenable import folner_search, invariance_defect
 from groupwalk.construction import VisibilityCatalogue, catalogue_from_texts
 from groupwalk.cli import main
 
@@ -312,8 +311,7 @@ def test_embedding_validation():
 def test_certificate_structural_pass():
     S = GSet(F2xZ, frozenset([((), (1,))]))
     H = AmenableSubgroup(F2xZ, "center")
-    cert = certify_visibility(S, H)
-    assert cert.verdict == "pass"
+    assert certify_visibility(S, H)
 
 
 def test_certificate_structural_soundness_sampled():
@@ -322,7 +320,7 @@ def test_certificate_structural_soundness_sampled():
     g = F2xZ
     S = GSet(g, frozenset([((), (1,))]))
     H = AmenableSubgroup(g, "center")
-    assert certify_visibility(S, H).verdict == "pass"
+    assert certify_visibility(S, H)
     for gamma in ball(g, 2):
         assert any(H.contains(g.conjugate(x, gamma)) for x in S.elements)
 
@@ -352,15 +350,4 @@ def test_certificate_refuted_at_identity():
     # S misses the lamps subgroup entirely, so the identity conjugate refutes it
     S = GSet(LAMP, frozenset([((), 1)]))
     H = AmenableSubgroup(LAMP, "lamps")
-    cert = certify_visibility(S, H)
-    assert cert.verdict == "refuted"
-
-
-def test_certificate_json_round_trip():
-    S = GSet(F2xZ, frozenset([((), (1,))]))
-    H = AmenableSubgroup(F2xZ, "center")
-    cert = certify_visibility(S, H)
-    doc = json.loads(cert.to_json())
-    assert sorted(doc) == ["S", "group", "subgroup", "verdict"]
-    again = VisibilityCertificate(doc["group"], tuple(doc["S"]), doc["subgroup"], doc["verdict"])
-    assert again == cert
+    assert not certify_visibility(S, H)

@@ -6,11 +6,11 @@ import pytest
 from groupwalk import measures
 from groupwalk.cli import main
 from groupwalk.config import RunConfig, parse_config_text
-from groupwalk.construction import run_construction
+from groupwalk.construction import build_measure, run_construction
 from groupwalk.diagnostics import control_experiment
 from groupwalk.errors import SpecMismatchError
 from groupwalk.measures import SparseMeasure
-from groupwalk.presets import initial_state
+from groupwalk.presets import initial_state, preset_state
 
 
 def sha(p):
@@ -216,11 +216,12 @@ def _all_truncated(doc):
         _forged_B,
         _all_truncated,
         lambda doc: doc["state"]["catalogue"]["entries"][0].update(radius=3) or doc,
+        lambda doc: doc["state"].update(A=doc["state"]["A"][:-1]) or doc,
     ],
     ids=[
         "records-not-a-list", "B-not-a-list", "stage-renumbered", "not-an-object",
         "defect", "truncated-not-a-bool", "entry", "c", "F",
-        "forged-B", "all-truncated", "entry-radius",
+        "forged-B", "all-truncated", "entry-radius", "A",
     ],
 )
 def test_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
@@ -238,23 +239,13 @@ def test_resume_refuses_a_malformed_checkpoint(tmp_path, capsys, edit):
 
 
 def test_folner_command(capsys):
-    rc = main(
-        [
-            "folner",
-            "--group",
-            "free-abelian(1)",
-            "--embedding",
-            "whole",
-            "--b",
-            "(1) (-1)",
-            "--eps",
-            "1/3",
-        ]
-    )
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["size"] == 7
-    assert "(-3)" in doc["F"] and "(3)" in doc["F"]
+    # the rank-1 free group's family is the interval [-m, m], as on Z
+    for group, b, ends in (("free-abelian(1)", "(1) (-1)", ["(-3)", "(3)"]), ("free(1)", "a A", ["AAA", "aaa"])):
+        rc = main(["folner", "--group", group, "--embedding", "whole", "--b", b, "--eps", "1/3"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["size"] == 7
+        assert set(ends) <= set(doc["F"])
 
 
 def test_certify_command(tmp_path, capsys):
@@ -265,6 +256,23 @@ def test_certify_command(tmp_path, capsys):
     doc = json.loads((tmp_path / "certificates.json").read_text())
     assert doc["certificates"][0]["verdict"] == "pass"
     assert "fingerprint" in doc
+
+
+def test_certify_refuted_entry_exits_1(tmp_path, capsys):
+    # (a|(0)) lies outside the center of F2 x Z; (e|(1)) lies in it
+    cfg = tmp_path / "refuted.cfg"
+    cfg.write_text(
+        "group = product(free(2),free-abelian(1))\n"
+        "catalogue = (a|(0)) @ center; (e|(1)) @ center\n"
+    )
+    assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "H=center: refuted\n" in capsys.readouterr().out
+    certs = json.loads((tmp_path / "out" / "certificates.json").read_text())["certificates"]
+    assert [c["verdict"] for c in certs] == ["refuted", "pass"]
+    for c in certs:
+        assert sorted(c) == ["S", "group", "subgroup", "verdict"]
+        assert c["group"] == "product(free(2),free-abelian(1))" and c["subgroup"] == "center"
+    assert [c["S"] for c in certs] == [["(a|(0))"], ["(e|(1))"]]
 
 
 def test_report_command_and_exit_codes(tmp_path):
@@ -311,19 +319,39 @@ def test_tv_curve_command(tmp_path):
             "20",
             "--n-max",
             "8",
+            "--seed",
+            "9",
             "--out",
             str(tmp_path),
         ]
     )
     assert rc == 0
     rows = (tmp_path / "tv-curve.csv").read_text().strip().splitlines()
+    # the csv's first line and the json's keys name the config and seed that ran
+    fp = parse_config_text("", preset="z-amenable", stages=20, n_max=8, seed=9).resolved().fingerprint()
+    assert rows[0] == f"# fingerprint={fp} seed=9"
     assert rows[1] == "t,n,value,bracket"
     # every n up to n_max, though d_n meets the report's bound at n = 2
     assert [r.split(",")[1] for r in rows[2:]] == [str(n) for n in range(9)]
     # d_0 = 2 for a point mass against its translate
     assert rows[2].split(",")[2] == "2.0"
     doc = json.loads((tmp_path / "tv-curve.json").read_text())
-    assert doc["fingerprint"] and doc["seed"] is not None
+    assert (doc["fingerprint"], doc["seed"]) == (fp, 9)
+
+
+def test_refused_convolution_ends_every_curve_at_the_last_step(tmp_path, monkeypatch, capsys):
+    # a pair limit of |nu| lets step 1 (|delta| x |nu| pairs) run and refuses step 2
+    nu = build_measure(preset_state("f2xz", seed=RunConfig.seed, stages=4), mode="float")
+    monkeypatch.setattr(measures, "_PAIR_LIMIT", len(nu))
+    argv = ["tv-curve", "--preset", "f2xz", "--stages", "4", "--n-max", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads((tmp_path / "tv-curve.json").read_text())
+    assert doc["curves"]
+    for c in doc["curves"]:
+        assert c["budget_flag"] is True and not c["stopped_early"]
+        assert [p[0] for p in c["points"]] == [0, 1]
+    assert [r[0] for r in doc["per_n_min"]] == [0, 1]
 
 
 def test_control_command(tmp_path):
@@ -332,6 +360,9 @@ def test_control_command(tmp_path):
     doc = json.loads((tmp_path / "control.json").read_text())
     assert doc["verdict"] == "pass"
     rows = (tmp_path / "control.csv").read_text().strip().splitlines()
+    # both artifacts carry the control's pinned fingerprint (see FINGERPRINTS)
+    assert rows[0] == f"# fingerprint=a784dcdfd026ce2f seed={RunConfig.seed}"
+    assert (doc["fingerprint"], doc["seed"]) == ("a784dcdfd026ce2f", RunConfig.seed)
     assert rows[1] == "t,n,value,bracket"
     assert rows[2].startswith("a,0,2.0")
 
@@ -365,6 +396,22 @@ def test_control_fingerprints_what_it_runs(tmp_path, capsys):
     # a flag beats the config file
     flag = ["--config", str(cfg), "--mode", "exact", "--out", str(refused)]
     assert main(["control", "f2-control", "--n-max", "3"] + flag) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["control", "free-group-srw", "--n-max", "3", "--group", "free(3)"],
+        ["control", "amenable-sanity", "--preset", "f2xz"],
+    ],
+    ids=["group-flag", "preset"],
+)
+def test_control_refuses_another_group(tmp_path, capsys, argv):
+    # a control runs only its own group, so a config naming another would
+    # fingerprint a run that never happened
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "error: control " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # (argv, artifact, its fingerprint); a fingerprint names a run across

@@ -24,6 +24,7 @@ from groupwalk import (
     resume_construction,
     run_construction,
 )
+from groupwalk import amenable
 from groupwalk.config import parse_config_text
 from groupwalk.presets import fresh_state, preset_state
 
@@ -167,15 +168,22 @@ def test_lamplighter_stage_five_is_complete_at_the_bench_cap():
     assert capped.records[-1].F.elements == full.records[-1].F.elements
 
 
-def test_budget_error_names_the_stage_once():
+def test_budget_error_names_the_stage_once(monkeypatch):
     # a product cap below |A_i| makes stage i refuse its product set
-    state = new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic"), product_cap=2)
+    lamp = new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic"), product_cap=2)
     with pytest.raises(BudgetError) as info:
-        run_construction(state, 5)
-    exc = info.value
-    assert isinstance(exc.stage, int)
-    assert str(exc).startswith(f"stage {exc.stage}: ")
-    assert str(exc).count("stage ") == 1
+        run_construction(lamp, 5)
+    errors = [info.value]
+    # a 3-element member cap ends Z's interval family before stage 2's F_2 = [-2, 2]
+    monkeypatch.setattr(amenable, "_MEMBER_SIZE_CAP", 3)
+    with pytest.raises(BudgetError, match="Folner family") as info:
+        run_construction(new_state(Z, _z_catalogue(), AlphaSchedule("harmonic")), 5)
+    errors.append(info.value)
+    assert errors[1].stage == 2
+    for exc in errors:
+        assert isinstance(exc.stage, int)
+        assert str(exc).startswith(f"stage {exc.stage}: ")
+        assert str(exc).count("stage ") == 1
 
 
 def test_state_json_round_trip(f2xz_state):

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -90,7 +89,7 @@ def test_report_pass_on_amenable(z_state):
     nu = build_measure(z_state, mode="exact")
     mu = delta(Z, mode="exact")
     S = GSet(Z, frozenset([(1,)]))
-    rep = nondisjointness_report(mu, S, nu, n_max=50, fingerprint="f" * 16, seed=4)
+    rep = nondisjointness_report(mu, S, nu, n_max=50)
     assert rep.verdict == "pass"
     assert rep.bound == 0.0  # |S| = 1
     assert min(r[1] for r in rep.per_n_min) <= rep.bound + rep.slack
@@ -114,19 +113,18 @@ def test_report_csv_and_json_shape(z_state):
     nu = build_measure(z_state, mode="exact")
     mu = delta(Z, mode="exact")
     S = GSet(Z, frozenset([(1,)]))
-    rep = nondisjointness_report(mu, S, nu, n_max=10, fingerprint="abc", seed=9)
-    csv = rep.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "# fingerprint=abc seed=9"
-    assert lines[1] == "t,n,value,bracket"
-    row = lines[2].split(",")
+    rep = nondisjointness_report(mu, S, nu, n_max=10)
+    lines = rep.to_csv().strip().splitlines()
+    # the report carries no provenance: the cli stamps it on each artifact
+    assert lines[0] == "t,n,value,bracket"
+    row = lines[1].split(",")
     assert row[0] == "(1)" and row[1] == "0" and float(row[2]) == 2.0
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert doc["verdict"] == "pass"
-    assert doc["fingerprint"] == "abc" and doc["seed"] == 9
+    assert "fingerprint" not in doc and "seed" not in doc
     # every curve point appears in the csv
     n_rows = sum(len(c["points"]) for c in doc["curves"])
-    assert len(lines) == 2 + n_rows
+    assert len(lines) == 1 + n_rows
 
 
 def test_control_free_group():

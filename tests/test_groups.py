@@ -247,6 +247,17 @@ def test_iterated_conjugation_pair_guard_truncates(monkeypatch):
     assert got.elements < want.elements
 
 
+def test_cap_inside_one_word_length_keeps_a_canonical_prefix():
+    # both conjugates of a, by b and by B, have length 3, so no full radius
+    # fits a cap of 1; the truncation keeps the first in canonical order
+    R, B = GSet(F2, frozenset([(1,)])), GSet(F2, frozenset([(2,), (-2,)]))
+    full = conjugate_set(R, B, cap=10)
+    assert len(full) == 2 and {F2.word_length(x) for x in full.elements} == {3}
+    capped = conjugate_set(R, B, cap=1)
+    assert capped.truncated
+    assert capped.elements == frozenset(full.sorted_elements()[:1])
+
+
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_symmetrized_gset(data):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -172,8 +170,7 @@ def test_estimate_m_basic(f2xz_state):
     # the curve is non-decreasing in the horizon cut
     values = [row[1] for row in rep.curve]
     assert values == sorted(values)
-    # round trip through json
-    doc = json.loads(rep.to_json())
+    doc = rep.to_dict()
     assert doc["M"] == rep.M
     assert doc["ci_method"] == "wilson-95"
 
@@ -204,7 +201,7 @@ def test_estimate_m_deterministic(f2xz_state):
     S = GSet(f2xz_state.group, frozenset([((), (1,))]))
     a = estimate_M(f2xz_state, S, N=4, eps=0.3, trials=600, horizon=2048, seed=3)
     b = estimate_M(f2xz_state, S, N=4, eps=0.3, trials=600, horizon=2048, seed=3)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 @pytest.fixture(scope="module", params=["harmonic", "geometric"])
@@ -275,9 +272,9 @@ def test_estimate_m_does_not_depend_on_tiling(three_entry_state, monkeypatch):
     g = three_entry_state.group
     S = GSet(g, frozenset([g.element_from_text("(e|(1))")]))
     args = dict(N=2, eps=0.8, trials=40, horizon=150, seed=5)
-    default = estimate_M(three_entry_state, S, **args).to_json()
+    default = estimate_M(three_entry_state, S, **args).to_dict()
     monkeypatch.setattr(walk, "_TILE_CELLS", 7)
-    assert estimate_M(three_entry_state, S, **args).to_json() == default
+    assert estimate_M(three_entry_state, S, **args).to_dict() == default
 
 
 def _scan_first_clearing(order, trials, target):
