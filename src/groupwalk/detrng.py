@@ -15,6 +15,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+_BLOCK = 1 << 15  # words `_mix64_np` mixes at once: 256 KiB, twice that with its scratch
 
 
 def mix64(x: int) -> int:
@@ -43,18 +44,48 @@ def derive(seed: int, *labels: int | str) -> int:
 
 
 def _mix64_np(x: np.ndarray) -> np.ndarray:
-    """`mix64` elementwise: one copy of x, mixed in place with one scratch array."""
-    z = np.array(x, dtype=np.uint64)
-    t = np.empty_like(z)
+    """`mix64` elementwise: a new uint64 array of x's shape; x is left as it is.
+
+    The work goes one `_BLOCK`-word block at a time: the block is copied
+    into the output, which is C-ordered so its flat view is its own memory,
+    and mixed there in nine passes with one block-sized scratch array, so it
+    stays in cache from the copy to the last pass instead of crossing memory
+    ten times. Each word gets the same arithmetic as in full-array passes,
+    so the output is the same bit for bit for every block size.
+    """
+    src = np.ascontiguousarray(x).reshape(-1)  # a view unless x is not C-ordered
+    z = np.empty(np.shape(x), dtype=np.uint64)
+    out = z.reshape(-1)
+    scratch = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        np.add(z, np.uint64(_GAMMA), out=z)
-        for shift, mult in ((30, _M1), (27, _M2)):
-            np.right_shift(z, np.uint64(shift), out=t)
-            np.bitwise_xor(z, t, out=z)
-            np.multiply(z, np.uint64(mult), out=z)
-        np.right_shift(z, np.uint64(31), out=t)
-        np.bitwise_xor(z, t, out=z)
+        for lo in range(0, out.size, _BLOCK):
+            b = out[lo : lo + _BLOCK]
+            t = scratch[: b.size]
+            b[...] = src[lo : lo + _BLOCK]
+            np.add(b, np.uint64(_GAMMA), out=b)
+            for shift, mult in ((30, _M1), (27, _M2)):
+                np.right_shift(b, np.uint64(shift), out=t)
+                np.bitwise_xor(b, t, out=b)
+                np.multiply(b, np.uint64(mult), out=b)
+            np.right_shift(b, np.uint64(31), out=t)
+            np.bitwise_xor(b, t, out=b)
     return z
+
+
+def _uniforms(x: np.ndarray) -> np.ndarray:
+    """`uniform_at`'s float for each word of x: the top 53 bits of `mix64(x)`, scaled.
+
+    The floats are written over the mixed words a block at a time, so no
+    second array of x's size is allocated.
+    """
+    z = _mix64_np(x)
+    u = z.view(np.float64)
+    words, floats = z.reshape(-1), u.reshape(-1)
+    for lo in range(0, words.size, _BLOCK):
+        b = words[lo : lo + _BLOCK]
+        np.right_shift(b, np.uint64(11), out=b)
+        np.multiply(b, np.float64(2.0**-53), out=floats[lo : lo + _BLOCK])
+    return u
 
 
 class CounterRng:
@@ -68,5 +99,4 @@ class CounterRng:
 
     def uniforms_at(self, counters: np.ndarray) -> np.ndarray:
         """Random-access uniforms at arbitrary counters (vectorized)."""
-        c = counters.astype(np.uint64)
-        return (_mix64_np(c ^ np.uint64(self.key)) >> np.uint64(11)) * np.float64(2.0**-53)
+        return _uniforms(np.asarray(counters, dtype=np.uint64) ^ np.uint64(self.key))

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from groupwalk.construction import AlphaSchedule, ConstructionState
-from groupwalk.detrng import CounterRng, derive, _mix64_np
+from groupwalk.detrng import CounterRng, derive, _mix64_np, _uniforms
 from groupwalk.errors import SpecMismatchError
 from groupwalk.groups import GSet
 from groupwalk.measures import SparseMeasure
@@ -44,6 +44,7 @@ from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 COLORS = ("blue", "red", "green")
 _STRIDE = 3  # counter slots per sample: K, color, blue pick
 _TILE_CELLS = 1 << 18  # most trial x step cells estimate_M draws at once
+_STEP_SPAN = 1 << 12  # most steps whose candidate thresholds are bisected at once
 
 
 class WalkModel:
@@ -74,15 +75,14 @@ def _batch_keys(seed: int, label: str, start: int, count: int) -> np.ndarray:
     return _mix64_np(t ^ np.uint64(derive(seed, label)))
 
 
-def _uniform_grid(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Uniforms of stream keys at counters, the two broadcast together.
+def _uniform_grid(keys: np.ndarray, counters: np.ndarray, out=None) -> np.ndarray:
+    """Uniforms of stream keys at counters (both uint64), the two broadcast together.
 
     `keys[:, None]` against `counters[None, :]` gives the grid u[t, j] for
     key t at counter j; two equal-length vectors give one uniform per pair.
+    The words `key ^ counter` are formed in `out` when it is given.
     """
-    mixed = _mix64_np(counters.astype(np.uint64) ^ keys)
-    np.right_shift(mixed, np.uint64(11), out=mixed)
-    return mixed * np.float64(2.0**-53)
+    return _uniforms(np.bitwise_xor(counters, keys, out=out))
 
 
 def _candidate_thresholds(alpha: AlphaSchedule, steps: np.ndarray) -> np.ndarray:
@@ -102,7 +102,13 @@ def _candidate_thresholds(alpha: AlphaSchedule, steps: np.ndarray) -> np.ndarray
     return hi * 2.0**-53
 
 
-def _sample_atom_ids(model: WalkModel, seed: int, label: str, samples: int, batch: int = 1 << 18):
+def _require_samples(samples: int) -> None:
+    """Refuse a sampler run of no samples, which has no empirical law."""
+    if samples < 1:
+        raise SpecMismatchError("samples must be >= 1")
+
+
+def _sample_atom_ids(model: WalkModel, seed: int, label: str, samples: int, batch: int = 1 << 15):
     """Vectorized increment sampling; yields (atom_id array, colors) per batch.
 
     Atom ids index WalkModel.atoms. Sample s reads three uniforms: K at slot
@@ -111,7 +117,9 @@ def _sample_atom_ids(model: WalkModel, seed: int, label: str, samples: int, batc
     pick at 3s+2. K is clipped to k: the quantile is float arithmetic, and
     at u * p = p itself 1/(1 - p) passes k + 1 by a rounding error (at
     k = 32 on the harmonic rule), which ceil turns into K = k + 1, past
-    the stage tables.
+    the stage tables. The ids do not depend on `batch`. Its default keeps
+    each of a batch's arrays at 256 KiB: a million samples raise peak RSS
+    by ~4 MB this way, and by ~25 MB, more slowly, at 2^18 a batch.
     """
     rng = CounterRng(seed, label)
     p = float(model.alpha.partial_sum(model.k))
@@ -140,8 +148,7 @@ def empirical_increment_law(model: WalkModel, samples: int, seed: int):
     (measure, stats) where stats records the sample count and the color
     counts with Wilson intervals.
     """
-    if samples < 1:
-        raise SpecMismatchError("samples must be >= 1")
+    _require_samples(samples)
     counts = np.zeros(len(model.atoms), dtype=np.int64)
     color_counts = np.zeros(3, dtype=np.int64)
     for ids, colors in _sample_atom_ids(model, seed, "increments", samples):
@@ -168,6 +175,7 @@ def empirical_increment_law(model: WalkModel, samples: int, seed: int):
 
 def empirical_pair_law(model: WalkModel, samples: int, seed: int) -> SparseMeasure:
     """Empirical law of X_1 * X_2 over `samples` independent pairs."""
+    _require_samples(samples)
     pair_counts: dict[tuple[int, int], int] = {}
     n_atoms = len(model.atoms)
     gen1 = _sample_atom_ids(model, seed, "pair-a", samples)
@@ -180,7 +188,7 @@ def empirical_pair_law(model: WalkModel, samples: int, seed: int) -> SparseMeasu
             pair_counts[key] = pair_counts.get(key, 0) + int(c)
     g = model.group
     data: dict = {}
-    for (i, j), c in pair_counts.items():
+    for (i, j), c in sorted(pair_counts.items()):  # one summation order for any batching
         z = g.mul(model.atoms[i], model.atoms[j])
         data[z] = data.get(z, 0.0) + c / samples
     return SparseMeasure.from_items(g, data, "float")
@@ -192,6 +200,7 @@ def coupling_independence(model: WalkModel, samples: int, seed: int) -> dict:
     K is binned into {1..6, >=7} against the three colors; the untruncated
     stage law is used, matching the coupling's definition.
     """
+    _require_samples(samples)
     rng = CounterRng(seed, "chi")
     table = np.zeros((7, 3), dtype=np.int64)
     batch = 1 << 18
@@ -278,7 +287,8 @@ def estimate_M(
     an entry whose set is S. Only the cells that can decide it are drawn:
 
     - steps go in tiles of at most `_TILE_CELLS` cells, each tile over the
-      trials that have not hit yet, so no array grows with trials x horizon;
+      trials that have not hit yet and inside one span of `_STEP_SPAN`
+      steps, so no array grows with trials x horizon, nor with horizon;
     - `K_l > l+1` is read as `u >= thr_l` (`_candidate_thresholds`), and K
       itself is computed at those candidate cells only;
     - the color and the schedule are read only at candidate records past N.
@@ -309,6 +319,13 @@ def estimate_M(
     match_set = np.array(matching, dtype=np.int64)
     never = horizon + 1
     hit_times = np.full(trials, never, dtype=np.int64)
+    # candidate thresholds of steps span_lo, span_lo + 1, ..., bisected a span at a time
+    span_lo, span_thr = 1, np.empty(0)
+    # every tile forms its words in this one buffer, so a tile allocates one
+    # grid-sized array, the mixer's output, and the allocator reuses it; with
+    # three fresh ones a tile it gave their pages back to the OS, and every
+    # tile faulted them in again
+    words = np.empty(_TILE_CELLS, dtype=np.uint64)
     for start in range(0, trials, _TILE_CELLS):
         # per live trial: its row in this block, its stream key, and the
         # largest candidate K drawn so far (the record to beat)
@@ -317,13 +334,17 @@ def estimate_M(
         top = np.zeros(rows.size, dtype=np.int64)
         first = 1
         while rows.size and first <= horizon:
-            width = min(horizon + 1 - first, max(1, _TILE_CELLS // rows.size))
+            if not span_lo <= first < span_lo + span_thr.size:
+                span_lo, span_end = first, min(first + _STEP_SPAN, never)
+                span_thr = _candidate_thresholds(alpha, np.arange(span_lo, span_end))
+            width = min(span_lo + span_thr.size - first, max(1, _TILE_CELLS // rows.size))
             steps = np.arange(first, first + width, dtype=np.int64)
+            thr = span_thr[first - span_lo : first - span_lo + width]
             first += width
-            thr = _candidate_thresholds(alpha, steps)
             if thr[0] >= 1.0:
                 break  # thresholds rise with l: no later cell is a candidate
-            u = _uniform_grid(keys[:, None], (2 * steps).astype(np.uint64)[None, :])
+            grid = words[: rows.size * width].reshape(rows.size, width)
+            u = _uniform_grid(keys[:, None], (2 * steps).astype(np.uint64)[None, :], out=grid)
             r, c = np.nonzero(u >= thr)  # candidates, in row then step order
             K = alpha.sample_k_array(u[r, c])
             del u

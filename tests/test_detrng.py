@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from groupwalk.detrng import _GAMMA, CounterRng, _mix64_np, derive, mix64
+from groupwalk.detrng import _BLOCK, _GAMMA, CounterRng, _mix64_np, _uniforms, derive, mix64
 from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 
 
@@ -19,6 +20,38 @@ def test_mix64_np_matches_scalar():
     before = x.copy()
     assert [int(v) for v in _mix64_np(x)] == [mix64(int(v)) for v in x]
     assert np.array_equal(x, before)  # the input is not mixed in place
+
+
+def _words(n):
+    return np.random.default_rng(n).integers(0, 2**64, size=n, dtype=np.uint64, endpoint=False)
+
+
+def _grid():
+    # three rows of B/2 + 5 words: blocks end mid-row
+    return _words(3 * (_BLOCK // 2 + 5)).reshape(3, -1)
+
+
+_LENGTHS = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+_INPUTS = {
+    **{f"len-{n}": (lambda n=n: _words(n)) for n in _LENGTHS},
+    "grid": _grid,
+    "transpose": lambda: _grid().T,  # F-ordered: its flat reshape is a copy, not a view
+    "strided": lambda: _grid()[:, ::3],
+}
+
+
+@pytest.mark.parametrize("make", _INPUTS.values(), ids=_INPUTS.keys())
+def test_mix64_np_is_scalar_mix64_across_block_boundaries(make):
+    x = make()
+    before = x.copy()
+    out = _mix64_np(x)
+    assert out.shape == x.shape and out.dtype == np.uint64
+    want = [mix64(int(v)) for v in x.ravel()]
+    assert [int(v) for v in out.ravel()] == want
+    u = _uniforms(x)  # converted over the mixed words, block by block
+    assert u.shape == x.shape and u.dtype == np.float64
+    assert u.ravel().tolist() == [(w >> 11) * 2.0**-53 for w in want]
+    assert np.array_equal(x, before)
 
 
 def test_derive_is_order_sensitive():

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -197,6 +200,44 @@ def test_estimate_m_rejects_unknown_s(f2xz_state):
         estimate_M(f2xz_state, S, N=4, eps=0.25, trials=10, horizon=16, seed=1)
 
 
+def test_estimate_m_bytes_are_pinned(f2xz_state):
+    # 2,000 trials make tiles of ~8 mixer blocks, and 5,000 steps two
+    # threshold spans; neither may change a byte
+    S = GSet(f2xz_state.group, frozenset([((), (1,))]))
+    rep = estimate_M(f2xz_state, S, N=4, eps=0.25, trials=2000, horizon=5000, seed=77)
+    doc = json.dumps(rep.to_dict(), sort_keys=True)
+    assert rep.M == 3666
+    assert (
+        hashlib.sha256(doc.encode()).hexdigest()
+        == "52d80de742b5d08739efc3c8da14ee90dcd0a4f6bedca35387bd36bbef6665a1"
+    )
+
+
+def test_increment_law_bytes_are_pinned(model):
+    # 100,000 samples: four batches, the last one partial
+    emp, stats = empirical_increment_law(model, 100_000, seed=9)
+    doc = json.dumps({"atoms": emp.to_text(), "stats": stats}, sort_keys=True)
+    assert (
+        hashlib.sha256(doc.encode()).hexdigest()
+        == "e04b51a5f41115549e65643ee87017ab7713d279ab7549cf22ab875a28f4bd4f"
+    )
+
+
+def test_pair_law_bytes_do_not_depend_on_batching(model, monkeypatch):
+    whole = empirical_pair_law(model, 20_000, seed=4).to_text()
+    sample = walk._sample_atom_ids
+    monkeypatch.setattr(walk, "_sample_atom_ids", lambda *args: sample(*args, batch=777))
+    assert empirical_pair_law(model, 20_000, seed=4).to_text() == whole
+
+
+@pytest.mark.parametrize(
+    "sampler", [empirical_increment_law, empirical_pair_law, coupling_independence]
+)
+def test_samplers_refuse_zero_samples(model, sampler):
+    with pytest.raises(SpecMismatchError, match="samples must be >= 1"):
+        sampler(model, 0, seed=1)
+
+
 def test_estimate_m_deterministic(f2xz_state):
     S = GSet(f2xz_state.group, frozenset([((), (1,))]))
     a = estimate_M(f2xz_state, S, N=4, eps=0.3, trials=600, horizon=2048, seed=3)
@@ -268,12 +309,15 @@ def test_estimate_m_matches_scalar_oracle(three_entry_state, N, horizon):
 
 def test_estimate_m_does_not_depend_on_tiling(three_entry_state, monkeypatch):
     # 7 cells a tile splits the 40 trials into blocks and the 150 steps
-    # into many tiles, so tiles end mid-trial and blocks end mid-run
+    # into many tiles, so tiles end mid-trial and blocks end mid-run; spans
+    # of 5 steps then cut tiles short, and each block bisects them again
     g = three_entry_state.group
     S = GSet(g, frozenset([g.element_from_text("(e|(1))")]))
     args = dict(N=2, eps=0.8, trials=40, horizon=150, seed=5)
     default = estimate_M(three_entry_state, S, **args).to_dict()
     monkeypatch.setattr(walk, "_TILE_CELLS", 7)
+    assert estimate_M(three_entry_state, S, **args).to_dict() == default
+    monkeypatch.setattr(walk, "_STEP_SPAN", 5)
     assert estimate_M(three_entry_state, S, **args).to_dict() == default
 
 
