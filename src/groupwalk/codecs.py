@@ -25,6 +25,15 @@ marker; `mul_left` shifts each row's lamps by t's marker, XORs t's lamps in
 and adds t's marker. Either flags exactly the products that leave the
 window or the marker's field.
 
+`mul(xs, ys)` multiplies two code arrays row by row, broadcasting their
+shapes as a numpy ufunc does: `mul(xs[None, :], ys[:, None])` is the table
+of every x * y, y-major. Its `ok` is false exactly where the product does
+not encode, as for `mul_right`, and the code there is meaningless. Free
+codes cancel x's last letters against y's first ones while they are
+inverse letters, then join what is left; abelian and cyclic codes add
+their fields; lamplighter codes XOR y's window, moved by x's marker, into
+x's and add the markers; a product codec applies each factor's `mul`.
+
 `line_bits` is the width of a codec's lowest field when that field is one
 biased integer coordinate, else None. Right-multiplying by any element adds
 its coordinate in that field to every code's field and moves the fields
@@ -133,6 +142,49 @@ class FreeCodec:
             ok &= o
         return out, ok
 
+    def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """xs * ys row by row, broadcast; `ok` as in `mul_right`.
+
+        x's i-th last letter sits at bit i*b and y's i-th first letter at bit
+        (n_y-1-i)*b. k, the number of letters that cancel, is counted one
+        place at a time while some row still cancels; each place's letters
+        are taken on the operands before they broadcast, with a sentinel
+        where a word has no letter there.
+        """
+        b, sl, lm = _u(self.letter_bits), _u(self.shift_len), self._letter_mask
+        nx, vx = xs >> sl, xs & self._val_mask
+        ny, vy = ys >> sl, ys & self._val_mask
+        k = np.zeros(np.broadcast_shapes(xs.shape, ys.shape), dtype=U64)
+        live = np.ones(k.shape, dtype=bool)
+        none_x, none_y = ~_u(0), ~_u(1)  # never a letter, nor equal to each other
+        for i in range(int(min(nx.max(initial=0), ny.max(initial=0)))):
+            at = _u(i)
+            # a shift past 63 bits gives 0 in numpy; the sentinel covers those rows
+            xl = np.where(nx > at, (vx >> at * b) & lm, none_x)
+            yl = np.where(ny > at, ((vy >> (ny - at - _u(1)) * b) & lm) ^ _u(1), none_y)
+            live &= xl == yl
+            if not live.any():
+                break
+            k += live
+        # in place from here: a broadcast can be large, and each fresh
+        # temporary of it costs page faults
+        n = nx + ny
+        n -= k
+        n -= k
+        ok = n <= _u(self.max_len)
+        k *= b
+        joined = vx >> k
+        np.subtract(ny * b, k, out=k)  # bits of y left after the cancellation
+        joined <<= k
+        joined &= self._val_mask
+        np.left_shift(_u(1), k, out=k)
+        k -= _u(1)
+        k &= vy
+        joined |= k
+        n <<= sl
+        n |= joined
+        return n, ok
+
 
 class AbelianCodec:
     """Integer coordinates in equal fields, each stored biased so it stays unsigned."""
@@ -174,6 +226,23 @@ class AbelianCodec:
 
     mul_left = mul_right  # the group is commutative
 
+    def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """xs * ys row by row, broadcast: each coordinate's fields added, one bias
+        taken off; `ok` as in `mul_right`."""
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        ok = np.ones(shape, dtype=bool)
+        out = np.zeros(shape, dtype=U64)
+        for sh in self._shifts:
+            # fields are below 2^62, so the sum fits int64
+            s = ((xs >> _u(sh)) & self._mask).astype(np.int64) + ((ys >> _u(sh)) & self._mask).astype(np.int64)
+            s -= self._bias
+            ok &= s >= 0
+            ok &= s < self._limit
+            s = s.view(U64)
+            s <<= _u(sh)
+            out |= s
+        return out, ok
+
 
 class CyclicGroupCodec:
     """Residues mod n, stored directly."""
@@ -197,6 +266,10 @@ class CyclicGroupCodec:
         return out, np.ones(len(codes), dtype=bool)
 
     mul_left = mul_right  # the group is commutative
+
+    def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        out = (xs + ys) % _u(self.n)  # residues are below 2^61, so the sum fits
+        return out, np.ones(out.shape, dtype=bool)
 
 
 class LamplighterCodec:
@@ -288,6 +361,25 @@ class LamplighterCodec:
             leaving, kept = lamps & _u((1 << s) - 1), lamps >> _u(s)
         return self._join(kept ^ _u(inside), pos, p_t, leaving == want)
 
+    def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """xs * ys row by row, broadcast: y's window moved by x's marker and XORed
+        into x's, the markers added.
+
+        x's lamps never leave the window, so the product encodes exactly when
+        no lamp of y leaves it on the move and the marker stays in its field.
+        """
+        n = self._nlamps
+        lx, px = self._split(xs)
+        ly, py = self._split(ys)
+        shift = px - self._bias  # x's marker
+        s = np.minimum(np.abs(shift), n).astype(U64)
+        up = shift > 0
+        lost = np.where(up, ly >> (_u(n) - s), ly & ((_u(1) << s) - _u(1)))
+        moved = np.where(up, (ly << s) & self._window, ly >> s)
+        pos = px + py - self._bias
+        ok = (lost == _u(0)) & (pos >= 0) & (pos < (1 << self.pos_bits))
+        return ((lx ^ moved) << _u(self.pos_bits)) | (pos.astype(U64) & self._pos_mask), ok
+
 
 class ProductCodec:
     """Component codecs in disjoint bit fields, factor 0 in the high bits.
@@ -358,6 +450,17 @@ class ProductCodec:
 
     def mul_left(self, codes: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
         return self._fieldwise(codes, t, left=True)
+
+    def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        shape = np.broadcast_shapes(xs.shape, ys.shape)
+        ok = np.ones(shape, dtype=bool)
+        out = np.zeros(shape, dtype=U64)
+        for sub, sh, m in zip(self._subs, self._shifts, self._masks):
+            field, o = sub.mul((xs >> _u(sh)) & m, (ys >> _u(sh)) & m)
+            ok &= o
+            field <<= _u(sh)
+            out |= field
+        return out, ok
 
 
 def codec_for(

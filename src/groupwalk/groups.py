@@ -19,6 +19,8 @@ import string
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from groupwalk.errors import BudgetError, SpecMismatchError
 
 _PAIR_GUARD = 5 * 10**7
@@ -631,8 +633,35 @@ def product_power(A: GSet, k: int, cap: int) -> GSet:
     return GSet(g, frozenset(cur), truncated)
 
 
-def conjugate_set(A: GSet, B: GSet, cap: int) -> GSet:
-    """{b^-1 a b : a in A, b in B}, deduplicated."""
+def _conjugators(B: GSet):
+    """B split for `conjugate_set`: the elements b whose b and b^-1 both encode,
+    with those codes as arrays, and the rest of B, whose conjugates take the
+    group law. Without a codec every element is in the rest."""
+    g = B.group
+    codec = g.codec()
+    coded, rest, codes, inv_codes = [], [], [], []
+    for b in B.elements:
+        c = None if codec is None else codec.encode_one(b)
+        ci = None if c is None else codec.encode_one(g.inv(b))
+        if ci is None:
+            rest.append(b)
+        else:
+            coded.append(b)
+            codes.append(c)
+            inv_codes.append(ci)
+    return coded, np.array(codes, dtype=np.uint64), np.array(inv_codes, dtype=np.uint64), rest
+
+
+def conjugate_set(A: GSet, B: GSet, cap: int, conjugators=None) -> GSet:
+    """{b^-1 a b : a in A, b in B}, deduplicated.
+
+    On a codec group each encoded a is conjugated by every encoded b at once:
+    `mul(b^-1 codes, a)`, then `mul(., b codes)`, |B| rows a call, and the
+    distinct codes are decoded once. A row whose product does not encode, an
+    a or b that does not encode, and every pair of a codec-less group take
+    `g.conjugate`. `conjugators` is `_conjugators(B)`, for a caller that
+    conjugates by one B many times.
+    """
     if A.group != B.group:
         raise SpecMismatchError("conjugate_set arguments from different groups")
     if cap < 1:
@@ -642,7 +671,23 @@ def conjugate_set(A: GSet, B: GSet, cap: int) -> GSet:
             f"conjugate_set would form {len(A) * len(B)} pairs (> {_PAIR_GUARD})"
         )
     g = A.group
-    out = {g.conjugate(a, b) for a in A.elements for b in B.elements}
+    codec = g.codec()
+    coded, b_codes, inv_codes, rest = _conjugators(B) if conjugators is None else conjugators
+    out = set()
+    found: set[int] = set()
+    for a in A.elements:
+        c = None if codec is None or not coded else codec.encode_one(a)
+        if c is None:
+            out.update(g.conjugate(a, b) for b in coded)
+        else:
+            left, ok = codec.mul(inv_codes, np.array([c], dtype=np.uint64))
+            conj, ok2 = codec.mul(left, b_codes)
+            ok &= ok2
+            found.update(conj[ok].tolist())
+            out.update(g.conjugate(a, coded[j]) for j in np.flatnonzero(~ok).tolist())
+        out.update(g.conjugate(a, b) for b in rest)
+    if found:
+        out.update(map(codec.decode_one, found))
     truncated = A.truncated or B.truncated
     if len(out) > cap:
         out = set(_truncate_to_radius(g, out, cap))
@@ -656,20 +701,22 @@ def iterated_conjugate_set(R: GSet, A: GSet, k: int, cap: int) -> GSet:
     Conjugating by a_1 ... a_k is conjugating by a_1, then by a_2, ..., then
     by a_k, so k rounds of `conjugate_set(., A, cap)` give the set exactly,
     and each round holds about as many elements as the result rather than
-    |A|^k products. A round over the cap (or over the pair guard) truncates
-    to a word-length radius, so the result is always a subset of the true
-    set, with the truncated flag set. A round that changes nothing is a
-    fixed point, and the loop stops there.
+    |A|^k products. A and A^-1 are encoded once, for every round. A round
+    over the cap (or over the pair guard) truncates to a word-length radius,
+    so the result is always a subset of the true set, with the truncated
+    flag set. A round that changes nothing is a fixed point, and the loop
+    stops there.
     """
     if cap < len(A):
         raise BudgetError(f"conjugation cap {cap} < |A| = {len(A)}")
     g = R.group
     cur = R
+    conjugators = _conjugators(A)
     for _ in range(k):
         if len(cur) * len(A) > _PAIR_GUARD:
             kept = _truncate_to_radius(g, set(cur.elements), _PAIR_GUARD // len(A))
             cur = GSet(g, kept, True)
-        nxt = conjugate_set(cur, A, cap)
+        nxt = conjugate_set(cur, A, cap, conjugators)
         if nxt.elements == cur.elements:
             return nxt
         cur = nxt

@@ -31,13 +31,15 @@ field is one biased integer coordinate (`line_bits`): the plan finds mu's
 fibers, nu's line shifts as a dense kernel, every fiber's run and one
 window per target fiber, and `_sum_windows` sums the product into those
 windows without sorting a row: the dense blocks first, then nu's other
-atoms in spiral order. Every other convolution takes the sort route:
-`mul_right` on mu's codes for every atom of nu, rows flushed through
-`_dedup` (a stable sort, then a sum per code), so a code's rows are summed
-in nu's spiral order. Neither route keeps an atom whose weight sums to 0,
-and a convolution whose accumulator or windows would pass `_ACC_BYTES`
-raises BudgetError before allocating them; an exact row is priced with its
-numerator, at the size of the product's denominator.
+atoms in spiral order. Every other convolution takes the sort route: nu's
+atoms in spiral order, each run of consecutive pool atoms one codec `mul`
+of mu's codes by the run's codes (rows y-major, at most max(|mu pool|,
+2^12) a call), each side atom of nu one `mul_right`, and the rows flushed
+through `_dedup` (a stable sort, then a sum per code), so a code's rows
+are summed in nu's spiral order. Neither route keeps an atom whose weight
+sums to 0, and a convolution whose accumulator or windows would pass
+`_ACC_BYTES` raises BudgetError before allocating them; an exact row is
+priced with its numerator, at the size of the product's denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -48,6 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from groupwalk.errors import BudgetError, ConvolutionRefused, SpecMismatchError
 from groupwalk.groups import GSet, Group
 
 _FLUSH_ROWS = 1 << 22  # the most pending rows `_products` holds before a dedup flush
+_BLOCK_ROWS = 1 << 12  # the rows one sort-route `mul` call makes, unless mu's pool is larger
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 _ACC_BYTES = 1 << 31  # refuse a convolution whose accumulator would pass this
 _ROW_BYTES = 16  # one uint64 code and one float64 mass, or a pointer to a numerator
@@ -412,19 +416,21 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
     of nu's sorted codes, and as a kernel of K slots they turn each fiber
     into a dense block of span + K slots. Each other pool atom y of nu moves
     a fiber, as one contiguous run, to the fiber of fiber * y, shifted by
-    y's field value; only the fibers' first codes go through `mul_right`.
-    The runs are sorted by target fiber, and each target fiber gets one
-    window spanning its runs.
+    y's field value. Atoms with one upper part (the bits above the field)
+    move every fiber to the same target, so one broadcast `mul` of the
+    fibers' first codes by each distinct upper part finds them all. The
+    targets are sorted once, and each target fiber gets one window spanning
+    its runs (`np.minimum.reduceat` and `np.maximum.reduceat` over them).
 
     The route is chosen from the inputs alone. None when the product is one
     the windows cannot represent: no line field, no pool in mu, a side atom
-    in mu or nu, no line shift in nu, a first code whose product does not
-    encode, or a run that leaves the field; and None when the windows are
-    longer than the |mu pool| * |nu pool| rows the sort route would hold
-    (the fill guard).
+    in mu or nu, no line shift in nu, a first code whose product with an
+    upper part does not encode, or a run that leaves the field; and None
+    when the windows are longer than the |mu pool| * |nu pool| rows the
+    sort route would hold (the fill guard).
 
-    Otherwise returns (kernel, nu's other pool atoms in spiral order with
-    their weights, atoms per fiber, each atom's place in its fiber's run,
+    Otherwise returns (kernel, the weights of nu's other pool atoms in
+    spiral order, atoms per fiber, each atom's place in its fiber's run,
     the dense block lengths, each window's origin, the window lengths, run
     slots). A window's origin is its first code minus its first slot
     (uint64 wraps), so slot k holds code origin + k; run slots[0] holds the
@@ -456,36 +462,45 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
     kernel = np.zeros(K, dtype=_DTYPE[nu.mode])
     kernel[z - z_min] = nu._masses[lo:hi]
     rest = np.r_[0:lo, hi : len(nu._codes)]
-    others = _spiral(
-        mu.group, zip(map(codec.decode_one, nu._codes[rest].tolist()), nu._masses[rest].tolist())
+    rest = np.array(
+        [k for _, k in _spiral(mu.group, zip(map(codec.decode_one, nu._codes[rest].tolist()), rest.tolist()))],
+        dtype=np.intp,
     )
+    others = nu._masses[rest].tolist()
+    # nu's other atoms with one upper part move every fiber to the same key,
+    # and their line values only shift the runs: so one row per upper part,
+    # and row 0 for the dense blocks
+    upper, part = np.unique(nu._codes[rest] >> np.uint64(b), return_inverse=True)
+    shift = (nu._codes[rest] & np.uint64(field)).astype(np.int64) - (e & field)
     first = mu._codes[starts]
-    keys = np.empty((len(others) + 1, len(starts)), dtype=np.uint64)
-    los = np.empty(keys.shape, dtype=np.int64)
-    keys[0] = first >> np.uint64(b)
-    los[0] = lo_first + z_min
-    for j, (y, _) in enumerate(others, start=1):
-        out, ok = codec.mul_right(first, y)
-        if not ok.all():
-            return None
-        keys[j] = out >> np.uint64(b)
-        los[j] = (out & np.uint64(field)).astype(np.int64)
-    his = los + (blocks - K)  # each run's last field value
-    his[0] += K - 1
-    if int(los[0].min()) < 0 or int(his.max()) > field:
+    out, ok = codec.mul(first[None, :], ((upper << np.uint64(b)) | np.uint64(e & field))[:, None])
+    if not ok.all():
         return None
-    wkey, wid = np.unique(keys.ravel(), return_inverse=True)
-    wid = wid.reshape(keys.shape)
-    wlo = np.full(len(wkey), field, dtype=np.int64)
-    whi = np.zeros(len(wkey), dtype=np.int64)
-    np.minimum.at(wlo, wid, los)
-    np.maximum.at(whi, wid, his)
-    wlen = whi - wlo + 1
+    keys = np.vstack([first >> np.uint64(b), out >> np.uint64(b)])
+    line = np.vstack([lo_first + z_min, (out & np.uint64(field)).astype(np.int64)])
+    moves = [shift[part == u] for u in range(len(upper))]
+    lows = line + np.array([0] + [int(m.min()) for m in moves], dtype=np.int64)[:, None]
+    highs = line + (blocks - K) + np.array([K - 1] + [int(m.max()) for m in moves], dtype=np.int64)[:, None]
+    if int(lows.min()) < 0 or int(highs.max()) > field:
+        return None
+    # one window per distinct key, spanning its runs
+    order = np.argsort(keys.ravel())
+    flat = keys.ravel()[order]
+    new = np.ones(len(flat), dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    at = np.flatnonzero(new)
+    wlo = np.minimum.reduceat(lows.ravel()[order], at)
+    wlen = np.maximum.reduceat(highs.ravel()[order], at) - wlo + 1
     if int(wlen.sum()) > len(mu._codes) * len(nu._codes):
         return None
     base = np.cumsum(wlen) - wlen
-    origin = ((wkey << np.uint64(b)) | wlo.astype(np.uint64)) - base.astype(np.uint64)
-    return kernel, others, counts, rel, blocks, origin, wlen, base[wid] + los - wlo[wid]
+    origin = ((flat[at] << np.uint64(b)) | wlo.astype(np.uint64)) - base.astype(np.uint64)
+    wid = np.empty(len(flat), dtype=np.intp)
+    wid[order] = np.cumsum(new) - 1
+    # a run's first slot is its window's base plus its place in the window
+    start = (base - wlo)[wid].reshape(keys.shape) + line
+    slots = start[np.r_[0, 1 + part]] + np.r_[0, shift][:, None]
+    return kernel, others, counts, rel, blocks, origin, wlen, slots
 
 
 def _sum_windows(mu: SparseMeasure, plan, row_bytes: int):
@@ -512,7 +527,7 @@ def _sum_windows(mu: SparseMeasure, plan, row_bytes: int):
     dense[np.repeat(offsets, counts) + rel] = mu._masses
     dense = np.convolve(dense, kernel)[: len(dense)]
     acc[np.repeat(slots[0] - offsets, blocks) + np.arange(len(dense))] = dense
-    for (_, wy), s in zip(others, slots[1:]):
+    for wy, s in zip(others, slots[1:]):
         # unbuffered, in index order; the indices are distinct
         np.add.at(acc, np.repeat(s, counts) + rel, mu._masses * wy)
     keep = np.flatnonzero(acc > 0)
@@ -528,12 +543,17 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     mu._den * nu._den in exact mode.
 
     When `_window_plan` holds, the product is summed into fiber windows
-    (`_sum_windows`) and has no side atoms. Otherwise every atom of nu takes
-    the sort route: `mul_right` on mu's codes, with pending rows flushed
-    through `_dedup` once they pass 32 rows per atom of mu's pool (at least
-    2^14, at most `_FLUSH_ROWS`), so about 32 of nu's `mul_right` blocks
-    wait at a time rather than all of them. The flush schedule never
-    changes a sum.
+    (`_sum_windows`) and has no side atoms. Otherwise nu's atoms take the
+    sort route in spiral order. A run of consecutive pool atoms is one
+    `mul(mu_codes[None, :], y_codes[:, None])` of at most
+    max(|mu pool|, `_BLOCK_ROWS`) rows, priced before it is made, raveled
+    y-major with masses `np.multiply.outer(w_y, mu_masses)`: the rows, in
+    the order, of one `mul_right` per atom. A side atom of nu takes
+    `mul_right`. A row that does not encode, and mu's side atoms, go to the
+    side dict by the group law, y by y. Pending rows are flushed through
+    `_dedup` once they pass 32 rows per atom of mu's pool (at least 2^14, at
+    most `_FLUSH_ROWS`), so about 32 of nu's atoms wait at a time rather
+    than all of them. The flush schedule never changes a sum.
     """
     g = mu.group
     codec = g.codec()
@@ -551,6 +571,8 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     pend_masses: list[np.ndarray] = [acc_masses]
     pend_rows = 0
     flush_rows = min(_FLUSH_ROWS, max(1 << 14, 32 * len(mu_codes)))
+    # atoms of nu a `mul` call takes: at most max(|mu pool|, 2^12) rows
+    block = max(len(mu_codes), _BLOCK_ROWS) // max(len(mu_codes), 1)
     side: dict = {}
 
     def flush():
@@ -562,31 +584,61 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
 
     def add(codes, masses):
         nonlocal pend_rows
-        _check_rows(len(acc_codes) + pend_rows + len(codes), row_bytes)
         pend_codes.append(codes)
         pend_masses.append(masses)
         pend_rows += len(codes)
 
-    for y, wy in _spiral(g, nu._atoms().items()):
-        # an empty pool (always so without a codec) has no rows for mul_right
-        if len(mu_codes):
-            out, ok = codec.mul_right(mu_codes, y)
-            if bool(ok.all()):
-                add(out, mu_masses * wy)
-            else:
-                add(out[ok], mu_masses[ok] * wy)
-                for c, mx in zip(mu_codes[~ok].tolist(), mu_masses[~ok].tolist()):
-                    z = g.mul(codec.decode_one(c), y)
-                    side[z] = side.get(z, 0) + mx * wy
+    def spill(y, wy, bad):
+        # mu's pool atoms whose product with y does not encode, then mu's side
+        for c, mx in zip(mu_codes[bad].tolist(), mu_masses[bad].tolist()):
+            z = g.mul(codec.decode_one(c), y)
+            side[z] = side.get(z, 0) + mx * wy
         for x, mx in mu._side.items():
             z = g.mul(x, y)
             side[z] = side.get(z, 0) + mx * wy
-        if pend_rows >= flush_rows:
-            flush()
+
+    # nu's atoms in spiral order, each with its pool index, or None on the side
+    decode = codec.decode_one if codec is not None else None
+    atoms = [(decode(c), i) for i, c in enumerate(nu._codes.tolist())]
+    atoms = _spiral(g, atoms + [(y, None) for y in nu._side])
+    weights = nu._masses.tolist()
+    for pooled, seq in groupby(atoms, key=lambda a: a[1] is not None):
+        seq = list(seq)
+        step = block if pooled else 1
+        for k in range(0, len(seq), step):
+            run = seq[k : k + step]
+            if pooled:
+                # consecutive pool atoms of nu: one `mul` call, its rows y-major
+                at = np.array([i for _, i in run])
+                _check_rows(len(acc_codes) + pend_rows + len(run) * len(mu_codes), row_bytes)
+                out, ok = codec.mul(mu_codes[None, :], nu._codes[at][:, None])
+                masses = np.multiply.outer(nu._masses[at], mu_masses)
+                all_ok = bool(ok.all())
+                if all_ok:
+                    add(out.ravel(), masses.ravel())
+                else:
+                    add(out[ok], masses[ok])
+                if mu._side or not all_ok:
+                    for (y, i), row in zip(run, ok):
+                        spill(y, weights[i], ~row)
+            else:
+                # a side atom of nu; an empty pool (always so without a codec) has no rows
+                [(y, _)] = run
+                wy = nu._side[y]
+                ok = np.ones(len(mu_codes), dtype=bool)
+                if len(mu_codes):
+                    _check_rows(len(acc_codes) + pend_rows + len(mu_codes), row_bytes)
+                    out, ok = codec.mul_right(mu_codes, y)
+                    add(out[ok], mu_masses[ok] * wy)
+                spill(y, wy, ~ok)
+            if pend_rows >= flush_rows:
+                flush()
     # an atom the codec cannot hold times y can land back in codec range;
     # the placement rule sends those products to the packed pool, so no
     # element is split across both pools when the budget ranks atoms
-    add(*_place(codec, side, mu.mode))
+    placed = _place(codec, side, mu.mode)
+    _check_rows(len(acc_codes) + pend_rows + len(placed[0]), row_bytes)
+    add(*placed)
     flush()
     # products that underflow to zero are not atoms (from_items drops them too)
     held = acc_masses > 0

@@ -345,7 +345,7 @@ def estimate_M(
                 break  # thresholds rise with l: no later cell is a candidate
             grid = words[: rows.size * width].reshape(rows.size, width)
             u = _uniform_grid(keys[:, None], (2 * steps).astype(np.uint64)[None, :], out=grid)
-            r, c = np.nonzero(u >= thr)  # candidates, in row then step order
+            r, c = np.divmod(np.flatnonzero(u >= thr), width)  # candidates, in row then step order
             K = alpha.sample_k_array(u[r, c])
             del u
             # strict records: the j-th candidate of every row at once, for

@@ -326,3 +326,72 @@ def test_line_bits_is_the_width_of_a_lowest_integer_field():
     assert codec_for(F2).line_bits is None
     assert codec_for(CyclicGroup(5)).line_bits is None
     assert codec_for(DirectProduct((FreeAbelian(1), FreeGroup(2)))).line_bits is None
+
+
+def _check_codes_mul(g, xs, ys):
+    """codec.mul against g.mul(x, y) on the shapes (n,) x (n,) and
+    (1, n) x (m, 1): `ok` is false exactly where the product does not
+    encode, and elsewhere the code is the product's code."""
+    c = codec_for(g)
+    cx = np.array([c.encode_one(x) for x in xs], dtype=np.uint64)
+    cy = np.array([c.encode_one(y) for y in ys], dtype=np.uint64)
+    n = min(len(xs), len(ys))
+    rows = c.mul(cx[:n], cy[:n])
+    table = c.mul(cx[None, :], cy[:, None])
+    assert rows[0].shape == rows[1].shape == (n,)
+    assert table[0].shape == table[1].shape == (len(ys), len(xs))
+    pairs = [(x, y, rows, (i,)) for i, (x, y) in enumerate(zip(xs, ys))]
+    pairs += [(x, y, table, (j, i)) for j, y in enumerate(ys) for i, x in enumerate(xs)]
+    for x, y, (out, ok), at in pairs:
+        want = c.encode_one(g.mul(x, y))
+        assert bool(ok[at]) == (want is not None), (x, y)
+        if want is not None:
+            assert int(out[at]) == want, (x, y)
+
+
+Z2 = FreeAbelian(2)
+
+
+def _coords(bias):
+    # the field holds [-bias, bias - 1]
+    return st.one_of(st.integers(-5, 5), st.sampled_from([-bias, -bias + 1, bias - 2, bias - 1]))
+
+
+# encodable elements of each codec's group, many at the edges of its fields:
+# free words at max_len, lamps at +-23, markers and coordinates at the ends
+# of their fields
+CODE_ELEMENTS = {
+    "free(2)": (F2, reduced_words(F2_MAX_LEN)),
+    "free-abelian(1)": (FreeAbelian(1), st.tuples(_coords(2**61))),
+    "free-abelian(2)": (Z2, st.tuples(_coords(2**30), _coords(2**30))),
+    "cyclic(7)": (CyclicGroup(7), st.integers(0, 6)),
+    "lamplighter(2)": (LAMP, lamp_rows),
+    "F2xZ": (F2xZ, st.tuples(reduced_words(F2xZ_FREE_MAX_LEN), st.tuples(_coords(2**15)))),
+    "F2xC5": (F2xC5, st.tuples(reduced_words(codec_for(F2xC5)._subs[0].max_len), st.integers(0, 4))),
+}
+
+
+@pytest.mark.parametrize("name", list(CODE_ELEMENTS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_mul_matches_group_law(name, data):
+    g, els = CODE_ELEMENTS[name]
+    xs = data.draw(st.lists(els, min_size=1, max_size=6))
+    ys = data.draw(st.lists(els, min_size=1, max_size=5))
+    _check_codes_mul(g, xs, ys)
+
+
+def test_mul_at_the_edges():
+    c = codec_for(F2)
+    full = tuple([-1, 2] * (c.max_len // 2))  # max_len letters, last b
+    cases = [
+        (F2, [full], [(-2,), (1,), (-2, 1), (-2, 1, 2)]),  # cancel one, add one, cancel two, ...
+        (F2, [(), (1,)], [full]),
+        (LAMP, [((23,), 0), ((-23,), 0), ((), 1), ((), -1)], [((23,), 0), ((-23,), 0), ((), 0)]),
+        (LAMP, [((), 32767), ((), -32768)], [((), 1), ((), -1), ((), 0)]),
+        (LAMP, [((-23, 23), 46), ((-23, 23), -46), ((0,), 47)], [((-23,), 0), ((23,), 0), ((), 0)]),
+        (FreeAbelian(1), [(2**61 - 1,), (-(2**61),)], [(1,), (-1,), (0,)]),
+        (F2xZ, [((), (32767,)), (full[:20], (-32768,))], [((1,), (1,)), ((2,), (-1,)), ((), (0,))]),
+    ]
+    for g, xs, ys in cases:
+        _check_codes_mul(g, xs, ys)

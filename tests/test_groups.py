@@ -292,3 +292,46 @@ def test_amenability_flags():
     assert LAMP.is_amenable()
     assert not F2xZ.is_amenable()
     assert DirectProduct((FreeAbelian(1), CyclicGroup(3))).is_amenable()
+
+
+LAMPxZ = DirectProduct((Lamplighter(), FreeAbelian(1)))
+
+
+def far_elements(g):
+    """Elements past the codec's fields: free words longer than it packs,
+    coordinates past 16 bits, lamps past +-23, markers past 16 bits."""
+    if isinstance(g, FreeGroup):
+        return st.lists(st.sampled_from([(1, 2), (1, -2), (-1, 2)]), min_size=12, max_size=16).map(
+            lambda ps: reduce(g.mul, [p for p in ps], g.identity)
+        )
+    if g == F2xZ:
+        return st.tuples(elements(F2), st.tuples(st.sampled_from([-40000, 32768, 70000])))
+    if isinstance(g, Lamplighter):
+        return st.tuples(
+            st.sampled_from([(24,), (-30, 0), (-1, 25)]), st.sampled_from([0, 2, 40000, -32769])
+        )
+    return st.tuples(far_elements(LAMP), st.tuples(st.integers(-3, 3)))
+
+
+@pytest.mark.parametrize("g", [F2, F2xZ, LAMP, LAMPxZ], ids=lambda g: g.spec_text())
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_conjugate_set_on_codes_matches_the_group_law(g, data):
+    # the codec conjugates the pairs it can encode; every other pair, and
+    # every pair of the codec-less product, takes g.conjugate
+    some = st.lists(st.one_of(elements(g), far_elements(g)), min_size=1, max_size=5)
+    A = GSet(g, frozenset(data.draw(some)))
+    B = GSet(g, frozenset(data.draw(some)))
+    want = frozenset(g.conjugate(a, b) for a in A.elements for b in B.elements)
+    assert conjugate_set(A, B, cap=10**6).elements == want
+
+
+def test_iterated_conjugation_calls_conjugate_set_once_a_round(monkeypatch):
+    # the tracer times conjugation by wrapping the module's conjugate_set
+    calls = []
+    real = groups.conjugate_set
+    monkeypatch.setattr(groups, "conjugate_set", lambda *a: calls.append(1) or real(*a))
+    R = GSet(F2, frozenset([(1,)]))
+    A = GSet(F2, frozenset([(), (2,), (-2,)]))
+    assert len(iterated_conjugate_set(R, A, 4, cap=10**6)) == 9  # b^-k a b^k, |k| <= 4
+    assert len(calls) == 4

@@ -881,3 +881,36 @@ def test_exact_rows_are_priced_with_their_numerators(group, atoms, monkeypatch):
     assert len(convolve(flt, flt)) == len(convolve_reference(flt, flt))
     with pytest.raises(BudgetError, match="accumulator cap"):
         convolve(exact, exact)
+
+
+def _lamp_nu(mode):
+    """nu_4 of the lamplighter construction with R = {lamp 0} in the lamps subgroup."""
+    from groupwalk.amenable import AmenableSubgroup
+    from groupwalk.construction import (
+        AlphaSchedule, VisibilityCatalogue, build_measure, make_entry, new_state, run_construction,
+    )
+
+    entry = make_entry(GSet(LAMP, frozenset([((0,), 0)])), AmenableSubgroup(LAMP, "lamps"))
+    state = run_construction(new_state(LAMP, VisibilityCatalogue((entry,), seed=5), AlphaSchedule("harmonic")), 4)
+    return build_measure(state, mode=mode)
+
+
+def test_lamplighter_sort_route_keeps_its_bytes():
+    # nu_4 * nu_4 on the sort route: 514 x 514 rows, seven atoms of nu a
+    # `mul` call and several flushes; the digest of (codes, masses,
+    # lost_mass.hex()) was taken while every row came from `mul_right`
+    nu = _lamp_nu("float")
+    assert len(nu._codes) == 514 and not nu._side
+    sq = convolve(nu, nu)
+    h = hashlib.sha256()
+    for part in (sq._codes.tobytes(), sq._masses.tobytes(), sq.lost_mass.hex().encode()):
+        h.update(part)
+    assert h.hexdigest() == "e12f9dbb4f070401d4378e6a2aa01d4f67cceb54dbe3f57b834f0a9d1fed99a5"
+
+
+def test_lamplighter_sort_route_is_exact():
+    # nu_4 times its first 40 atoms: 514 x 40 rows, six `mul` calls and a flush
+    mu = _lamp_nu("exact")
+    nu = SparseMeasure.from_items(LAMP, mu.items_canonical()[:40], "exact")
+    got, want = convolve(mu, nu), convolve_reference(mu, nu)
+    assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
