@@ -20,20 +20,26 @@ Each embedding declares an increasing Folner family by one rule,
   which is checked before the member is built, so a family past the cap
   ends there.
 
+Every family is symmetric except the lamplighter's ``whole``, whose
+inverses move the lamps by the marker; `_symmetric` declares that by the
+same per-factor rule, and a property test checks it against the group law.
 `folner_search` walks the family in order from a given member, symmetrizes
-the candidate, and verifies the invariance inequality |BF \\ F| < eps|F|
-with exact integer counts before returning the member, its index and the
-defect it counted. `folner_set` starts at member 0. A later start is sound
-when every member below it is known to fail for (B, eps): that is so when
-an earlier search stopped there for some B' inside B and some eps' >= eps,
-because |BF \\ F| only grows with B and eps|F| only shrinks with eps. The
-construction starts each stage's search that way (see `construction`).
+the candidate only when its family is not declared symmetric, and verifies
+the invariance inequality |BF \\ F| < eps|F| with exact integer counts
+before returning the member, its index and the defect it counted.
+`folner_set` starts at member 0. A later start is sound when every member
+below it is known to fail for (B, eps): that is so when an earlier search
+stopped there for some B' inside B and some eps' >= eps, because |BF \\ F|
+only grows with B and eps|F| only shrinks with eps. The construction starts
+each stage's search that way (see `construction`).
 
 `invariance_defect` counts |BF \\ F| on the group's packed codes (see
 `groupwalk.codecs`) when the group has a codec that encodes every element of
-F: one `mul_left` per b, then |BF \\ F| = |BF u F| - |F| from one sort.
-A product the codec flags is recomputed with the group law; it joins the
-codes when it encodes, else it lies outside F and is counted once.
+F. F is encoded once per set (`GSet.codes`), so the search, the
+construction's `build_measure` and any re-check share one encoding. The
+count is one `mul_left` per b, then |BF \\ F| = |BF u F| - |F| from one
+sort. A product the codec flags is recomputed with the group law; it joins
+the codes when it encodes, else it lies outside F and is counted once.
 A group without a codec, or an F with an element past the codec's fields (a
 lamp outside [-23, 23], a free word past the codec's length, a coordinate
 past its field), is counted with the group law on sets. The route follows
@@ -135,6 +141,15 @@ def _contains(g: Group, kind: str, x) -> bool:
     return kind == "whole" or x[1] == 0  # lamps: marker at 0
 
 
+def _symmetric(g: Group, kind: str) -> bool:
+    """Whether every member of the `kind` family of g is declared symmetric:
+    every kind but the lamplighter's `whole`, whose inverses move the lamps
+    by the marker, applied factor by factor on a direct product."""
+    if isinstance(g, DirectProduct):
+        return all(map(_symmetric, g.factors, _factor_kinds(g, kind)))
+    return not (isinstance(g, Lamplighter) and _leaf_kind(g, kind) == "whole")
+
+
 def _family(g: Group, kind: str, m: int):
     """Elements of the m-th member of the `kind` family of g, or None when it
     would pass `_MEMBER_SIZE_CAP`; every size is checked before the member
@@ -188,6 +203,7 @@ def folner_search(H: AmenableSubgroup, B: GSet, eps, start: int = 0) -> tuple[GS
             )
     if len(B) == 0:
         return GSet(g, frozenset([g.identity])), 0, 0
+    symmetric = _symmetric(g, H.embedding)
     m = start
     while True:
         member = H.folner_member(m)
@@ -196,7 +212,7 @@ def folner_search(H: AmenableSubgroup, B: GSet, eps, start: int = 0) -> tuple[GS
                 f"Folner family of {H.describe()} passes {_MEMBER_SIZE_CAP} elements "
                 f"at index {m} without satisfying eps={eps}"
             )
-        F = member.symmetrized()
+        F = member if symmetric else member.symmetrized()
         defect = invariance_defect(g, B, F)
         if defect * eps.denominator < eps.numerator * len(F):
             return F, m, defect
@@ -212,20 +228,18 @@ def folner_set(H: AmenableSubgroup, B: GSet, eps) -> GSet:
 def invariance_defect(g: Group, B: GSet, F: GSet) -> int:
     """|BF \\ F| as an exact integer.
 
-    Counted on the group's packed codes when it has a codec that encodes
-    every element of F, else with the group law on sets. On codes,
+    Counted on `F.codes`, encoded once per set, when the group has a codec
+    that encodes every element of F, else with the group law on sets. On codes,
     |BF \\ F| = |BF u F| - |F|, with one `mul_left` per b and one sort. A
     row `mul_left` flags is multiplied by the group law and joins the codes
     when its product encodes, else it lies outside F (every element of F
     encodes) and is counted once in a set.
     """
-    codec = g.codec()
-    fs = list(F.elements)
-    codes = [] if codec is None else [codec.encode_one(f) for f in fs]
-    if codec is None or None in codes:
+    F_codes = F.codes
+    if F_codes is None:
         BF = {g.mul(b, f) for b in B.elements for f in F.elements}
         return len(BF - F.elements)
-    F_codes = np.array(codes, dtype=np.uint64)
+    codec, fs = g.codec(), list(F.elements)
     parts, extra, outside = [F_codes], [], set()
     for b in B.elements:
         out, ok = codec.mul_left(F_codes, b)

@@ -108,7 +108,7 @@ def cmd_construct(args) -> int:
     state = fresh_state(cfg, Path(args.resume).read_text() if args.resume else None)
     nu = build_measure(state, mode=cfg.mode)
     _write(cfg, "measure.txt", nu.to_text())
-    _write(cfg, "state.json", {"state": json.loads(state.to_json())})
+    _write(cfg, "state.json", {"state": state.to_dict()})
     total = nu.total_mass()
     print(
         f"stages={state.stage} atoms={len(nu)} total_mass={total} "

@@ -301,8 +301,12 @@ class LamplighterCodec:
 
     def decode_one(self, code: int):
         mask = code >> self.pos_bits
-        lamps = tuple(i + self.lamp_lo for i in range(self._nlamps) if mask >> i & 1)
-        return lamps, (code & int(self._pos_mask)) - self._bias
+        lamps = []
+        while mask:  # lowest lit bit first, so the lamps come out ascending
+            low = mask & -mask
+            lamps.append(low.bit_length() - 1 + self.lamp_lo)
+            mask ^= low
+        return tuple(lamps), (code & int(self._pos_mask)) - self._bias
 
     def _split(self, codes: np.ndarray):
         """Each code's lamp window and its marker (biased, as int64)."""

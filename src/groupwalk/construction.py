@@ -11,7 +11,11 @@ truncated measure
     nu_k = sum_{i<=k} (alpha_i / 3) (delta_{c_i} + delta_{c_i^-1} + lambda_{F_i})
 
 is assembled exactly; its missing tail sum_{i>k} alpha_i goes to the
-lost_mass ledger, never into renormalization.
+lost_mass ledger, never into renormalization. `build_measure` assembles it
+on packed codes: every weight is a Python-int numerator over one denominator,
+each F_i's codes come from `GSet.codes` (encoded once, by the Folner search
+that found F_i), and one `_dedup` sums every record's codes. The result has
+the bytes that adding the masses as Fractions gives, in both modes.
 
 Elements of R_i that are central in the ambient group skip the
 conjugation stage entirely (their conjugate set is themselves), which
@@ -38,6 +42,7 @@ checkpoint's, so every resumed stage is one the stage rule builds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -48,7 +53,7 @@ from groupwalk.config import RunConfig
 from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import GSet, Group, enumerate_element, iterated_conjugate_set
-from groupwalk.measures import SparseMeasure
+from groupwalk.measures import SparseMeasure, _dedup
 
 
 @dataclass(frozen=True)
@@ -150,7 +155,7 @@ class StageRecord:
     F: GSet
     defect: int  # |B F \ F|, exact
     truncated: bool  # any conjugation round at this stage was capped
-    m: int  # family index of F_i; not written by to_json
+    m: int  # family index of F_i; not written by to_dict
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,9 @@ class ConstructionState:
             n = rec.i
         return n
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The checkpoint as plain JSON values; `construct` writes it under
+        the "state" key as sorted-key JSON, and a resume compares against it."""
         g = self.group
         cat = {
             "seed": self.catalogue.seed,
@@ -186,31 +193,28 @@ class ConstructionState:
                 for e in self.catalogue.entries
             ],
         }
-        return json.dumps(
-            {
-                "format": "groupwalk-state 1",
-                "group": g.spec_text(),
-                "alpha": self.alpha.name,
-                "catalogue": cat,
-                "product_cap": self.product_cap,
-                "A": self.A.to_texts(),
-                "A_truncated": self.A.truncated,
-                "records": [
-                    {
-                        "i": r.i,
-                        "entry": r.entry_index,
-                        "c": g.element_to_text(r.c),
-                        "B": r.B.to_texts(),
-                        "F": r.F.to_texts(),
-                        "F_truncated": r.F.truncated,
-                        "defect": r.defect,
-                        "truncated": r.truncated,
-                    }
-                    for r in self.records
-                ],
-            },
-            sort_keys=True,
-        )
+        return {
+            "format": "groupwalk-state 1",
+            "group": g.spec_text(),
+            "alpha": self.alpha.name,
+            "catalogue": cat,
+            "product_cap": self.product_cap,
+            "A": self.A.to_texts(),
+            "A_truncated": self.A.truncated,
+            "records": [
+                {
+                    "i": r.i,
+                    "entry": r.entry_index,
+                    "c": g.element_to_text(r.c),
+                    "B": r.B.to_texts(),
+                    "F": r.F.to_texts(),
+                    "F_truncated": r.F.truncated,
+                    "defect": r.defect,
+                    "truncated": r.truncated,
+                }
+                for r in self.records
+            ],
+        }
 
 
 def catalogue_from_texts(g: Group, entries, seed: int) -> VisibilityCatalogue:
@@ -298,14 +302,14 @@ def run_construction(state: ConstructionState, k: int) -> ConstructionState:
 def resume_construction(state: ConstructionState, checkpoint: str, k: int) -> ConstructionState:
     """The stage-0 `state` run through stage k, resuming the n-stage `checkpoint`.
 
-    `checkpoint` is `to_json` text, bare or under the "state" key that
-    `construct` writes. Its settings must equal `state`'s (older checkpoints'
+    `checkpoint` is JSON text of a `to_dict`, bare or under the "state" key
+    that `construct` writes. Its settings must equal `state`'s (older checkpoints'
     null catalogue keys dropped) and n must be at most k. The n stages are run
     again and must equal its records, A and A_truncated, so a resume costs a
     direct run and continues only what the stage rule builds. Anything else is
     a SpecMismatchError naming the key (for records, the stage) that differs.
     """
-    want = json.loads(state.to_json())
+    want = state.to_dict()
     try:
         have = json.loads(checkpoint)
         if isinstance(have, dict):
@@ -330,7 +334,7 @@ def resume_construction(state: ConstructionState, checkpoint: str, k: int) -> Co
     if len(records) > k:
         raise SpecMismatchError(f"checkpoint has {len(records)} stages, more than the {k} configured")
     done = run_construction(state, len(records)) if records else state
-    built = json.loads(done.to_json())
+    built = done.to_dict()
     for j, (record, rebuilt) in enumerate(zip(records, built["records"]), 1):
         if record != rebuilt:
             raise SpecMismatchError(f"checkpoint records differ from the stage rule's at stage {j}")
@@ -341,25 +345,54 @@ def resume_construction(state: ConstructionState, checkpoint: str, k: int) -> Co
 
 
 def build_measure(state: ConstructionState, mode: str = "exact") -> SparseMeasure:
-    """Assemble nu_k from the completed stages; tail mass goes to the ledger."""
+    """Assemble nu_k from the completed stages; tail mass goes to the ledger.
+
+    Every weight is a Python-int numerator over one denominator D, the lcm
+    of every alpha_i/3 and alpha_i/(3|F_i|). Each record's codes (c_i, c_i^-1,
+    then F_i, read from `F.codes`) are summed with their numerators by one
+    `_dedup`; atoms that do not encode go to the side dict in first-seen
+    order. Exact mode divides by G = gcd(D, every sum), so `_den` = D/G is the
+    lcm of the reduced masses' denominators; float mode gives each atom n/D,
+    which int division rounds correctly, as float(Fraction(n, D)) does. Each
+    distinct atom is validated once.
+    """
     if state.stage < 1:
         raise SpecMismatchError("need at least one completed stage")
     g = state.group
-    acc: dict = {}
+    codec = g.codec()
+    weights = [(state.alpha.alpha(r.i) / 3, len(r.F)) for r in state.records]
+    D = math.lcm(*(w.denominator for w, _ in weights), *((w / n).denominator for w, n in weights))
+    code_parts, num_parts, loose_codes, loose_nums, side = [], [], [], [], {}
 
-    def add(x, w: Fraction):
-        acc[x] = acc.get(x, Fraction(0)) + w
+    def place(xs, num: int) -> None:
+        for x in xs:
+            c = None if codec is None else codec.encode_one(x)
+            if c is None:
+                side[x] = side.get(x, 0) + num
+            else:
+                loose_codes.append(c)
+                loose_nums.append(num)
 
-    for rec in state.records:
-        w = state.alpha.alpha(rec.i) / 3
-        add(rec.c, w)
-        add(g.inv(rec.c), w)
-        lam = w / len(rec.F)
-        for f in rec.F.elements:
-            add(f, lam)
+    pairs = [(r.c, g.inv(r.c)) for r in state.records]
+    atoms = set().union(*pairs, *(r.F.elements for r in state.records))
+    for x in atoms:
+        g.validate(x)
+    for rec, c_pair, (w, n) in zip(state.records, pairs, weights):
+        place(c_pair, (w * D).numerator)
+        lam = (w / n * D).numerator
+        if rec.F.codes is None:
+            place(rec.F.elements, lam)
+        else:
+            code_parts.append(rec.F.codes)
+            num_parts.append(np.full(n, lam, dtype=object))
+    code_parts.append(np.array(loose_codes, dtype=np.uint64))
+    num_parts.append(np.array(loose_nums, dtype=object))
+    codes, nums = _dedup(np.concatenate(code_parts), np.concatenate(num_parts))
     lost = state.alpha.tail(state.stage)
     if mode == "exact":
-        return SparseMeasure.from_items(g, acc, "exact", lost_mass=lost)
-    return SparseMeasure.from_items(
-        g, {x: float(m) for x, m in acc.items()}, "float", lost_mass=float(lost)
-    )
+        G = math.gcd(D, *nums.tolist(), *side.values())
+        side = {x: v // G for x, v in side.items()}
+        return SparseMeasure._from_pool(g, codes, nums // G, side, lost, "exact", D // G)
+    masses = np.array([v / D for v in nums.tolist()], dtype=np.float64)
+    side = {x: v / D for x, v in side.items()}
+    return SparseMeasure._from_pool(g, codes, masses, side, float(lost), mode)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -549,6 +550,22 @@ class GSet:
 
     def sorted_elements(self) -> list:
         return sorted(self.elements, key=self.group.sort_key)
+
+    @cached_property
+    def codes(self) -> np.ndarray | None:
+        """The elements' packed codes in `elements` order (read-only), or None
+        when the group has no codec or some element does not encode.
+
+        Computed on first use and kept, so every reader of one set (a Folner
+        search's count, a later re-check, `build_measure`) shares one encoding.
+        """
+        codec = self.group.codec()
+        codes = None if codec is None else [codec.encode_one(x) for x in self.elements]
+        if codes is None or None in codes:
+            return None
+        out = np.array(codes, dtype=np.uint64)
+        out.flags.writeable = False
+        return out
 
     def is_symmetric(self) -> bool:
         inv = self.group.inv

@@ -298,6 +298,47 @@ def test_a_finite_subgroup_is_its_own_member(group, embedding, size):
     assert H.folner_member(5) == H.folner_member(0)
 
 
+# every group family the library ships, alone and in products, with every
+# kind; pairs an AmenableSubgroup refuses are skipped
+_FAMILY_GROUPS = [
+    "free(1)", "free(2)", "free-abelian(1)", "free-abelian(2)", "cyclic(3)", "lamplighter(2)",
+    "product(free(2), free-abelian(1))", "product(free-abelian(1), cyclic(3))",
+    "product(lamplighter(2), free-abelian(1))", "product(cyclic(3), lamplighter(2))",
+]
+_FAMILY_KINDS = ["whole", "center", "trivial", "lamps", "factor:0", "factor:1"]
+
+
+@pytest.mark.parametrize("text", _FAMILY_GROUPS)
+def test_a_family_declared_symmetric_is_symmetric_by_the_group_law(text):
+    # folner_search skips symmetrized() on a declared-symmetric family, so
+    # each member m <= 3 must already hold every inverse; every undeclared
+    # family must have an asymmetric member there, or the declaration is loose
+    g = parse_group(text)
+    admitted = 0
+    for kind in _FAMILY_KINDS:
+        try:
+            H = AmenableSubgroup(g, kind)
+        except SpecMismatchError:
+            continue
+        admitted += 1
+        members = [H.folner_member(m) for m in range(4)]
+        symmetric = [F.elements == F.symmetrized().elements for F in members]
+        if amenable._symmetric(g, kind):
+            assert all(symmetric), kind
+        else:
+            assert "lamplighter" in text and kind in ("whole", "factor:0", "factor:1"), kind
+            assert not all(symmetric), kind
+    assert admitted
+
+
+def test_the_search_symmetrizes_the_lamplighter_whole_family():
+    H = AmenableSubgroup(LAMP, "whole")
+    x = ((-1,), 1)  # its inverse ((-2,), -1) lights a lamp outside [-1, 1]
+    assert x in H.folner_member(1).elements and LAMP.inv(x) not in H.folner_member(1).elements
+    F, m, _ = folner_search(H, GSet(LAMP, frozenset([((), 1)])), Fraction(1, 2))
+    assert F.is_symmetric() and F.elements > H.folner_member(m).elements
+
+
 def test_embedding_validation():
     with pytest.raises(SpecMismatchError):
         AmenableSubgroup(FreeGroup(2), "whole")  # F2 is not amenable

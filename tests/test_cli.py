@@ -183,7 +183,7 @@ def test_resume_refuses_a_checkpoint_of_another_construction(tmp_path, capsys, f
 def _forged_B(doc):
     """The 2-stage seed-1 run whose R_1 is (e|(5)), under the preset's catalogue."""
     cfg = parse_config_text("catalogue = (e|(5)) @ center\n", preset="f2xz", seed=1).resolved()
-    forged = json.loads(run_construction(initial_state(cfg), 2).to_json())
+    forged = run_construction(initial_state(cfg), 2).to_dict()
     assert sorted(forged["records"][0]["B"]) == ["(e|(-5))", "(e|(5))"]
     forged["catalogue"] = doc["state"]["catalogue"]
     doc["state"] = forged

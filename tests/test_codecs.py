@@ -260,6 +260,32 @@ def test_lamplighter_codec_round_trip(x):
         assert c.decode_one(code) == x
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        ((-23,), 0),
+        ((23,), 0),
+        ((-23, 23), 1),
+        ((), 0),
+        ((), -32768),
+        ((), 32767),
+        (tuple(range(-23, 24)), 0),
+        (tuple(range(-23, 24)), -32768),
+        (tuple(range(-23, 24)), 32767),
+        ((-23, 0, 23), -32768),
+    ],
+    ids=["lamp-23", "lamp+23", "both-ends", "no-lamps", "marker-min", "marker-max",
+         "all-47", "all-47-marker-min", "all-47-marker-max", "ends-marker-min"],
+)
+def test_lamplighter_decode_one_walks_every_lit_bit(x):
+    # decode_one reads only the lit bits, lowest first: the window's two edges,
+    # a full window and an empty one, and the marker at both ends of its field
+    c = codec_for(LAMP)
+    code = c.encode_one(x)
+    assert code is not None and 0 <= code < 1 << 63
+    assert c.decode_one(code) == x
+
+
 @given(st.lists(lamp_rows, min_size=1, max_size=12), lamp_factors)
 @settings(max_examples=120)
 def test_lamplighter_codec_mul_right_matches_group(xs, y):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from groupwalk import (
     FreeAbelian,
     GSet,
     Lamplighter,
+    SparseMeasure,
     SpecMismatchError,
     VisibilityCatalogue,
     build_measure,
@@ -21,11 +23,13 @@ from groupwalk import (
     enumerate_element,
     make_entry,
     new_state,
+    parse_group,
     resume_construction,
     run_construction,
 )
 from groupwalk import amenable
 from groupwalk.config import parse_config_text
+from groupwalk.construction import catalogue_from_texts
 from groupwalk.presets import fresh_state, preset_state
 
 Z = FreeAbelian(1)
@@ -138,6 +142,97 @@ def test_float_measure_tracks_exact(z_state):
         assert fl.as_dict()[x] == pytest.approx(float(m), rel=1e-12)
 
 
+def _fraction_dict_measure(state, mode):
+    """nu_k assembled one Fraction addition per atom, then through from_items:
+    the assembly `build_measure` replaced, kept here as its reference."""
+    g = state.group
+    acc = {}
+
+    def add(x, w):
+        acc[x] = acc.get(x, Fraction(0)) + w
+
+    for rec in state.records:
+        w = state.alpha.alpha(rec.i) / 3
+        add(rec.c, w)
+        add(g.inv(rec.c), w)
+        lam = w / len(rec.F)
+        for f in rec.F.elements:
+            add(f, lam)
+    lost = state.alpha.tail(state.stage)
+    if mode == "exact":
+        return SparseMeasure.from_items(g, acc, "exact", lost_mass=lost)
+    return SparseMeasure.from_items(
+        g, {x: float(m) for x, m in acc.items()}, "float", lost_mass=float(lost)
+    )
+
+
+def _lamp_state(stages=5):
+    return run_construction(new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic")), stages)
+
+
+def _codecless_state():
+    g = parse_group("product(lamplighter(2), free-abelian(1))")
+    assert g.codec() is None
+    entries = [(("(({0}|0)|(0))",), "factor:0"), (("(({}|0)|(1))",), "factor:1")]
+    return run_construction(new_state(g, catalogue_from_texts(g, entries, 1)), 5)
+
+
+def _hand_built_state():
+    """The lamplighter's five stages with atoms past the codec's fields: two
+    records share a c_i whose lamp is outside the window, one c_i has its
+    marker past the 16-bit field, and one F_i has two lamps outside."""
+    state = _lamp_state()
+    g, recs = state.group, list(state.records)
+    recs[0] = replace(recs[0], c=((30,), 2))
+    recs[1] = replace(recs[1], c=((30,), 2))
+    recs[2] = replace(recs[2], c=((), 40_000))
+    recs[3] = replace(recs[3], F=GSet(g, recs[3].F.elements | {((24,), 0), ((-24,), 0)}))
+    return replace(state, records=tuple(recs))
+
+
+_MEASURE_STATES = {
+    "f2xz-32": lambda request: request.getfixturevalue("f2xz_state"),
+    "z-amenable-50": lambda request: request.getfixturevalue("z_state"),
+    "lamplighter-5": lambda request: _lamp_state(),
+    # every sum shares a factor 4 with D here, so exact mode divides it out
+    "lamplighter-2": lambda request: _lamp_state(2),
+    "codec-less": lambda request: _codecless_state(),
+    "past-the-fields": lambda request: _hand_built_state(),
+}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", list(_MEASURE_STATES))
+def test_build_measure_equals_the_fraction_dict_assembly(request, name, mode):
+    state = _MEASURE_STATES[name](request)
+    got, want = build_measure(state, mode), _fraction_dict_measure(state, mode)
+    assert got.mode == want.mode == mode
+    assert got._codes.dtype == want._codes.dtype == np.uint64
+    assert np.array_equal(got._codes, want._codes)
+    assert got._masses.dtype == want._masses.dtype
+    if mode == "exact":
+        assert got._masses.tolist() == want._masses.tolist()
+        assert all(type(n) is int for n in got._masses.tolist())
+    else:
+        assert got._masses.tobytes() == want._masses.tobytes()
+    assert list(got._side.items()) == list(want._side.items())  # first-seen order too
+    assert [type(v) for v in got._side.values()] == [type(v) for v in want._side.values()]
+    assert got._den == want._den
+    assert got.lost_mass == want.lost_mass and type(got.lost_mass) is type(want.lost_mass)
+    assert got.to_text() == want.to_text()
+    if name in ("codec-less", "past-the-fields"):
+        assert got._side
+    if name == "lamplighter-2" and mode == "exact":
+        assert got._den == 9  # D = 36
+
+
+def test_build_measure_validates_every_atom():
+    state = _lamp_state(2)
+    bad = replace(state.records[1], c=((3, 1), 0))  # lamps not increasing
+    with pytest.raises(SpecMismatchError, match="strictly increasing"):
+        build_measure(replace(state, records=(state.records[0], bad)))
+
+
 def test_generic_conjugation_path_on_lamplighter():
     g = Lamplighter()
     state = run_construction(
@@ -189,10 +284,10 @@ def test_budget_error_names_the_stage_once(monkeypatch):
 def test_state_json_round_trip(f2xz_state):
     # resuming a checkpoint at its own stage count gives back the same state
     s = f2xz_state
-    text = s.to_json()
+    text = json.dumps(s.to_dict(), sort_keys=True)
     stage0 = new_state(s.group, s.catalogue, s.alpha, s.product_cap)
     again = resume_construction(stage0, text, s.stage)
-    assert again.to_json() == text
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
     assert again.stage == f2xz_state.stage
     assert again.A.elements == f2xz_state.A.elements
 
@@ -204,8 +299,8 @@ def test_resume_equals_single_run():
     for mk, n, k in ((z, 5, 10), (lamp, 4, 5)):
         direct = run_construction(mk(), k)
         half = run_construction(mk(), n)
-        resumed = resume_construction(mk(), half.to_json(), k)
-        assert resumed.to_json() == direct.to_json()
+        resumed = resume_construction(mk(), json.dumps(half.to_dict(), sort_keys=True), k)
+        assert resumed.to_dict() == direct.to_dict()
         assert (
             build_measure(resumed, mode="exact").to_text()
             == build_measure(direct, mode="exact").to_text()
@@ -214,7 +309,7 @@ def test_resume_equals_single_run():
 
 def test_resume_names_the_first_stage_that_differs():
     mk = lambda: new_state(Lamplighter(), _lamp_catalogue(), AlphaSchedule("harmonic"))
-    doc = json.loads(run_construction(mk(), 4).to_json())
+    doc = run_construction(mk(), 4).to_dict()
     assert len(doc["records"][3]["B"]) > 2
     doc["records"][3]["B"] = doc["records"][3]["B"][:2]
     with pytest.raises(SpecMismatchError, match="^checkpoint records differ .* at stage 4$"):
@@ -261,4 +356,4 @@ _PINNED_STATES = [
 def test_state_json_bytes_are_pinned(config, digest):
     state = fresh_state(parse_config_text(config).resolved())
     assert state.product_cap == 1_000_000
-    assert hashlib.sha256(state.to_json().encode()).hexdigest() == digest
+    assert hashlib.sha256(json.dumps(state.to_dict(), sort_keys=True).encode()).hexdigest() == digest

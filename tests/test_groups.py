@@ -269,6 +269,17 @@ def test_symmetrized_gset(data):
     assert A.symmetrized().elements == A.elements
 
 
+def test_gset_codes_are_encoded_once_in_elements_order():
+    A = ball(LAMP, 3)
+    codec = LAMP.codec()
+    assert A.codes.tolist() == [codec.encode_one(x) for x in A.elements]
+    assert A.codes is A.codes and not A.codes.flags.writeable
+    # one element past the window, or no codec at all, gives None
+    assert GSet(LAMP, A.elements | {((24,), 0)}).codes is None
+    codecless = parse_group("product(lamplighter(2), free-abelian(1))")
+    assert GSet(codecless, frozenset([codecless.identity])).codes is None
+
+
 def test_parse_group_round_trip():
     for g in ALL_GROUPS:
         assert parse_group(g.spec_text()).spec_text() == g.spec_text()
