@@ -37,9 +37,11 @@ each stage's search that way (see `construction`).
 `groupwalk.codecs`) when the group has a codec that encodes every element of
 F. F is encoded once per set (`GSet.codes`), so the search, the
 construction's `build_measure` and any re-check share one encoding. The
-count is one `mul_left` per b, then |BF \\ F| = |BF u F| - |F| from one
-sort. A product the codec flags is recomputed with the group law; it joins
-the codes when it encodes, else it lies outside F and is counted once.
+count is one codec `mul` of each b's code by F's codes, then
+|BF \\ F| = |BF u F| - |F| from one sort. A product the codec flags, and
+every product of a b that does not encode, is recomputed with the group
+law; it joins the codes when it encodes, else it lies outside F and is
+counted once.
 A group without a codec, or an F with an element past the codec's fields (a
 lamp outside [-23, 23], a free word past the codec's length, a coordinate
 past its field), is counted with the group law on sets. The route follows
@@ -230,10 +232,11 @@ def invariance_defect(g: Group, B: GSet, F: GSet) -> int:
 
     Counted on `F.codes`, encoded once per set, when the group has a codec
     that encodes every element of F, else with the group law on sets. On codes,
-    |BF \\ F| = |BF u F| - |F|, with one `mul_left` per b and one sort. A
-    row `mul_left` flags is multiplied by the group law and joins the codes
-    when its product encodes, else it lies outside F (every element of F
-    encodes) and is counted once in a set.
+    |BF \\ F| = |BF u F| - |F|, with one `mul` of b's code by F's codes per
+    b and one sort. A row `mul` flags, and every row of a b that does not
+    encode, is multiplied by the group law and joins the codes when its
+    product encodes, else it lies outside F (every element of F encodes) and
+    is counted once in a set.
     """
     F_codes = F.codes
     if F_codes is None:
@@ -242,7 +245,11 @@ def invariance_defect(g: Group, B: GSet, F: GSet) -> int:
     codec, fs = g.codec(), list(F.elements)
     parts, extra, outside = [F_codes], [], set()
     for b in B.elements:
-        out, ok = codec.mul_left(F_codes, b)
+        b_code = codec.encode_one(b)
+        if b_code is None:
+            out, ok = F_codes, np.zeros(len(F_codes), dtype=bool)
+        else:
+            out, ok = codec.mul(np.array([b_code], dtype=np.uint64), F_codes)
         parts.append(out[ok])
         for j in np.flatnonzero(~ok):
             x = g.mul(b, fs[j])

@@ -2,37 +2,33 @@
 
 A codec maps canonical elements of one group into disjoint bit fields of a
 single unsigned 64-bit code, so large measures can live in numpy arrays and
-multiplication by a fixed element, on either side, becomes a handful of
-vector ops. Codes are an implementation detail: any element a codec cannot
-represent (word too long, coordinate out of range) is flagged through the
-`ok` masks and handled by the dict side channel in the measures module.
+multiplication becomes a handful of vector ops. Codes are an implementation
+detail: any element a codec cannot represent (word too long, coordinate out
+of range) gets None from `encode_one`, a product that leaves the fields is
+flagged through the `ok` mask, and the measures module handles both in its
+dict side channel.
+
+Every codec has one multiplication kernel, `mul(xs, ys)`, which multiplies
+two code arrays row by row, broadcasting their shapes as a numpy ufunc
+does: `mul(xs[None, :], ys[:, None])` is the table of every x * y,
+y-major, and a one-element operand multiplies every row by one element on
+its side. Both operands are codes, so a multiplier that does not encode
+never reaches a codec; its callers multiply by the group law. Its `ok` is
+false exactly where the product does not encode, and the code there is
+meaningless.
 
 Free-group codes store the word reversed (last letter in the low bits) with
-the length n in the top subfield, so appending or cancelling one letter is a
-fixed shift. The word's first letter sits at bit (n-1)*letter_bits, so
-prepending or cancelling one letter is a per-element shift: `mul_left`
-(t * codes) runs on the packed codes like `mul_right` (codes * t) and flags
-out-of-range products the same way. Abelian and cyclic codecs are
-commutative, so their `mul_left` is their `mul_right`, and a product codec
-applies each factor's. Integer coordinates are stored biased to keep codes
-unsigned; a multiplier coordinate whose size reaches 2^width flags every
-row, so one past int64 never reaches numpy.
+the length n in the top subfield, so x's i-th last letter sits at bit
+i*letter_bits and y's first letter at bit (n-1)*letter_bits. `mul` cancels
+x's last letters against y's first ones while they are inverse letters,
+then joins what is left. Abelian and cyclic codes add their fields; integer
+coordinates are stored biased to keep codes unsigned, so one bias is taken
+off the sum.
 
 Lamplighter codes hold the biased marker in the low 16 bits and a 47-bit
 lamp window above it, lamp p at window bit p + 23, so lamps in [-23, 23]
-fit. `mul_right` XORs y's lamps in at each row's marker and adds y's
-marker; `mul_left` shifts each row's lamps by t's marker, XORs t's lamps in
-and adds t's marker. Either flags exactly the products that leave the
-window or the marker's field.
-
-`mul(xs, ys)` multiplies two code arrays row by row, broadcasting their
-shapes as a numpy ufunc does: `mul(xs[None, :], ys[:, None])` is the table
-of every x * y, y-major. Its `ok` is false exactly where the product does
-not encode, as for `mul_right`, and the code there is meaningless. Free
-codes cancel x's last letters against y's first ones while they are
-inverse letters, then join what is left; abelian and cyclic codes add
-their fields; lamplighter codes XOR y's window, moved by x's marker, into
-x's and add the markers; a product codec applies each factor's `mul`.
+fit. `mul` XORs y's window, moved by x's marker, into x's and adds the
+markers. A product codec applies each factor's `mul` to its field.
 
 `line_bits` is the width of a codec's lowest field when that field is one
 biased integer coordinate, else None. Right-multiplying by any element adds
@@ -98,52 +94,8 @@ class FreeCodec:
             for i in range(n)
         )
 
-    def _mul_right_letter(self, codes: np.ndarray, letter: int):
-        """Append one letter (with free cancellation) to every code."""
-        b = _u(self.letter_bits)
-        sl = _u(self.shift_len)
-        n = codes >> sl
-        val = codes & self._val_mask
-        cancel = (n > _u(0)) & ((val & self._letter_mask) == _u(self._letter_rank(-letter)))
-        ok = cancel | (n < _u(self.max_len))
-        appended = ((n + _u(1)) << sl) | (((val << b) & self._val_mask) | _u(self._letter_rank(letter)))
-        cancelled = ((n - _u(1)) << sl) | (val >> b)
-        return np.where(cancel, cancelled, appended), ok
-
-    def _mul_left_letter(self, codes: np.ndarray, letter: int):
-        """Prepend one letter (with free cancellation) to every code."""
-        b = _u(self.letter_bits)
-        sl = _u(self.shift_len)
-        n = codes >> sl
-        val = codes & self._val_mask
-        nonempty = n > _u(0)
-        top = (n - nonempty) * b  # bit of the first letter; 0 for the empty word
-        cancel = nonempty & (((val >> top) & self._letter_mask) == _u(self._letter_rank(-letter)))
-        ok = cancel | (n < _u(self.max_len))
-        prepended = ((n + _u(1)) << sl) | val | (_u(self._letter_rank(letter)) << (n * b))
-        cancelled = ((n - _u(1)) << sl) | (val & ((_u(1) << top) - _u(1)))
-        return np.where(cancel, cancelled, prepended), ok
-
-    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-        """codes * y elementwise; second array marks representable results."""
-        ok = np.ones(len(codes), dtype=bool)
-        out = codes
-        for letter in y:
-            out, o = self._mul_right_letter(out, letter)
-            ok &= o
-        return out, ok
-
-    def mul_left(self, codes: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-        """t * codes elementwise, t's letters applied last to first; `ok` as in `mul_right`."""
-        ok = np.ones(len(codes), dtype=bool)
-        out = codes
-        for letter in reversed(t):
-            out, o = self._mul_left_letter(out, letter)
-            ok &= o
-        return out, ok
-
     def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """xs * ys row by row, broadcast; `ok` as in `mul_right`.
+        """xs * ys row by row, broadcast; `ok` marks the products that encode.
 
         x's i-th last letter sits at bit i*b and y's i-th first letter at bit
         (n_y-1-i)*b. k, the number of letters that cancel, is counted one
@@ -213,22 +165,9 @@ class AbelianCodec:
     def decode_one(self, code: int):
         return tuple(((code >> sh) & int(self._mask)) - self._bias for sh in self._shifts)
 
-    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-        if any(abs(v) >= self._limit for v in y):  # no coordinate stays, and v may not fit int64
-            return codes, np.zeros(len(codes), dtype=bool)
-        ok = np.ones(len(codes), dtype=bool)
-        out = np.zeros_like(codes)
-        for sh, v in zip(self._shifts, y):
-            s = ((codes >> _u(sh)) & self._mask).astype(np.int64) + v
-            ok &= (s >= 0) & (s < self._limit)
-            out |= s.astype(U64) << _u(sh)
-        return out, ok
-
-    mul_left = mul_right  # the group is commutative
-
     def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """xs * ys row by row, broadcast: each coordinate's fields added, one bias
-        taken off; `ok` as in `mul_right`."""
+        taken off; `ok` marks the sums that stay in their fields."""
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         ok = np.ones(shape, dtype=bool)
         out = np.zeros(shape, dtype=U64)
@@ -260,12 +199,6 @@ class CyclicGroupCodec:
 
     def decode_one(self, code: int) -> int:
         return int(code)
-
-    def mul_right(self, codes: np.ndarray, v: int) -> tuple[np.ndarray, np.ndarray]:
-        out = (codes + _u(v % self.n)) % _u(self.n)
-        return out, np.ones(len(codes), dtype=bool)
-
-    mul_left = mul_right  # the group is commutative
 
     def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = (xs + ys) % _u(self.n)  # residues are below 2^61, so the sum fits
@@ -311,59 +244,6 @@ class LamplighterCodec:
     def _split(self, codes: np.ndarray):
         """Each code's lamp window and its marker (biased, as int64)."""
         return codes >> _u(self.pos_bits), (codes & self._pos_mask).astype(np.int64)
-
-    def _join(self, lamps: np.ndarray, pos: np.ndarray, p: int, ok: np.ndarray):
-        """Codes from lamp windows and biased markers moved by p; `ok` also
-        checks that the marker stays in its field."""
-        if abs(p) >= 1 << self.pos_bits:  # no marker stays, and p may not fit int64
-            return lamps, np.zeros(len(lamps), dtype=bool)
-        pos = pos + p
-        ok &= (pos >= 0) & (pos < (1 << self.pos_bits))
-        return (lamps << _u(self.pos_bits)) | (pos.astype(U64) & self._pos_mask), ok
-
-    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-        """codes * y: y's lamps XORed in at each row's marker, then y's marker added.
-
-        A row's lamps never leave the window, so the product encodes exactly
-        when y's lamps, moved by the row's marker, land inside it.
-        """
-        f_y, p_y = y
-        lamps, pos = self._split(codes)
-        ok = np.ones(len(codes), dtype=bool)
-        if f_y:
-            lo, span = f_y[0], f_y[-1] - f_y[0]
-            # no marker in the 16-bit field can move y's lamps into the window
-            if span >= self._nlamps or not self.lamp_lo - self._bias < lo <= self.lamp_hi + self._bias:
-                return codes, np.zeros(len(codes), dtype=bool)
-            mask = _u(sum(1 << (p - lo) for p in f_y))
-            at = pos - self._bias + (lo - self.lamp_lo)  # bit of y's lowest lamp
-            ok = (at >= 0) & (at + span < self._nlamps)
-            lamps = lamps ^ (mask << np.clip(at, 0, self._nlamps - 1).astype(U64))
-        return self._join(lamps, pos, p_y, ok)
-
-    def mul_left(self, codes: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-        """t * codes: each row's lamps moved by t's marker, then t's lamps XORed in.
-
-        Lamps moved out of the window must be cancelled by t's lamps outside
-        it, so the product encodes exactly when the bits that leave the
-        window equal t's lamps beyond it.
-        """
-        f_t, p_t = t
-        lamps, pos = self._split(codes)
-        n, lo, hi = self._nlamps, self.lamp_lo, self.lamp_hi
-        inside = sum(1 << (p - lo) for p in f_t if lo <= p <= hi)
-        outside = [p for p in f_t if not lo <= p <= hi]
-        s = min(abs(p_t), n)  # how many bits of the window leave it
-        # the lamps that leave span [first, first + s); t's outer lamps must too
-        first = hi + 1 + p_t - s if p_t > 0 else lo + p_t
-        if any(not first <= p < first + s for p in outside):
-            return codes, np.zeros(len(codes), dtype=bool)
-        want = _u(sum(1 << (p - first) for p in outside))
-        if p_t > 0:
-            leaving, kept = lamps >> _u(n - s), (lamps << _u(s)) & self._window
-        else:
-            leaving, kept = lamps & _u((1 << s) - 1), lamps >> _u(s)
-        return self._join(kept ^ _u(inside), pos, p_t, leaving == want)
 
     def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """xs * ys row by row, broadcast: y's window moved by x's marker and XORed
@@ -438,22 +318,6 @@ class ProductCodec:
             sub.decode_one((code >> sh) & int(m))
             for sub, sh, m in zip(self._subs, self._shifts, self._masks)
         )
-
-    def _fieldwise(self, codes: np.ndarray, y, left: bool) -> tuple[np.ndarray, np.ndarray]:
-        ok = np.ones(len(codes), dtype=bool)
-        out = np.zeros_like(codes)
-        for sub, sh, m, yi in zip(self._subs, self._shifts, self._masks, y):
-            mul = sub.mul_left if left else sub.mul_right
-            field, o = mul((codes >> _u(sh)) & m, yi)
-            ok &= o
-            out |= field << _u(sh)
-        return out, ok
-
-    def mul_right(self, codes: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
-        return self._fieldwise(codes, y, left=False)
-
-    def mul_left(self, codes: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-        return self._fieldwise(codes, t, left=True)
 
     def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shape = np.broadcast_shapes(xs.shape, ys.shape)

@@ -34,12 +34,15 @@ windows without sorting a row: the dense blocks first, then nu's other
 atoms in spiral order. Every other convolution takes the sort route: nu's
 atoms in spiral order, each run of consecutive pool atoms one codec `mul`
 of mu's codes by the run's codes (rows y-major, at most max(|mu pool|,
-2^12) a call), each side atom of nu one `mul_right`, and the rows flushed
-through `_dedup` (a stable sort, then a sum per code), so a code's rows
-are summed in nu's spiral order. Neither route keeps an atom whose weight
-sums to 0, and a convolution whose accumulator or windows would pass
-`_ACC_BYTES` raises BudgetError before allocating them; an exact row is
-priced with its numerator, at the size of the product's denominator.
+2^12) a call), and the rows flushed through `_dedup` (a stable sort, then
+a sum per code), so a code's rows are summed in nu's spiral order. A side
+atom of nu does not encode, so its products with mu's pool, like every
+product that does not encode, are summed in the side dict by the group
+law, and the placement rule sends those that encode to the pool at the
+end. Neither route keeps an atom whose weight sums to 0, and a convolution
+whose accumulator or windows would pass `_ACC_BYTES` raises BudgetError
+before allocating them; an exact row is priced with its numerator, at the
+size of the product's denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -547,10 +550,11 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     sort route in spiral order. A run of consecutive pool atoms is one
     `mul(mu_codes[None, :], y_codes[:, None])` of at most
     max(|mu pool|, `_BLOCK_ROWS`) rows, priced before it is made, raveled
-    y-major with masses `np.multiply.outer(w_y, mu_masses)`: the rows, in
-    the order, of one `mul_right` per atom. A side atom of nu takes
-    `mul_right`. A row that does not encode, and mu's side atoms, go to the
-    side dict by the group law, y by y. Pending rows are flushed through
+    y-major with masses `np.multiply.outer(w_y, mu_masses)`, so each atom's
+    rows come in mu's pool order. A side atom of nu does not encode, so
+    `mul` cannot take it: its rows with mu's pool are priced the same way
+    and go to the side dict by the group law, as do rows that do not
+    encode and mu's side atoms, y by y. Pending rows are flushed through
     `_dedup` once they pass 32 rows per atom of mu's pool (at least 2^14, at
     most `_FLUSH_ROWS`), so about 32 of nu's atoms wait at a time rather
     than all of them. The flush schedule never changes a sum.
@@ -622,15 +626,10 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
                     for (y, i), row in zip(run, ok):
                         spill(y, weights[i], ~row)
             else:
-                # a side atom of nu; an empty pool (always so without a codec) has no rows
+                # a side atom of nu never encodes: every row takes the group law
                 [(y, _)] = run
-                wy = nu._side[y]
-                ok = np.ones(len(mu_codes), dtype=bool)
-                if len(mu_codes):
-                    _check_rows(len(acc_codes) + pend_rows + len(mu_codes), row_bytes)
-                    out, ok = codec.mul_right(mu_codes, y)
-                    add(out[ok], mu_masses[ok] * wy)
-                spill(y, wy, ~ok)
+                _check_rows(len(acc_codes) + pend_rows + len(mu_codes), row_bytes)
+                spill(y, nu._side[y], np.ones(len(mu_codes), dtype=bool))
             if pend_rows >= flush_rows:
                 flush()
     # an atom the codec cannot hold times y can land back in codec range;
@@ -708,10 +707,11 @@ def _dict_l1(a: dict, b: dict, mode: str):
 def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     """tv_distance(t . mu, mu), where (t . mu)(A) = mu(t^-1 A), without building t . mu.
 
-    On a codec group, for any t, the pool moves in one vectorized pass
-    (`mul_left`); pool atoms pushed out of codec range and the side atoms
-    move by the group law, and the placement rule sends those that land
-    back in range to the pool. The value is the pool L1 plus the side-dict
+    On a codec group, t is encoded once and the pool moves in one
+    vectorized pass, `mul` of t's code by every pool code. Pool atoms pushed
+    out of codec range (all of them when t does not encode) and the side
+    atoms move by the group law, and the placement rule sends those that
+    land back in range to the pool. The value is the pool L1 plus the side-dict
     L1. A codec-less group keeps every atom in the side dict, so only the
     dict L1 runs. Either way it sums stored weights and turns the sum into a
     mass once. `t` is not validated here: callers check it once, at the
@@ -723,7 +723,11 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     moved = {grp.mul(t, x): m for x, m in mu._side.items()}
     codes, masses = mu._codes, mu._masses  # both empty without a codec
     if codec is not None:
-        shifted, ok = codec.mul_left(mu._codes, t)
+        t_code = codec.encode_one(t)
+        if t_code is None:
+            shifted, ok = mu._codes, np.zeros(len(mu._codes), dtype=bool)
+        else:
+            shifted, ok = codec.mul(np.array([t_code], dtype=np.uint64), mu._codes)
         for c, m in zip(mu._codes[~ok].tolist(), mu._masses[~ok].tolist()):
             moved[grp.mul(t, codec.decode_one(c))] = m
         back, weights = _place(codec, moved, mu.mode)

@@ -387,6 +387,50 @@ def test_tv_left_translate_moves_side_atoms_back_into_the_pool(group, t, wrap, m
             assert got[0] == pytest.approx(want[0], abs=1e-12) and got[1] == want[1]
 
 
+# lamplighter multipliers that do not encode: lamps past the window, a marker
+# past its 16-bit field, one past int64. No codec kernel takes them, so
+# tv_left_translate and the sort route move every row by the group law.
+LAMP_FAR = [
+    ((24,), 0),
+    ((24,), 1),
+    ((-24,), -1),
+    ((-24,), 0),
+    ((100,), 100),
+    ((47, 70), 47),
+    ((), 65535),
+    ((), 2**64),
+    ((3,), -(2**70)),
+]
+# rows at the window's and the marker field's edges; some products with
+# LAMP_FAR land back inside both
+LAMP_EDGE_ROWS = [
+    ((23,), 0), ((-23,), 0), ((), 0), ((), -1), ((), 1), ((0,), 0), ((0, 5), 0),
+    ((-23, 23), 0), ((), 32767), ((), -32768), ((1,), 5),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_lamplighter_multipliers_that_do_not_encode_take_the_group_law(mode):
+    codec = LAMP.codec()
+    weight = (lambda i: Fraction(i + 1, 97)) if mode == "exact" else (lambda i: (i + 1) / 97)
+    mu = SparseMeasure.from_items(LAMP, [(x, weight(i)) for i, x in enumerate(LAMP_EDGE_ROWS)], mode)
+    assert not mu._side
+    for t in LAMP_FAR:
+        assert codec.encode_one(t) is None
+        got, want = tv_left_translate(mu, t), tv_distance(_translate(t, mu), mu)
+        if mode == "exact":
+            assert got == want
+        else:
+            assert got[0] == pytest.approx(want[0], abs=1e-12) and got[1] == want[1]
+        # t as a side atom of nu: one row per atom of mu, so no sum is regrouped
+        nu = delta(LAMP, t, mode=mode)
+        prod = convolve(mu, nu)
+        assert prod.as_dict() == convolve_reference(mu, nu).as_dict()
+        assert_placed(prod)
+    # some products land back in the window, and leave the side dict for the pool
+    assert any(codec.encode_one(LAMP.mul(x, t)) is not None for x in LAMP_EDGE_ROWS for t in LAMP_FAR)
+
+
 @given(f2_measures, st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
 def test_budgeted_convolve_keeps_heaviest(mu, budget):
@@ -898,7 +942,8 @@ def _lamp_nu(mode):
 def test_lamplighter_sort_route_keeps_its_bytes():
     # nu_4 * nu_4 on the sort route: 514 x 514 rows, seven atoms of nu a
     # `mul` call and several flushes; the digest of (codes, masses,
-    # lost_mass.hex()) was taken while every row came from `mul_right`
+    # lost_mass.hex()) was taken while each atom of nu had its own one-element
+    # product kernel, so the rows and their order are those of that kernel
     nu = _lamp_nu("float")
     assert len(nu._codes) == 514 and not nu._side
     sq = convolve(nu, nu)
