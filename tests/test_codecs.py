@@ -197,6 +197,17 @@ def test_product_codec_with_cyclic_factor_mul_left_matches_group(xs, t):
     _check_mul(F2xC5, xs, t)
 
 
+def test_product_codec_overflow_is_flagged_not_wrong():
+    g = F2xZ
+    c = codec_for(g)
+    deep = (tuple([1, 2] * 10), (0,))  # 20 letters: at the packing limit
+    code = c.encode_one(deep)
+    assert code is not None
+    out, ok = c.mul(np.array([code], dtype=np.uint64), _one(c, ((1,), (0,))))
+    assert not bool(ok[0])  # would be 21 letters, must spill
+    _check_codes_mul(g, [deep], [((1,), (0,))])
+
+
 @pytest.mark.parametrize("v", [2**62, -(2**62), 2**63, -(2**63) - 1, 2**64])
 def test_abelian_codec_flags_a_coordinate_past_its_field(v):
     # a coordinate as large as the field does not encode, and one past int64
@@ -405,7 +416,6 @@ def test_mul_at_the_edges():
         (LAMP, [((-23, 23), 46), ((-23, 23), -46), ((0,), 47)], [((-23,), 0), ((23,), 0), ((), 0)]),
         (FreeAbelian(1), [(2**61 - 1,), (-(2**61),)], [(1,), (-1,), (0,), (2**61 - 1,), (-(2**61),)]),
         (F2xZ, [((), (32767,)), (full[:20], (-32768,))], [((1,), (1,)), ((2,), (-1,)), ((), (0,))]),
-        (F2xZ, [(tuple([1, 2] * 10), (0,))], [((1,), (0,))]),  # 21 letters: must spill
     ]
     for g, xs, ys in cases:
         _check_codes_mul(g, xs, ys)
