@@ -101,9 +101,17 @@ class FreeCodec:
         (n_y-1-i)*b. k, the number of letters that cancel, is counted one
         place at a time while some row still cancels; each place's letters
         are taken on the operands before they broadcast, with a sentinel
-        where a word has no letter there.
+        where a word has no letter there. When every x or every y is the
+        empty word (code 0), as in each translate by (e|(1)) and each
+        Folner count of f2xz's `center`, the product is the other operand,
+        copied, since callers shift it in place.
         """
         b, sl, lm = _u(self.letter_bits), _u(self.shift_len), self._letter_mask
+        for one, other in ((xs, ys), (ys, xs)):
+            if not one.any():
+                out = np.empty(np.broadcast_shapes(xs.shape, ys.shape), dtype=U64)
+                out[...] = other
+                return out, out >> sl <= _u(self.max_len)
         nx, vx = xs >> sl, xs & self._val_mask
         ny, vy = ys >> sl, ys & self._val_mask
         k = np.zeros(np.broadcast_shapes(xs.shape, ys.shape), dtype=U64)

@@ -15,6 +15,7 @@ deterministic tie-breaks use this single order.
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -425,7 +426,8 @@ class Lamplighter(Group):
         lamps, pos = x
         if not isinstance(pos, int) or not isinstance(lamps, tuple):
             raise SpecMismatchError(f"expected (tuple, int), got {x!r}")
-        if any(not isinstance(p, int) for p in lamps) or list(lamps) != sorted(set(lamps)):
+        # every lamp an int, then each one below the next
+        if not (all(isinstance(p, int) for p in lamps) and all(map(operator.lt, lamps, lamps[1:]))):
             raise SpecMismatchError(f"lamps must be a strictly increasing int tuple: {lamps!r}")
 
     def word_length(self, x):

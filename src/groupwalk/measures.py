@@ -29,20 +29,30 @@ A convolution mu * nu takes one of two routes, and `_window_plan` alone
 chooses, from the inputs. The window route runs on a codec whose lowest
 field is one biased integer coordinate (`line_bits`): the plan finds mu's
 fibers, nu's line shifts as a dense kernel, every fiber's run and one
-window per target fiber, and `_sum_windows` sums the product into those
-windows without sorting a row: the dense blocks first, then nu's other
-atoms in spiral order. Every other convolution takes the sort route: nu's
-atoms in spiral order, each run of consecutive pool atoms one codec `mul`
-of mu's codes by the run's codes (rows y-major, at most max(|mu pool|,
-2^12) a call), and the rows flushed through `_dedup` (a stable sort, then
-a sum per code), so a code's rows are summed in nu's spiral order. A side
-atom of nu does not encode, so its products with mu's pool, like every
-product that does not encode, are summed in the side dict by the group
-law, and the placement rule sends those that encode to the pool at the
-end. Neither route keeps an atom whose weight sums to 0, and a convolution
-whose accumulator or windows would pass `_ACC_BYTES` raises BudgetError
-before allocating them; an exact row is priced with its numerator, at the
-size of the product's denominator.
+window per target fiber, and `_stream_windows` sums the product into those
+windows without sorting a row, one slice of at most `_SLICE_SLOTS` slots
+at a time: the dense blocks first, then nu's other atoms in spiral order.
+Each slice's atoms join a running top-`budget` set, which is cut to the
+atoms at or above its budget-th largest weight whenever it passes
+2 * budget, so the route holds at most twice the budget plus one slice,
+not every slot.
+Every other convolution takes the sort route: nu's atoms in spiral order,
+each run of consecutive pool atoms one codec `mul` of mu's codes by the
+run's codes (rows y-major, at most max(|mu pool|, 2^12) a call), and the
+rows flushed through `_dedup` (a stable sort, then a sum per code), so a
+code's rows are summed in nu's spiral order. A side atom of nu does not
+encode, so its products with mu's pool, like every product that does not
+encode, are summed in the side dict by the group law, and the placement
+rule sends those that encode to the pool at the end. Both routes keep the
+top `budget` atoms by one rule, `_select_top`'s, and neither keeps an atom
+whose weight sums to 0.
+
+A convolution whose working set would pass `_ACC_BYTES` raises BudgetError
+before allocating it. The sort route prices its accumulator and pending
+rows; the window route prices every window slot without a budget, and with
+one its live set (`_live_rows`): the running set and one slice's scratch.
+An exact row is priced with its numerator, at the size of the product's
+denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -54,6 +64,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +74,9 @@ from groupwalk.groups import GSet, Group
 _FLUSH_ROWS = 1 << 22  # the most pending rows `_products` holds before a dedup flush
 _BLOCK_ROWS = 1 << 12  # the rows one sort-route `mul` call makes, unless mu's pool is larger
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
-_ACC_BYTES = 1 << 31  # refuse a convolution whose accumulator would pass this
+_ACC_BYTES = 1 << 31  # refuse a convolution whose working set would pass this
 _ROW_BYTES = 16  # one uint64 code and one float64 mass, or a pointer to a numerator
+_SLICE_SLOTS = 1 << 17  # the window slots `_stream_windows` sums at once, unless one window is longer
 
 # the weight dtype of each mode: float64 masses, or Python-int numerators
 _DTYPE = {"float": np.float64, "exact": object}
@@ -326,13 +338,16 @@ def _prune_dict(group: Group, data: dict, budget: int, mode: str):
     return kept, _mass_sum([m for _, m in ranked[budget:]], mode)
 
 
-def _select_top(group: Group, codes, masses, side: dict, budget: int, mode: str):
+def _select_top(group: Group, codes, masses, side: dict, budget: int, mode: str, whole=None):
     """Top-`budget` atoms across the packed pool and the dict side pool.
 
     Atoms rank by stored weight; exact numerators share one denominator, so
     they rank as their masses do. Ties at the cutoff are resolved by spiral
     order (packed ties are decoded first; an empty pool, as on a codec-less
-    group, has none). Returns (codes, weights, side_kept, pruned weight).
+    group, has none). The pruned weight is `whole` less the kept weight;
+    `whole` defaults to the sum of every weight given, and a caller that
+    has dropped some atoms already passes the sum with theirs. Returns (codes,
+    weights, side_kept, pruned weight).
     """
     total = len(codes) + len(side)
     side_items = _spiral(group, side.items())
@@ -354,7 +369,9 @@ def _select_top(group: Group, codes, masses, side: dict, budget: int, mode: str)
             keep[i] = True
 
     kept = masses[keep]
-    pruned = np.sum(all_masses) - (np.sum(kept) + _mass_sum(side_kept.values(), mode))
+    if whole is None:
+        whole = np.sum(all_masses)
+    pruned = whole - (np.sum(kept) + _mass_sum(side_kept.values(), mode))
     return codes[keep], kept, side_kept, max(pruned, 0)
 
 
@@ -402,7 +419,10 @@ def _dedup(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _check_rows(rows: int, row_bytes: int) -> None:
-    """Refuse a convolution whose working set would pass `_ACC_BYTES`."""
+    """Refuse a convolution whose working set, `rows` rows of `row_bytes`
+    each, would pass `_ACC_BYTES`. Callers price before they allocate: the
+    sort route its accumulator, pending rows and next `mul` block; the
+    window route its windows, or with a budget its live set (`_live_rows`)."""
     if rows * row_bytes > _ACC_BYTES:
         raise BudgetError(
             f"convolution needs {rows} rows ({rows * row_bytes} bytes), over the "
@@ -410,7 +430,24 @@ def _check_rows(rows: int, row_bytes: int) -> None:
         )
 
 
-def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
+class _Plan(NamedTuple):
+    """The window route's plan for mu * nu; see `_window_plan`."""
+
+    kernel: np.ndarray  # nu's line shifts as K dense slots
+    others: list  # the weights of nu's other pool atoms, in spiral order
+    part: np.ndarray  # each other atom's upper part
+    shift: np.ndarray  # each other atom's line value
+    counts: np.ndarray  # atoms per fiber of mu
+    rel: np.ndarray  # each atom's place in its fiber's run
+    blocks: np.ndarray  # each fiber's dense block length
+    origin: np.ndarray  # each window's first code minus its first slot
+    wlen: np.ndarray  # the window lengths
+    start: np.ndarray  # the first slot of each run, per row and fiber
+    order: np.ndarray  # every run (row * |fibers| + fiber) sorted by target window
+    at: np.ndarray  # where each window's runs begin in `order`
+
+
+def _window_plan(mu: SparseMeasure, nu: SparseMeasure) -> _Plan | None:
     """The window route's plan for mu * nu, or None when the sort route runs.
 
     The codec's lowest field (`line_bits`) is a biased integer coordinate; a
@@ -432,13 +469,14 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
     when the windows are longer than the |mu pool| * |nu pool| rows the
     sort route would hold (the fill guard).
 
-    Otherwise returns (kernel, the weights of nu's other pool atoms in
-    spiral order, atoms per fiber, each atom's place in its fiber's run,
-    the dense block lengths, each window's origin, the window lengths, run
-    slots). A window's origin is its first code minus its first slot
-    (uint64 wraps), so slot k holds code origin + k; run slots[0] holds the
-    first slot of each fiber's dense block and slots[j] the first slot of
-    its run for the j-th other atom.
+    Otherwise returns a `_Plan`. The windows are laid end to end in key
+    order; a window's origin is its first code minus its first slot
+    (uint64 wraps), so slot k holds code origin + k. Row 0 of `start` holds
+    the first slot of each fiber's dense block, and row 1 + u the first
+    slot of its run for upper part u before the shift, so the j-th other
+    atom's run starts at start[1 + part[j]] + shift[j]. `order` and `at`
+    are the sort that made the windows: the runs of window w are
+    order[at[w] : at[w + 1]].
     """
     if mu._side or nu._side or not len(mu._codes):
         return None
@@ -502,51 +540,192 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure):
     wid[order] = np.cumsum(new) - 1
     # a run's first slot is its window's base plus its place in the window
     start = (base - wlo)[wid].reshape(keys.shape) + line
-    slots = start[np.r_[0, 1 + part]] + np.r_[0, shift][:, None]
-    return kernel, others, counts, rel, blocks, origin, wlen, slots
+    return _Plan(kernel, others, part, shift, counts, rel, blocks, origin, wlen, start, order, at)
 
 
-def _sum_windows(mu: SparseMeasure, plan, row_bytes: int):
-    """mu * nu summed straight into the windows of `plan`, without sorting a row.
+def _slices(wlen: np.ndarray) -> list:
+    """Bounds of the consecutive runs of windows that `_stream_windows` sums
+    at once: at most `_SLICE_SLOTS` slots each, or one window that is longer."""
+    ends = np.cumsum(wlen)
+    bounds = [0]
+    while bounds[-1] < len(wlen):
+        w = bounds[-1]
+        limit = int(ends[w] - wlen[w]) + _SLICE_SLOTS
+        bounds.append(max(w + 1, int(np.searchsorted(ends, limit, side="right"))))
+    return bounds
 
-    The windows are priced by `_check_rows` before they are allocated. Each
-    fiber's dense block is one `np.convolve` of the kernel over the fibers
-    laid end to end in zero-padded blocks (so no mass carries from one fiber
-    into the next), copied into the fiber's window. Each other atom y of nu,
-    in spiral order, then adds mu(x) * nu(y) into the slot of x * y for
-    every x. Right multiplication by one y is injective, so no slot gains two
-    rows from one y. Each code sums its line-shift rows in `np.convolve`'s
-    order, then nu's other atoms in spiral order, where the sort route sums
-    every row in nu's spiral order: float sums agree to a few ulps, not bit
-    for bit, and exact sums are equal. Returns the codes of the slots whose
-    weight is > 0, in window order (so ascending), with their weights.
+
+def _live_rows(plan: _Plan, bounds: list, budget: int | None) -> int:
+    """The rows `_stream_windows` holds at once over the slices `bounds`.
+
+    Without a budget the running set may hold every slot of the windows.
+    With one, the set holds at most 2 * budget rows when a slice starts (it
+    is cut once it passes that), or every slot if there are fewer, and a
+    cut copies its weights once more: 1.5 rows each. The slice adds its
+    scratch: two rows a slot (its accumulator, its dense blocks with their
+    slots, and its kept slots, which then join the set) and the atoms
+    gathered into it by the upper parts live at once.
     """
-    kernel, others, counts, rel, blocks, origin, wlen, slots = plan
-    L = int(wlen.sum())
-    _check_rows(L, row_bytes)
-    acc = np.zeros(L, dtype=_DTYPE[mu.mode])
-    offsets = np.cumsum(blocks) - blocks
-    dense = np.zeros(int(blocks.sum()), dtype=_DTYPE[mu.mode])
-    dense[np.repeat(offsets, counts) + rel] = mu._masses
-    dense = np.convolve(dense, kernel)[: len(dense)]
-    acc[np.repeat(slots[0] - offsets, blocks) + np.arange(len(dense))] = dense
-    for wy, s in zip(others, slots[1:]):
+    ends = np.cumsum(plan.wlen)
+    if budget is None:
+        return int(ends[-1])
+    slots = np.diff(np.concatenate([[0], ends])[bounds])
+    # live[u, j]: upper part u is gathered while nu's j-th other atom is added
+    j = np.arange(len(plan.part))
+    first = np.unique(plan.part, return_index=True)[1]
+    last = len(j) - 1 - np.unique(plan.part[::-1], return_index=True)[1]
+    live = (first[:, None] <= j) & (j <= last[:, None])
+    runs_at = np.append(plan.at, len(plan.order))
+    scratch = 0
+    for n, a, b in zip(slots.tolist(), runs_at[bounds[:-1]], runs_at[bounds[1:]]):
+        row, fiber = np.divmod(plan.order[a:b], len(plan.counts))
+        atoms = np.bincount(row, weights=plan.counts[fiber], minlength=len(plan.start))[1:]
+        scratch = max(scratch, 2 * n + int((atoms @ live).max(initial=0)))
+    return min(int(ends[-1]), 2 * budget) * 3 // 2 + scratch
+
+
+def _sum_slice(mu: SparseMeasure, p: _Plan, runs, base: int, n: int, firsts, offsets, last) -> np.ndarray:
+    """The n window slots from slot `base` of mu * nu, fed by the runs
+    `runs` (a stretch of `p.order`), summed without sorting a row.
+
+    Sorted stably by row, the runs of each row come in window order, so
+    their slots ascend. The fibers whose own window lies in the slice are a
+    contiguous range of mu's fibers, and their dense blocks are one
+    `np.convolve` of the kernel over that stretch of the fibers laid end to
+    end in zero-padded blocks (`offsets`), with the K - 1 zeros before it
+    (none before fiber 0): each output is the same dot product as in one
+    `np.convolve` over every fiber, so bit for bit the same, and no mass
+    carries from one fiber into the next. The atoms of the fibers each
+    upper part moves into the slice are gathered at the part's first atom
+    and dropped after its last (`last`); each other atom y of nu, in spiral
+    order, adds mu(x) * nu(y) into the slot of x * y for every such x.
+    Right multiplication by one y is injective, so no slot gains two rows
+    from one y.
+    """
+    dtype = _DTYPE[mu.mode]
+    K, n_rows = len(p.kernel), len(p.start)
+    acc = np.zeros(n, dtype=dtype)
+    row, fiber = np.divmod(runs, len(p.counts))
+    by_row = np.argsort(row.astype(np.min_scalar_type(n_rows)), kind="stable")  # a radix sort
+    cuts = np.searchsorted(row[by_row], np.arange(n_rows + 1))
+    fibers = [fiber[by_row[cuts[r] : cuts[r + 1]]] for r in range(n_rows)]
+    if len(fibers[0]):
+        f0, f1 = int(fibers[0][0]), int(fibers[0][-1]) + 1
+        lead = K - 1 if f0 else 0
+        a0, a1 = int(firsts[f0]), int(firsts[f1 - 1] + p.counts[f1 - 1])
+        off = offsets[f0:f1] - offsets[f0]
+        dense = np.zeros(lead + int(off[-1] + p.blocks[f1 - 1]), dtype=dtype)
+        dense[lead + np.repeat(off, p.counts[f0:f1]) + p.rel[a0:a1]] = mu._masses[a0:a1]
+        dense = np.convolve(dense, p.kernel)[lead : len(dense)]
+        # each block's slots, as steps of 1 from its first slot
+        at = np.ones(len(dense), dtype=np.intp)
+        at[off] = p.start[0, f0:f1] - base
+        at[off[1:]] -= p.start[0, f0 : f1 - 1] - base + p.blocks[f0 : f1 - 1] - 1
+        acc[np.cumsum(at, out=at)] = dense
+        del dense, at
+    gathered = {}
+    for j, (wy, u, s) in enumerate(zip(p.others, p.part.tolist(), p.shift.tolist())):
+        if u not in gathered:
+            f = fibers[1 + u]
+            k = p.counts[f]
+            at = np.repeat(firsts[f] - (np.cumsum(k) - k), k) + np.arange(int(k.sum()))
+            gathered[u] = np.repeat(p.start[1 + u, f] - base, k) + p.rel[at], mu._masses[at]
+        slots, weights = gathered[u] if j < last[u] else gathered.pop(u)
         # unbuffered, in index order; the indices are distinct
-        np.add.at(acc, np.repeat(s, counts) + rel, mu._masses * wy)
-    keep = np.flatnonzero(acc > 0)
-    return np.repeat(origin, wlen)[keep] + keep.astype(np.uint64), acc[keep]
+        np.add.at(acc, slots + s, weights * wy)
+    return acc
 
 
-def _products(mu: SparseMeasure, nu: SparseMeasure):
-    """mu * nu in stored weights, the kernel both ledgers share.
+def _stream_windows(mu: SparseMeasure, p: _Plan, budget: int | None, row_bytes: int):
+    """mu * nu summed slice by slice into the windows of plan `p`, keeping a
+    running top-`budget` set; no row is sorted and no slot outlives its slice.
+
+    The windows are cut into consecutive slices (`_slices`); the runs of
+    windows w0..w1 - 1 are order[at[w0] : at[w1]], and `_sum_slice` sums
+    them. Each code sums its line-shift rows in `np.convolve`'s order, then
+    nu's other atoms in spiral order, where the sort route sums every row in
+    nu's spiral order: float sums agree to a few ulps, not bit for bit, and
+    exact sums are equal.
+
+    Each slice's slots of weight > 0 join a running set in window order (so
+    ascending). With a budget, once the set passes 2 * budget it keeps only
+    the slots at or above its budget-th largest weight, every tie included,
+    and later slots below that cutoff are dropped as they are made. No slot
+    the final top-`budget` keeps is ever below a running cutoff, so
+    `_select_top` on the set keeps exactly the atoms it would keep from
+    every slot, by the same tie rule. The pruned weight is the sum of every
+    slot less what is kept; once the set has been cut that sum is taken
+    slice by slice, so a float sum is grouped differently and may move in
+    its last bits.
+
+    The live set (`_live_rows`) is priced by `_check_rows` before anything
+    is allocated. Returns the kept codes, ascending, their weights and the
+    pruned weight.
+    """
+    ends = np.cumsum(p.wlen)
+    bounds = _slices(p.wlen)
+    _check_rows(_live_rows(p, bounds, budget), row_bytes)
+    runs_at = np.append(p.at, len(p.order))
+    firsts = np.cumsum(p.counts) - p.counts  # each fiber's first atom in mu's pool
+    offsets = np.cumsum(p.blocks) - p.blocks  # each fiber's block in the zero-padded layout
+    last = {u: j for j, u in enumerate(p.part.tolist())}  # each upper part's last other atom
+    held_codes = [np.zeros(0, dtype=np.uint64)]
+    held_masses = [np.zeros(0, dtype=_DTYPE[mu.mode])]
+    held, total, cutoff = 0, 0, None
+    for w0, w1 in zip(bounds, bounds[1:]):
+        base = int(ends[w0] - p.wlen[w0])
+        runs = p.order[runs_at[w0] : runs_at[w1]]
+        acc = _sum_slice(mu, p, runs, base, int(ends[w1 - 1]) - base, firsts, offsets, last)
+        if budget is not None:
+            total += np.sum(acc)
+        # a slot below the running cutoff is below the final one too
+        keep = np.flatnonzero(acc > 0 if cutoff is None else acc >= cutoff)
+        weights = acc[keep]
+        del acc
+        held += len(keep)
+        if budget is not None and held > 2 * budget:
+            # cut the set to the slots at or above its budget-th largest weight
+            masses = np.concatenate(held_masses + [weights])
+            masses.partition(held - budget)
+            cutoff = masses[held - budget]
+            del masses
+            for i, m in enumerate(held_masses):
+                top = m >= cutoff
+                held_codes[i], held_masses[i] = held_codes[i][top], m[top]
+            top = weights >= cutoff
+            keep, weights = keep[top], weights[top]
+            held = sum(map(len, held_masses)) + len(keep)
+        codes = np.repeat(p.origin[w0:w1], p.wlen[w0:w1])[keep]
+        keep += base
+        codes += keep.view(np.uint64)
+        held_codes.append(codes)
+        held_masses.append(weights)
+    # one array at a time, so the chunks and their copy never coexist whole
+    codes = np.concatenate(held_codes)
+    del held_codes
+    masses = np.concatenate(held_masses)
+    del held_masses
+    if budget is None or cutoff is None and held <= budget:
+        return codes, masses, 0
+    # an uncut set is every slot, so `_select_top` sums it as it always has
+    codes, masses, _, pruned = _select_top(
+        mu.group, codes, masses, {}, budget, mu.mode, None if cutoff is None else total
+    )
+    return codes, masses, pruned
+
+
+def _products(mu: SparseMeasure, nu: SparseMeasure, budget: int | None):
+    """mu * nu in stored weights, the kernel both ledgers share, cut to the
+    top `budget` atoms by `_select_top`'s rule.
 
     Returns the sorted pool codes, their weights and the side dict of the
-    product, every atom placed by the placement rule and of positive weight;
-    the weights are masses in float mode and numerators over
-    mu._den * nu._den in exact mode.
+    kept atoms, every atom placed by the placement rule and of positive
+    weight, and the pruned weight (0 when nothing is pruned); the weights
+    are masses in float mode and numerators over mu._den * nu._den in exact
+    mode.
 
-    When `_window_plan` holds, the product is summed into fiber windows
-    (`_sum_windows`) and has no side atoms. Otherwise nu's atoms take the
+    When `_window_plan` holds, the product is streamed through fiber windows
+    (`_stream_windows`) and has no side atoms. Otherwise nu's atoms take the
     sort route in spiral order. A run of consecutive pool atoms is one
     `mul(mu_codes[None, :], y_codes[:, None])` of at most
     max(|mu pool|, `_BLOCK_ROWS`) rows, priced before it is made, raveled
@@ -557,7 +736,8 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     encode and mu's side atoms, y by y. Pending rows are flushed through
     `_dedup` once they pass 32 rows per atom of mu's pool (at least 2^14, at
     most `_FLUSH_ROWS`), so about 32 of nu's atoms wait at a time rather
-    than all of them. The flush schedule never changes a sum.
+    than all of them. The flush schedule never changes a sum. The whole
+    product is then cut by `_select_top`.
     """
     g = mu.group
     codec = g.codec()
@@ -567,7 +747,8 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     row_bytes = _ROW_BYTES + (sys.getsizeof(mu._den * nu._den) if mu.mode == "exact" else 0)
     window = _window_plan(mu, nu)
     if window is not None:
-        return *_sum_windows(mu, window, row_bytes), {}
+        codes, masses, pruned = _stream_windows(mu, window, budget, row_bytes)
+        return codes, masses, {}, pruned
 
     acc_codes = np.zeros(0, dtype=np.uint64)
     acc_masses = np.zeros(0, dtype=_DTYPE[mu.mode])
@@ -641,30 +822,25 @@ def _products(mu: SparseMeasure, nu: SparseMeasure):
     flush()
     # products that underflow to zero are not atoms (from_items drops them too)
     held = acc_masses > 0
-    return acc_codes[held], acc_masses[held], {z: m for z, m in side.items() if m > 0}
+    codes, masses, side = acc_codes[held], acc_masses[held], {z: m for z, m in side.items() if m > 0}
+    if budget is None or len(codes) + len(side) <= budget:
+        return codes, masses, side, 0
+    return _select_top(g, codes, masses, side, budget, mu.mode)
 
 
 def _convolve_fast(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> SparseMeasure:
     """The float ledger over `_products`: pruned mass is added as a float."""
-    g = mu.group
-    codes, masses, side = _products(mu, nu)
-    lost = _propagated_lost(mu, nu)
-    if budget is not None and len(codes) + len(side) > budget:
-        codes, masses, side, pruned = _select_top(g, codes, masses, side, budget, "float")
-        lost += float(pruned)
-    return SparseMeasure._from_pool(g, codes, masses, side, lost)
+    codes, masses, side, pruned = _products(mu, nu, budget)
+    lost = _propagated_lost(mu, nu) + float(pruned)
+    return SparseMeasure._from_pool(mu.group, codes, masses, side, lost)
 
 
 def _convolve_exact(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) -> SparseMeasure:
     """The exact ledger over `_products`: numerators over mu._den * nu._den."""
-    g = mu.group
     den = mu._den * nu._den
-    codes, nums, side = _products(mu, nu)
-    lost = _propagated_lost(mu, nu)
-    if budget is not None and len(codes) + len(side) > budget:
-        codes, nums, side, pruned = _select_top(g, codes, nums, side, budget, "exact")
-        lost += Fraction(pruned, den)  # the pruned weight, exactly
-    return SparseMeasure._from_pool(g, codes, nums, side, lost, "exact", den)
+    codes, nums, side, pruned = _products(mu, nu, budget)
+    lost = _propagated_lost(mu, nu) + Fraction(pruned, den)  # the pruned weight, exactly
+    return SparseMeasure._from_pool(mu.group, codes, nums, side, lost, "exact", den)
 
 
 def convolve(

@@ -419,3 +419,45 @@ def test_mul_at_the_edges():
     ]
     for g, xs, ys in cases:
         _check_codes_mul(g, xs, ys)
+
+
+
+# a word with a letter in each group's free field, and the empty word there
+WORD_A = {"free(2)": (1,), "F2xZ": ((1,), (0,)), "F2xC5": ((1,), 0)}
+EMPTY_WORDS = {
+    "free(2)": st.just(()),
+    "F2xZ": st.tuples(st.just(()), st.tuples(_coords(2**15))),
+    "F2xC5": st.tuples(st.just(()), st.integers(0, 4)),
+}
+
+
+def _general_mul(c, a, xs, ys):
+    """c.mul(xs, ys) on its general path: each operand is stacked over a
+    layer of a's code, so neither side is all empty words, and the product's
+    first layer is taken."""
+    shape = np.broadcast_shapes(xs.shape, ys.shape)
+    fill = np.full(shape, c.encode_one(a), dtype=np.uint64)
+    out, ok = c.mul(np.stack([np.broadcast_to(xs, shape), fill]), np.stack([np.broadcast_to(ys, shape), fill]))
+    return out[0], ok[0]
+
+
+@pytest.mark.parametrize("name", list(WORD_A))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_free_mul_by_empty_words_equals_the_general_path(name, data):
+    # every x (or every y) the empty word: `mul` returns the other operand,
+    # broadcast into a fresh array, with the same `ok` as the general path
+    g, els = CODE_ELEMENTS[name]
+    c = codec_for(g)
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    empty, codes = (
+        np.array([c.encode_one(x) for x in data.draw(st.lists(s, min_size=k, max_size=k))], dtype=np.uint64)
+        for s, k in ((EMPTY_WORDS[name], m), (els, n))
+    )
+    shapes = [(empty[:1], codes), (codes, empty[:1])]  # (1, n) and (n, 1)
+    shapes += [(empty[:, None], codes[None, :]), (codes[:, None], empty[None, :])]  # (m, n) and (n, m)
+    for xs, ys in shapes:
+        out, ok = c.mul(xs, ys)
+        want, want_ok = _general_mul(c, WORD_A[name], xs, ys)
+        assert out.shape == want.shape and np.array_equal(out, want) and np.array_equal(ok, want_ok)
+        assert out.flags.writeable and not np.shares_memory(out, xs) and not np.shares_memory(out, ys)

@@ -1,6 +1,7 @@
 import hashlib
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -346,3 +347,32 @@ def test_iterated_conjugation_calls_conjugate_set_once_a_round(monkeypatch):
     A = GSet(F2, frozenset([(), (2,), (-2,)]))
     assert len(iterated_conjugate_set(R, A, 4, cap=10**6)) == 9  # b^-k a b^k, |k| <= 4
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize(
+    "lamps, ok",
+    [
+        ((), True),
+        ((0,), True),
+        ((-23, -1, 0, 4, 23), True),
+        ((True, 2), True),  # an int subclass is an int
+        ((2, 1), False),
+        ((0, 3, 2), False),
+        ((1, 1), False),
+        ((-1, 0, 0, 5), False),
+        ((1.0,), False),
+        ((0, 1.5), False),
+        (("a",), False),
+        ((1, "a"), False),  # refused before any comparison
+        ((np.int64(1),), False),
+        ((None, 1), False),
+    ],
+)
+def test_lamplighter_validate_refuses_unsorted_repeated_and_non_int_lamps(lamps, ok):
+    x = (lamps, 0)
+    if ok:
+        LAMP.validate(x)
+        return
+    with pytest.raises(SpecMismatchError) as err:
+        LAMP.validate(x)
+    assert str(err.value) == f"lamps must be a strictly increasing int tuple: {lamps!r}"

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -588,8 +589,8 @@ def _convolve_on_route(monkeypatch, mu, nu, route):
     """convolve(mu, nu), checking that it runs `route` and matches the oracle
     in float and in exact mode."""
     ran = []
-    real = measures._sum_windows
-    monkeypatch.setattr(measures, "_sum_windows", lambda *a: ran.append(1) or real(*a))
+    real = measures._stream_windows
+    monkeypatch.setattr(measures, "_stream_windows", lambda *a: ran.append(1) or real(*a))
     for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
         assert (_window_plan(a, b) is not None) == (route == "window")
         del ran[:]
@@ -693,7 +694,7 @@ def test_a_wide_line_kernel_takes_the_window_route(monkeypatch):
     nu_items[((2,), (0,))] = 0.25
     nu = SparseMeasure.from_items(F2xZ, nu_items, "float")
     plan = _window_plan(mu, nu)
-    assert plan is not None and len(plan[0]) == 129 and int(plan[6].sum()) == 134
+    assert plan is not None and len(plan.kernel) == 129 and int(plan.wlen.sum()) == 134
     _convolve_on_route(monkeypatch, mu, nu, "window")
 
 
@@ -710,13 +711,113 @@ def test_window_route_prices_its_windows_before_allocating(monkeypatch):
     for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
         plan = _window_plan(a, b)
         assert plan is not None
-        L = int(plan[6].sum())
+        L = int(plan.wlen.sum())
         row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
         with monkeypatch.context() as mp:
             mp.setattr(measures, "_ACC_BYTES", L * row_bytes - 1)
             mp.setattr(measures.np, "convolve", allocated)
             with pytest.raises(BudgetError, match=f"needs {L} rows"):
                 convolve(a, b)
+
+
+def test_budgeted_window_route_prices_its_live_set_before_allocating(monkeypatch):
+    # with a budget the running set, not every window slot, is priced: a cap
+    # one byte under that price is refused before a dense block is made, and
+    # the price itself is enough
+    mu = SparseMeasure.from_items(
+        F2xZ, {((w,), (c,)): 1.0 / (c + 2) for w in (1, 2, -1, -2) for c in range(40)}, "float"
+    )
+    nu = SparseMeasure.from_items(
+        F2xZ, {((), (-1,)): 0.2, ((), (0,)): 0.2, ((), (1,)): 0.2, ((2,), (3,)): 0.2, ((-1,), (0,)): 0.2},
+        "float",
+    )
+    monkeypatch.setattr(measures, "_SLICE_SLOTS", 64)
+    budget = 10
+
+    def allocated(*args):
+        raise AssertionError("a dense block was made before the live set was priced")
+
+    for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
+        plan = _window_plan(a, b)
+        bounds = measures._slices(plan.wlen)
+        rows = measures._live_rows(plan, bounds, budget)
+        L = int(plan.wlen.sum())
+        assert len(bounds) > 3 and rows < L == measures._live_rows(plan, bounds, None)
+        row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
+        with monkeypatch.context() as mp:
+            mp.setattr(measures, "_ACC_BYTES", rows * row_bytes - 1)
+            mp.setattr(measures.np, "convolve", allocated)
+            with pytest.raises(BudgetError, match=f"needs {rows} rows"):
+                convolve(a, b, budget=budget)
+        with monkeypatch.context() as mp:
+            mp.setattr(measures, "_ACC_BYTES", rows * row_bytes)
+            got, want = convolve(a, b, budget=budget), convolve_reference(a, b, budget=budget)
+        assert set(got.as_dict()) == set(want.as_dict())
+
+
+def _slice_pair(mode, uniform=False):
+    """Four fibers of F2 x Z with holes and tied masses, times line shifts and
+    four other atoms (two sharing an upper part), all binary fractions; with
+    `uniform`, every atom of mu and of nu has one mass, so products tie in
+    long runs across every slice."""
+    one = Fraction(1) if mode == "exact" else 1.0
+    mu = {((w,), (c,)): one * (1 + c % 3) / 64 for w in (1, 2, -1) for c in range(40) if c % 7 != w}
+    mu.update({((1, 2), (c,)): one / 32 for c in range(5, 30)})
+    nu = {((), (z,)): one / 16 for z in (-2, -1, 1, 2)}
+    nu.update({((2,), (1,)): one / 8, ((-1,), (0,)): one / 8, ((1,), (-3,)): one / 8, ((2,), (-4,)): one / 4})
+    if uniform:
+        mu, nu = dict.fromkeys(mu, one / 64), dict.fromkeys(nu, one / 8)
+    return SparseMeasure.from_items(F2xZ, mu, mode), SparseMeasure.from_items(F2xZ, nu, mode)
+
+
+def _tied_budget(measure, at_least=20):
+    """The least budget from `at_least` whose cutoff falls inside a run of
+    tied masses, with tied atoms on both sides of it."""
+    ranked = sorted(measure.as_dict().values(), reverse=True)
+    return next(b for b in range(at_least, len(ranked)) if ranked[b - 1] == ranked[b])
+
+
+@pytest.mark.parametrize("uniform", [False, True], ids=["mixed", "uniform"])
+@pytest.mark.parametrize("slots", [4, 60])
+def test_window_slices_keep_every_sum_and_the_tie_rule(monkeypatch, slots, uniform):
+    # the 14 windows hold 25 to 45 slots: slices of 4 slots take one window
+    # each, every one longer than a slice, and slices of 60 cut between
+    # windows; a small budget cuts the running set many times, and with
+    # uniform masses the atoms tied at the cutoff lie in many slices
+    mu, nu = _slice_pair("exact", uniform)
+    want_all = convolve_reference(mu, nu)
+    budget = _tied_budget(want_all)
+    floats = _slice_pair("float", uniform)
+    default = [convolve(*floats, budget=b) for b in (None, budget)]
+    monkeypatch.setattr(measures, "_SLICE_SLOTS", slots)
+    for a, b in ((mu, nu), floats):
+        plan = _window_plan(a, b)
+        assert len(measures._slices(plan.wlen)) > 8 and int(plan.wlen.min()) > 4
+    assert 4 * budget < len(want_all)
+    for b in (None, budget):
+        got, want = convolve(mu, nu, budget=b), convolve_reference(mu, nu, budget=b)
+        assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
+        assert_placed(got)
+    for b, ref in zip((None, budget), default):
+        got = convolve(*floats, budget=b)
+        assert np.array_equal(got._codes, ref._codes)
+        assert got._masses.tobytes() == ref._masses.tobytes()
+
+
+@given(line_pairs(others=short_others, max_others=3, bases=st.just(0)), st.integers(1, 40), st.integers(1, 9))
+@settings(max_examples=40, deadline=None)
+def test_window_slices_match_one_slice(pair, budget, slots):
+    # any slice size gives the default's codes and masses, bit for bit
+    mu, nu, _ = pair
+    assert _window_plan(mu, nu) is not None
+    for b in (None, budget):
+        ref = convolve(mu, nu, budget=b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_SLICE_SLOTS", slots)
+            got = convolve(mu, nu, budget=b)
+        assert np.array_equal(got._codes, ref._codes)
+        assert got._masses.tobytes() == ref._masses.tobytes()
+        assert got.lost_mass == pytest.approx(ref.lost_mass, rel=1e-14, abs=1e-16)
 
 
 def _f2xz_curve_steps(nu, steps=6, budget=20_000):
@@ -743,27 +844,48 @@ def test_f2xz_curve_routes_agree_to_the_stated_tolerance(f2xz_nu, monkeypatch):
         assert w.lost_mass == pytest.approx(s.lost_mass, rel=4e-15, abs=0)
 
 
-# SHA-256 of (codes, masses, lost_mass.hex()) after each step n = 1..6 of the
-# f2xz curve from delta(e) at budget 20k: every step takes the window route,
-# whose bytes must not drift; the test above checks them against the sort route
+# after each step n = 1..6 of the f2xz curve from delta(e) at budget 20k:
+# the SHA-256 of (codes, masses) and lost_mass, as the one-pass window route
+# gave them. Every step takes the window route, whose codes and masses must
+# not drift; the test above checks them against the sort route. The streamed
+# route sums the ledger's pruned weight slice by slice once it has cut its
+# running set (steps 5 and 6 here), so lost_mass may move in its last bits
 F2XZ_STEP_DIGESTS = [
-    "96990d11043ab02e26fbb1bbc23ecb58bec0c04e95a0c3a7edd1144f881ed068",
-    "b4230e5a9bc66eb2f08b1aceb8f1b77a05d4429204f26ccaa588ce62b5211d06",
-    "4cbab4d1c86ca7db2b6960ff79734a12658b1c4cbdb668856a38ec8d4b10a2b3",
-    "c6b1457627da54c488f25369d92c6056abecbd3b89e58609bc95ea3929075854",
-    "3105b2d8f3bfc2d58a2b8bad7a45611211f3114a5cee413c6c77ca5fe3403c4b",
-    "1ac305f9d8e89aab253971fcdfe0e3900a3b8ce46c419abcfc9aa2c882c5d4e3",
+    ("2f9731a1cfb4f2492d6c4a6d70b5e9828595d2814760fb3349df1e5e39ad7c36", "0x1.f07c1f07c1f08p-6"),
+    ("53852ffa05995d7e86f9f82fb0d4573fccde3ac675653520d5b2c2b33508888b", "0x1.e8f65c9ee9aafp-5"),
+    ("8f9aca207c209f35f5d953e3c4c61eb785c73db0722c877192ced53cb1fd692f", "0x1.6931a1454a817p-4"),
+    ("9bfb28e8e9d40edffe834de972c166a1e8d208e8d9dcfb49f5ffbfc9894c5feb", "0x1.da623dfa7bcb5p-4"),
+    ("d4f5569b1080a3013ecfb42cb038b2aced934c6dd72ad2ab1a6571c361038f83", "0x1.241a26c346194p-3"),
+    ("c5a5e0d209e4294e50608603f33713c18f751211464d29d387f11ac7599e8e62", "0x1.596b550b744cbp-3"),
 ]
 
 
 def test_f2xz_curve_steps_keep_their_bytes(f2xz_nu):
-    got = []
-    for rho in _f2xz_curve_steps(f2xz_nu, len(F2XZ_STEP_DIGESTS)):
-        h = hashlib.sha256()
-        for part in (rho._codes.tobytes(), rho._masses.tobytes(), rho.lost_mass.hex().encode()):
-            h.update(part)
-        got.append(h.hexdigest())
-    assert got == F2XZ_STEP_DIGESTS
+    steps = _f2xz_curve_steps(f2xz_nu, len(F2XZ_STEP_DIGESTS))
+    for rho, (digest, lost) in zip(steps, F2XZ_STEP_DIGESTS):
+        assert hashlib.sha256(rho._codes.tobytes() + rho._masses.tobytes()).hexdigest() == digest
+        assert rho.lost_mass == pytest.approx(float.fromhex(lost), rel=4e-15, abs=0)
+
+
+def test_a_budgeted_window_step_stays_inside_its_live_set(f2xz_nu):
+    # step 6 of the f2xz curve at budget 20k: 20,000 atoms times nu_32 fill
+    # 201,187 window slots in two slices. The whole step, plan included, must
+    # allocate no more than its priced live set: 1.5 rows for each of the
+    # 2 * budget rows the running set holds, plus one slice's scratch (two
+    # rows a slot and the atoms gathered into it), 16 bytes a row
+    budget = 20_000
+    rho = _f2xz_curve_steps(f2xz_nu, 5, budget)[-1]
+    plan = _window_plan(rho, f2xz_nu)
+    bound = measures._live_rows(plan, measures._slices(plan.wlen), budget) * measures._ROW_BYTES
+    assert bound < 6_400_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        convolve(rho, f2xz_nu, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
