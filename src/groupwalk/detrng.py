@@ -43,25 +43,30 @@ def derive(seed: int, *labels: int | str) -> int:
     return key
 
 
-def _mix64_np(x: np.ndarray) -> np.ndarray:
-    """`mix64` elementwise: a new uint64 array of x's shape; x is left as it is.
+def _mix64_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`mix64` elementwise into `out`: by default a new uint64 array of x's
+    shape, and x is left as it is.
 
-    The work goes one `_BLOCK`-word block at a time: the block is copied
-    into the output, which is C-ordered so its flat view is its own memory,
-    and mixed there in nine passes with one block-sized scratch array, so it
-    stays in cache from the copy to the last pass instead of crossing memory
-    ten times. Each word gets the same arithmetic as in full-array passes,
-    so the output is the same bit for bit for every block size.
+    `out` may be a C-ordered uint64 array of x's shape that does not
+    overlap x, or x itself, which is then mixed in place. The work goes one
+    `_BLOCK`-word block at a time: the block is copied into the output
+    (unless it is x), whose flat view is its own memory, and mixed there in
+    nine passes with one block-sized scratch array, so it stays in cache
+    from the copy to the last pass instead of crossing memory ten times.
+    Each word gets the same arithmetic as in full-array passes, so the
+    output is the same bit for bit for every block size. Returns `out`.
     """
-    src = np.ascontiguousarray(x).reshape(-1)  # a view unless x is not C-ordered
-    z = np.empty(np.shape(x), dtype=np.uint64)
-    out = z.reshape(-1)
-    scratch = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
+    if out is None:
+        out = np.empty(np.shape(x), dtype=np.uint64)
+    flat = out.reshape(-1)  # a view: `out` is C-ordered
+    src = None if out is x else np.ascontiguousarray(x).reshape(-1)  # a view unless x is not C-ordered
+    scratch = np.empty(min(flat.size, _BLOCK), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for lo in range(0, out.size, _BLOCK):
-            b = out[lo : lo + _BLOCK]
+        for lo in range(0, flat.size, _BLOCK):
+            b = flat[lo : lo + _BLOCK]
             t = scratch[: b.size]
-            b[...] = src[lo : lo + _BLOCK]
+            if src is not None:
+                b[...] = src[lo : lo + _BLOCK]
             np.add(b, np.uint64(_GAMMA), out=b)
             for shift, mult in ((30, _M1), (27, _M2)):
                 np.right_shift(b, np.uint64(shift), out=t)
@@ -69,7 +74,7 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
                 np.multiply(b, np.uint64(mult), out=b)
             np.right_shift(b, np.uint64(31), out=t)
             np.bitwise_xor(b, t, out=b)
-    return z
+    return out
 
 
 def _uniforms(x: np.ndarray) -> np.ndarray:
@@ -86,6 +91,19 @@ def _uniforms(x: np.ndarray) -> np.ndarray:
         np.right_shift(b, np.uint64(11), out=b)
         np.multiply(b, np.float64(2.0**-53), out=floats[lo : lo + _BLOCK])
     return u
+
+
+def _word_uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms of mixed words, as `uniform_at` makes them: the top 53
+    bits times 2^-53, exact in float64."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _word_cuts(m: np.ndarray) -> np.ndarray:
+    """Per threshold m >= 1, the cut c with `w > c` exactly when the mixed
+    word w's uniform is at least m * 2^-53: c = (m << 11) - 1 in uint64. At
+    m = 2^53 the cut wraps to 2^64 - 1, which no word exceeds."""
+    return (m.astype(np.uint64) << np.uint64(11)) - np.uint64(1)
 
 
 class CounterRng:

@@ -49,10 +49,11 @@ whose weight sums to 0.
 
 A convolution whose working set would pass `_ACC_BYTES` raises BudgetError
 before allocating it. The sort route prices its accumulator and pending
-rows; the window route prices every window slot without a budget, and with
-one its live set (`_live_rows`): the running set and one slice's scratch.
-An exact row is priced with its numerator, at the size of the product's
-denominator.
+rows; the window route prices its plan before the plan's broadcast `mul`
+(`_plan_words`), then its live set (`_live_rows`): the running set, of at
+most 2 * budget atoms or every window slot without a budget, one slice's
+scratch and the plan's arrays. An exact row is priced with its numerator,
+at the size of the product's denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -77,6 +78,7 @@ _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 _ACC_BYTES = 1 << 31  # refuse a convolution whose working set would pass this
 _ROW_BYTES = 16  # one uint64 code and one float64 mass, or a pointer to a numerator
 _SLICE_SLOTS = 1 << 17  # the window slots `_stream_windows` sums at once, unless one window is longer
+_PLAN_WORDS = 12  # the most words `_window_plan` holds a cell of its broadcast shape; see `_plan_words`
 
 # the weight dtype of each mode: float64 masses, or Python-int numerators
 _DTYPE = {"float": np.float64, "exact": object}
@@ -422,7 +424,7 @@ def _check_rows(rows: int, row_bytes: int) -> None:
     """Refuse a convolution whose working set, `rows` rows of `row_bytes`
     each, would pass `_ACC_BYTES`. Callers price before they allocate: the
     sort route its accumulator, pending rows and next `mul` block; the
-    window route its windows, or with a budget its live set (`_live_rows`)."""
+    window route its plan (`_plan_words`), then its live set (`_live_rows`)."""
     if rows * row_bytes > _ACC_BYTES:
         raise BudgetError(
             f"convolution needs {rows} rows ({rows * row_bytes} bytes), over the "
@@ -477,6 +479,9 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure) -> _Plan | None:
     atom's run starts at start[1 + part[j]] + shift[j]. `order` and `at`
     are the sort that made the windows: the runs of window w are
     order[at[w] : at[w + 1]].
+
+    The plan's peak is priced (`_plan_words`, 8 bytes a word) before the
+    broadcast `mul`, and a plan over the cap raises BudgetError.
     """
     if mu._side or nu._side or not len(mu._codes):
         return None
@@ -514,11 +519,13 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure) -> _Plan | None:
     upper, part = np.unique(nu._codes[rest] >> np.uint64(b), return_inverse=True)
     shift = (nu._codes[rest] & np.uint64(field)).astype(np.int64) - (e & field)
     first = mu._codes[starts]
+    _check_rows(_plan_words(len(rel), len(upper), len(starts)), 8)
     out, ok = codec.mul(first[None, :], ((upper << np.uint64(b)) | np.uint64(e & field))[:, None])
     if not ok.all():
         return None
     keys = np.vstack([first >> np.uint64(b), out >> np.uint64(b)])
     line = np.vstack([lo_first + z_min, (out & np.uint64(field)).astype(np.int64)])
+    del out, ok
     moves = [shift[part == u] for u in range(len(upper))]
     lows = line + np.array([0] + [int(m.min()) for m in moves], dtype=np.int64)[:, None]
     highs = line + (blocks - K) + np.array([K - 1] + [int(m.max()) for m in moves], dtype=np.int64)[:, None]
@@ -527,20 +534,38 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure) -> _Plan | None:
     # one window per distinct key, spanning its runs
     order = np.argsort(keys.ravel())
     flat = keys.ravel()[order]
+    del keys
     new = np.ones(len(flat), dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=new[1:])
     at = np.flatnonzero(new)
     wlo = np.minimum.reduceat(lows.ravel()[order], at)
     wlen = np.maximum.reduceat(highs.ravel()[order], at) - wlo + 1
+    del lows, highs
     if int(wlen.sum()) > len(mu._codes) * len(nu._codes):
         return None
     base = np.cumsum(wlen) - wlen
     origin = ((flat[at] << np.uint64(b)) | wlo.astype(np.uint64)) - base.astype(np.uint64)
-    wid = np.empty(len(flat), dtype=np.intp)
+    del flat
+    wid = np.empty(len(order), dtype=np.intp)
     wid[order] = np.cumsum(new) - 1
     # a run's first slot is its window's base plus its place in the window
-    start = (base - wlo)[wid].reshape(keys.shape) + line
+    start = (base - wlo)[wid].reshape(line.shape) + line
     return _Plan(kernel, others, part, shift, counts, rel, blocks, origin, wlen, start, order, at)
+
+
+def _plan_words(atoms: int, parts: int, fibers: int) -> int:
+    """The most words `_window_plan` holds at once for `atoms` pool atoms of
+    mu in `fibers` fibers and `parts` upper parts of nu: one a pool atom
+    (each atom's place in its run) and `_PLAN_WORDS` a cell of the
+    (1 + parts) x fibers shape of the broadcast `mul` and the runs.
+
+    A cell's words are the `mul`'s temporaries, or later the runs' keys,
+    line values, lows, highs and sort order with the gathered copies and
+    their window arrays (one a window, at most one a cell): about 11 when
+    every run has a window of its own. Step 6 of the k = 32 f2xz curve at
+    budget 200k holds 8.1 a cell at its peak.
+    """
+    return atoms + _PLAN_WORDS * (1 + parts) * fibers
 
 
 def _slices(wlen: np.ndarray) -> list:
@@ -556,19 +581,19 @@ def _slices(wlen: np.ndarray) -> list:
 
 
 def _live_rows(plan: _Plan, bounds: list, budget: int | None) -> int:
-    """The rows `_stream_windows` holds at once over the slices `bounds`.
+    """The rows `_stream_windows` holds at once over the slices `bounds`,
+    the plan's arrays included.
 
-    Without a budget the running set may hold every slot of the windows.
-    With one, the set holds at most 2 * budget rows when a slice starts (it
-    is cut once it passes that), or every slot if there are fewer, and a
-    cut copies its weights once more: 1.5 rows each. The slice adds its
-    scratch: two rows a slot (its accumulator, its dense blocks with their
-    slots, and its kept slots, which then join the set) and the atoms
-    gathered into it by the upper parts live at once.
+    The running set holds at most 2 * budget rows when a slice starts (it
+    is cut once it passes that), or every slot of the windows if there are
+    fewer or there is no budget; a cut, like the closing concatenation,
+    copies the set's codes or weights once more: 1.5 rows each. The slice
+    adds its scratch: two rows a slot (its accumulator, its dense blocks
+    with their slots, and its kept slots, which then join the set) and the
+    atoms gathered into it by the upper parts live at once. The plan's
+    arrays, read throughout, count as rows of `_ROW_BYTES`.
     """
     ends = np.cumsum(plan.wlen)
-    if budget is None:
-        return int(ends[-1])
     slots = np.diff(np.concatenate([[0], ends])[bounds])
     # live[u, j]: upper part u is gathered while nu's j-th other atom is added
     j = np.arange(len(plan.part))
@@ -581,7 +606,9 @@ def _live_rows(plan: _Plan, bounds: list, budget: int | None) -> int:
         row, fiber = np.divmod(plan.order[a:b], len(plan.counts))
         atoms = np.bincount(row, weights=plan.counts[fiber], minlength=len(plan.start))[1:]
         scratch = max(scratch, 2 * n + int((atoms @ live).max(initial=0)))
-    return min(int(ends[-1]), 2 * budget) * 3 // 2 + scratch
+    held = int(ends[-1]) if budget is None else min(int(ends[-1]), 2 * budget)
+    plan_bytes = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
+    return held * 3 // 2 + scratch + -(-plan_bytes // _ROW_BYTES)
 
 
 def _sum_slice(mu: SparseMeasure, p: _Plan, runs, base: int, n: int, firsts, offsets, last) -> np.ndarray:

@@ -24,7 +24,10 @@ results are independent of batching. Two layouts remain:
 - `estimate_M`'s trial t reads the stream (seed, "couple", t): K_l at
   slot 2l and the color at slot 2l+1. It reads K_l only until the trial
   first hits, and the color only at steps past N where K_l is a strict
-  record exceeding l+1; no other cell can change the hit time.
+  record exceeding l+1; no other cell can change the hit time. Whether
+  K_l exceeds l+1 is decided on slot 2l's mixed 64-bit word against an
+  integer cut, exactly as on its uniform, so only those cells' words
+  become floats.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from groupwalk.construction import AlphaSchedule, ConstructionState
-from groupwalk.detrng import CounterRng, derive, _mix64_np, _uniforms
+from groupwalk.detrng import CounterRng, derive, _mix64_np, _word_cuts, _word_uniforms
 from groupwalk.errors import SpecMismatchError
 from groupwalk.groups import GSet
 from groupwalk.measures import SparseMeasure
@@ -76,30 +79,35 @@ def _batch_keys(seed: int, label: str, start: int, count: int) -> np.ndarray:
 
 
 def _uniform_grid(keys: np.ndarray, counters: np.ndarray, out=None) -> np.ndarray:
-    """Uniforms of stream keys at counters (both uint64), the two broadcast together.
+    """The mixed words of stream keys at counters (both uint64), the two
+    broadcast together: `mix64(key ^ counter)`, whose top 53 bits times
+    2^-53 are the uniform `uniform_at` reads there (`_word_uniforms`).
 
-    `keys[:, None]` against `counters[None, :]` gives the grid u[t, j] for
-    key t at counter j; two equal-length vectors give one uniform per pair.
-    The words `key ^ counter` are formed in `out` when it is given.
+    `keys[:, None]` against `counters[None, :]` gives the grid w[t, j] for
+    key t at counter j; two equal-length vectors give one word per pair.
+    The words `key ^ counter` are formed in `out` when it is given, and
+    mixed where they are formed.
     """
-    return _uniforms(np.bitwise_xor(counters, keys, out=out))
+    words = np.bitwise_xor(counters, keys, out=out)
+    return _mix64_np(words, out=words)
 
 
 def _candidate_thresholds(alpha: AlphaSchedule, steps: np.ndarray) -> np.ndarray:
-    """Per step l, the least uniform u with `sample_k(u) > l + 1`, or 1.0 if none.
+    """Per step l, the least m with `sample_k(m * 2^-53) > l + 1`, or 2^53 if none.
 
     Every uniform is m * 2^-53 and `sample_k_array` is non-decreasing in u,
-    so bisecting m against `sample_k_array` itself makes `u >= thr[l]`
-    exactly the test `K_l > l + 1`.
+    so bisecting m against `sample_k_array` itself makes `u >= m[l] * 2^-53`
+    exactly the test `K_l > l + 1`; on the mixed word w it is
+    `w > _word_cuts(m)[l]`.
     """
     lo = np.zeros(steps.size, dtype=np.int64)  # sample_k(0) = 1 <= l + 1
-    hi = np.full(steps.size, 1 << 53, dtype=np.int64)  # 1.0: never reached
+    hi = np.full(steps.size, 1 << 53, dtype=np.int64)  # u = 1.0: never reached
     for _ in range(53):
         mid = (lo + hi) // 2
         above = alpha.sample_k_array(mid * 2.0**-53) > steps + 1
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return hi * 2.0**-53
+    return hi
 
 
 def _require_samples(samples: int) -> None:
@@ -289,8 +297,9 @@ def estimate_M(
     - steps go in tiles of at most `_TILE_CELLS` cells, each tile over the
       trials that have not hit yet and inside one span of `_STEP_SPAN`
       steps, so no array grows with trials x horizon, nor with horizon;
-    - `K_l > l+1` is read as `u >= thr_l` (`_candidate_thresholds`), and K
-      itself is computed at those candidate cells only;
+    - `K_l > l+1` is read on the mixed words, as `w > cut_l`
+      (`_candidate_thresholds`, `_word_cuts`), so only the candidate
+      cells' words become uniforms, and K is computed there only;
     - the color and the schedule are read only at candidate records past N.
 
     Two facts keep the result equal to a full trials x horizon grid's. A
@@ -319,12 +328,12 @@ def estimate_M(
     match_set = np.array(matching, dtype=np.int64)
     never = horizon + 1
     hit_times = np.full(trials, never, dtype=np.int64)
-    # candidate thresholds of steps span_lo, span_lo + 1, ..., bisected a span at a time
-    span_lo, span_thr = 1, np.empty(0)
-    # every tile forms its words in this one buffer, so a tile allocates one
-    # grid-sized array, the mixer's output, and the allocator reuses it; with
-    # three fresh ones a tile it gave their pages back to the OS, and every
-    # tile faulted them in again
+    # candidate thresholds of steps span_lo, span_lo + 1, ..., bisected a
+    # span at a time, and their word cuts
+    span_lo, span_m, span_cut = 1, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
+    # every tile forms and mixes its words in this one buffer, so no tile
+    # allocates a grid-sized array, whose pages the allocator would give
+    # back to the OS for the next tile to fault in again
     words = np.empty(_TILE_CELLS, dtype=np.uint64)
     for start in range(0, trials, _TILE_CELLS):
         # per live trial: its row in this block, its stream key, and the
@@ -334,20 +343,20 @@ def estimate_M(
         top = np.zeros(rows.size, dtype=np.int64)
         first = 1
         while rows.size and first <= horizon:
-            if not span_lo <= first < span_lo + span_thr.size:
+            if not span_lo <= first < span_lo + span_m.size:
                 span_lo, span_end = first, min(first + _STEP_SPAN, never)
-                span_thr = _candidate_thresholds(alpha, np.arange(span_lo, span_end))
-            width = min(span_lo + span_thr.size - first, max(1, _TILE_CELLS // rows.size))
+                span_m = _candidate_thresholds(alpha, np.arange(span_lo, span_end))
+                span_cut = _word_cuts(span_m)
+            width = min(span_lo + span_m.size - first, max(1, _TILE_CELLS // rows.size))
             steps = np.arange(first, first + width, dtype=np.int64)
-            thr = span_thr[first - span_lo : first - span_lo + width]
-            first += width
-            if thr[0] >= 1.0:
+            if span_m[first - span_lo] == 1 << 53:
                 break  # thresholds rise with l: no later cell is a candidate
+            cut = span_cut[first - span_lo : first - span_lo + width]
+            first += width
             grid = words[: rows.size * width].reshape(rows.size, width)
-            u = _uniform_grid(keys[:, None], (2 * steps).astype(np.uint64)[None, :], out=grid)
-            r, c = np.divmod(np.flatnonzero(u >= thr), width)  # candidates, in row then step order
-            K = alpha.sample_k_array(u[r, c])
-            del u
+            w = _uniform_grid(keys[:, None], (2 * steps).astype(np.uint64)[None, :], out=grid)
+            r, c = np.divmod(np.flatnonzero(w > cut), width)  # candidates, in row then step order
+            K = alpha.sample_k_array(_word_uniforms(w[r, c]))
             # strict records: the j-th candidate of every row at once, for
             # j = 0, 1, ..., each against its row's largest earlier K
             record = np.zeros(r.size, dtype=bool)
@@ -357,7 +366,7 @@ def estimate_M(
                 record[at] = K[at] > top[r[at]]
                 top[r[at]] = np.maximum(top[r[at]], K[at])
             late = np.nonzero(record & (steps[c] > N))[0]
-            ucol = _uniform_grid(keys[r[late]], (2 * steps[c[late]] + 1).astype(np.uint64))
+            ucol = _word_uniforms(_uniform_grid(keys[r[late]], (2 * steps[c[late]] + 1).astype(np.uint64)))
             sched = cat.draw_index_array(K[late].astype(np.uint64))
             fire = late[(ucol < 1.0 / 3.0) & np.isin(sched, match_set)]
             hit_rows, at = np.unique(r[fire], return_index=True)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from groupwalk.detrng import _BLOCK, _GAMMA, CounterRng, _mix64_np, _uniforms, derive, mix64
+from groupwalk.detrng import (
+    _BLOCK, _GAMMA, _MASK, CounterRng, _mix64_np, _uniforms, _word_cuts, _word_uniforms, derive, mix64,
+)
 from groupwalk.mcstats import CHI2_CRIT_01, chi2_independence, wilson_interval
 
 
@@ -52,6 +54,32 @@ def test_mix64_np_is_scalar_mix64_across_block_boundaries(make):
     assert u.shape == x.shape and u.dtype == np.float64
     assert u.ravel().tolist() == [(w >> 11) * 2.0**-53 for w in want]
     assert np.array_equal(x, before)
+
+
+_C_ORDERED = {k: v for k, v in _INPUTS.items() if v().flags.c_contiguous}
+
+
+@pytest.mark.parametrize("make", _C_ORDERED.values(), ids=_C_ORDERED.keys())
+def test_mix64_np_mixes_in_place_across_block_boundaries(make):
+    x = make()
+    want = [mix64(int(v)) for v in x.ravel()]
+    into = np.empty_like(x)
+    assert _mix64_np(x, out=into) is into
+    assert [int(v) for v in into.ravel()] == want
+    assert _mix64_np(x, out=x) is x
+    assert [int(v) for v in x.ravel()] == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 1 << 52, (1 << 53) - 1, 1 << 53])
+def test_a_word_passes_its_cut_exactly_when_its_uniform_passes_m(m):
+    # the words on either side of the cut, and the ends of the range; at
+    # m = 2^53 the cut wraps to 2^64 - 1 and no word passes it
+    words = [0, (m << 11) - 1, m << 11, (m << 11) + 2047, _MASK]
+    w = np.array([x & _MASK for x in words], dtype=np.uint64)
+    cut = _word_cuts(np.array([m], dtype=np.int64))
+    want = [(int(x) >> 11) * 2.0**-53 >= m * 2.0**-53 for x in w]
+    assert (w > cut).tolist() == want
+    assert _word_uniforms(w).tolist() == [(int(x) >> 11) * 2.0**-53 for x in w]
 
 
 def test_derive_is_order_sensitive():

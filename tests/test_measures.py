@@ -708,16 +708,23 @@ def test_window_route_prices_its_windows_before_allocating(monkeypatch):
     def allocated(*args):
         raise AssertionError("the windows were seeded before they were priced")
 
+    # without a budget the running set may hold every window slot: a cap one
+    # byte under its price (`_live_rows`) is refused before a window is
+    # seeded, and the price itself is enough
     for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
         plan = _window_plan(a, b)
         assert plan is not None
-        L = int(plan.wlen.sum())
+        rows = measures._live_rows(plan, measures._slices(plan.wlen), None)
+        assert rows > int(plan.wlen.sum())
         row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
         with monkeypatch.context() as mp:
-            mp.setattr(measures, "_ACC_BYTES", L * row_bytes - 1)
+            mp.setattr(measures, "_ACC_BYTES", rows * row_bytes - 1)
             mp.setattr(measures.np, "convolve", allocated)
-            with pytest.raises(BudgetError, match=f"needs {L} rows"):
+            with pytest.raises(BudgetError, match=f"needs {rows} rows"):
                 convolve(a, b)
+        with monkeypatch.context() as mp:
+            mp.setattr(measures, "_ACC_BYTES", rows * row_bytes)
+            assert set(convolve(a, b).as_dict()) == set(convolve_reference(a, b).as_dict())
 
 
 def test_budgeted_window_route_prices_its_live_set_before_allocating(monkeypatch):
@@ -742,7 +749,7 @@ def test_budgeted_window_route_prices_its_live_set_before_allocating(monkeypatch
         bounds = measures._slices(plan.wlen)
         rows = measures._live_rows(plan, bounds, budget)
         L = int(plan.wlen.sum())
-        assert len(bounds) > 3 and rows < L == measures._live_rows(plan, bounds, None)
+        assert len(bounds) > 3 and rows < L < measures._live_rows(plan, bounds, None)
         row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
         with monkeypatch.context() as mp:
             mp.setattr(measures, "_ACC_BYTES", rows * row_bytes - 1)
@@ -872,12 +879,13 @@ def test_a_budgeted_window_step_stays_inside_its_live_set(f2xz_nu):
     # 201,187 window slots in two slices. The whole step, plan included, must
     # allocate no more than its priced live set: 1.5 rows for each of the
     # 2 * budget rows the running set holds, plus one slice's scratch (two
-    # rows a slot and the atoms gathered into it), 16 bytes a row
+    # rows a slot and the atoms gathered into it) and the plan's 0.9 MB,
+    # 16 bytes a row
     budget = 20_000
     rho = _f2xz_curve_steps(f2xz_nu, 5, budget)[-1]
     plan = _window_plan(rho, f2xz_nu)
     bound = measures._live_rows(plan, measures._slices(plan.wlen), budget) * measures._ROW_BYTES
-    assert bound < 6_400_000
+    assert bound < 7_300_000
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -886,6 +894,62 @@ def test_a_budgeted_window_step_stays_inside_its_live_set(f2xz_nu):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def _traced_peak(f):
+    """f() and the most bytes it held at once over what was held before, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_window_plan_stays_inside_its_price(f2xz_nu):
+    # step 6 of the f2xz curve at budget 200k: 200,000 atoms in 13,219
+    # fibers times nu_32's 16 upper parts. The plan's broadcast `mul` and
+    # its sorted runs are priced before the `mul` (`_plan_words`), at one
+    # word a pool atom and `_PLAN_WORDS` words a cell, 8 bytes a word
+    rho = _f2xz_curve_steps(f2xz_nu, 5, 200_000)[-1]
+    plan, peak = _traced_peak(lambda: _window_plan(rho, f2xz_nu))
+    parts, fibers = plan.start.shape[0] - 1, plan.start.shape[1]
+    assert (len(rho), parts, fibers) == (200_000, 16, 13_219)
+    price = measures._plan_words(len(rho), parts, fibers) * 8
+    assert price < 24_000_000
+    assert peak <= price
+
+
+def test_a_window_plan_is_refused_before_its_mul(monkeypatch):
+    mu = SparseMeasure.from_items(F2xZ, {((w,), (c,)): 0.01 for w in (1, 2, -1, -2) for c in range(25)}, "float")
+    nu = SparseMeasure.from_items(F2xZ, {((), (0,)): 0.5, ((2,), (3,)): 0.25, ((-1,), (0,)): 0.25}, "float")
+    price = measures._plan_words(100, 2, 4) * 8
+
+    def multiplied(*args):
+        raise AssertionError("the plan's mul ran before it was priced")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(measures, "_ACC_BYTES", price - 1)
+        mp.setattr(type(F2xZ.codec()), "mul", multiplied)
+        with pytest.raises(BudgetError, match=f"needs {price // 8} rows"):
+            _window_plan(mu, nu)
+    monkeypatch.setattr(measures, "_ACC_BYTES", price)
+    assert _window_plan(mu, nu) is not None
+
+
+def test_an_unbudgeted_window_step_stays_inside_its_live_set(f2xz_nu):
+    # step 5 of the f2xz curve with no budget keeps every one of its
+    # 1,163,835 window slots: the whole step, plan included, must allocate
+    # no more than its priced live set, 1.5 rows a slot for the running set
+    # and its closing concatenation, one slice's scratch and the plan
+    rho = _f2xz_curve_steps(f2xz_nu, 4, None)[-1]
+    plan = _window_plan(rho, f2xz_nu)
+    assert int(plan.wlen.sum()) == 1_163_835
+    bound = measures._live_rows(plan, measures._slices(plan.wlen), None) * measures._ROW_BYTES
+    assert bound < 45_000_000
+    out, peak = _traced_peak(lambda: convolve(rho, f2xz_nu))
+    assert len(out) == 1_163_835 and peak <= bound
 
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
@@ -1039,11 +1103,12 @@ def test_mode_mixing_rejected():
 def test_exact_rows_are_priced_with_their_numerators(group, atoms, monkeypatch):
     # weights over 2^400, as deep exact curves carry: the product's
     # denominator is 2^800, so an exact row is priced at 16 bytes plus that
-    # int's size, and a cap of one float row per pair lies between the prices
+    # int's size, and a cap of four float rows per pair lies between the
+    # prices (the window route's holds its set, a slice's scratch and its plan)
     exact = SparseMeasure.from_items(group, {x: Fraction(1, 2**400) for x in atoms}, "exact")
     flt = SparseMeasure.from_items(group, {x: 2.0**-400 for x in atoms}, "float")
     assert (_window_plan(flt, flt) is not None) == (group is F2xZ)
-    monkeypatch.setattr(measures, "_ACC_BYTES", measures._ROW_BYTES * len(atoms) ** 2)
+    monkeypatch.setattr(measures, "_ACC_BYTES", 4 * measures._ROW_BYTES * len(atoms) ** 2)
     assert len(convolve(flt, flt)) == len(convolve_reference(flt, flt))
     with pytest.raises(BudgetError, match="accumulator cap"):
         convolve(exact, exact)

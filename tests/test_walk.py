@@ -321,6 +321,43 @@ def test_estimate_m_does_not_depend_on_tiling(three_entry_state, monkeypatch):
     assert estimate_M(three_entry_state, S, **args).to_dict() == default
 
 
+@pytest.mark.parametrize("rule", ["harmonic", "geometric"])
+def test_candidate_thresholds_are_the_least_m_past_the_record_bar(rule):
+    # every step to 300 and a sparse run to 10^6: the geometric rule's bar
+    # passes every uniform below 1 long before, so there m is 2^53, "never"
+    alpha = AlphaSchedule(rule)
+    steps = np.concatenate([np.arange(1, 301), np.geomspace(301, 10**6, 40).astype(np.int64)])
+    m = walk._candidate_thresholds(alpha, steps)
+    assert m.dtype == np.int64 and m.min() >= 1 and m.max() <= 1 << 53
+    assert np.all(alpha.sample_k_array((m - 1) * 2.0**-53) <= steps + 1)
+    below = m < 1 << 53
+    assert np.all(alpha.sample_k_array(m[below] * 2.0**-53) > steps[below] + 1)
+    assert below.all() == (rule == "harmonic")
+
+
+def test_estimate_m_draws_no_step_past_the_last_candidate(f2xz_state, monkeypatch):
+    # under the geometric rule no uniform below 1 gives K_l > l + 1 once l
+    # passes ~52, so no span of steps past the one holding that step is
+    # drawn, whatever the horizon; spans of 16 steps make that visible
+    g = f2xz_state.group
+    state = new_state(g, f2xz_state.catalogue, AlphaSchedule("geometric"))
+    S = GSet(g, frozenset([g.element_from_text("(e|(1))")]))
+    steps = np.arange(1, 200)
+    last = int(steps[walk._candidate_thresholds(state.alpha, steps) < 1 << 53][-1])
+    assert last < 60
+    drawn = []
+    grid = walk._uniform_grid
+
+    def counted(keys, counters, out=None):
+        drawn.append(int(counters.max(initial=0)))
+        return grid(keys, counters, out=out)
+
+    monkeypatch.setattr(walk, "_uniform_grid", counted)
+    monkeypatch.setattr(walk, "_STEP_SPAN", 16)
+    rep = estimate_M(state, S, N=4, eps=0.5, trials=50, horizon=100_000, seed=3)
+    assert rep.failed and max(drawn) <= 2 * (last + 16) + 1
+
+
 def _scan_first_clearing(order, trials, target):
     """The linear scan `_first_clearing` replaces: one Wilson call per hit time."""
     for pos, h in enumerate(order, 1):
