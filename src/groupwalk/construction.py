@@ -12,7 +12,7 @@ truncated measure
 
 is assembled exactly; its missing tail sum_{i>k} alpha_i goes to the
 lost_mass ledger, never into renormalization. `build_measure` assembles it
-on packed codes: every weight is a Python-int numerator over one denominator,
+on packed codes: every weight is an integer numerator over one denominator,
 each F_i's codes come from `GSet.codes` (encoded once, by the Folner search
 that found F_i), and one `_dedup` sums every record's codes. The result has
 the bytes that adding the masses as Fractions gives, in both modes.
@@ -53,7 +53,7 @@ from groupwalk.config import RunConfig
 from groupwalk.detrng import CounterRng
 from groupwalk.errors import BudgetError, SpecMismatchError
 from groupwalk.groups import GSet, Group, enumerate_element, iterated_conjugate_set
-from groupwalk.measures import SparseMeasure, _dedup
+from groupwalk.measures import SparseMeasure, _dedup, _dtype
 
 
 @dataclass(frozen=True)
@@ -347,14 +347,16 @@ def resume_construction(state: ConstructionState, checkpoint: str, k: int) -> Co
 def build_measure(state: ConstructionState, mode: str = "exact") -> SparseMeasure:
     """Assemble nu_k from the completed stages; tail mass goes to the ledger.
 
-    Every weight is a Python-int numerator over one denominator D, the lcm
-    of every alpha_i/3 and alpha_i/(3|F_i|). Each record's codes (c_i, c_i^-1,
-    then F_i, read from `F.codes`) are summed with their numerators by one
-    `_dedup`; atoms that do not encode go to the side dict in first-seen
-    order. Exact mode divides by G = gcd(D, every sum), so `_den` = D/G is the
-    lcm of the reduced masses' denominators; float mode gives each atom n/D,
-    which int division rounds correctly, as float(Fraction(n, D)) does. Each
-    distinct atom is validated once.
+    Every weight is an integer numerator over one denominator D, the lcm
+    of every alpha_i/3 and alpha_i/(3|F_i|); the numerators sum to at most
+    D, so they are int64 when D is below 2^63 (`measures._dtype`). Each
+    record's codes (c_i, c_i^-1, then F_i, read from `F.codes`) are summed
+    with their numerators by one `_dedup`; atoms that do not encode go to
+    the side dict in first-seen order. Exact mode divides by G = gcd(D,
+    every sum), so `_den` = D/G is the lcm of the reduced masses'
+    denominators; float mode gives each atom n/D, which int division rounds
+    correctly, as float(Fraction(n, D)) does. Each distinct atom is
+    validated once.
     """
     if state.stage < 1:
         raise SpecMismatchError("need at least one completed stage")
@@ -362,6 +364,7 @@ def build_measure(state: ConstructionState, mode: str = "exact") -> SparseMeasur
     codec = g.codec()
     weights = [(state.alpha.alpha(r.i) / 3, len(r.F)) for r in state.records]
     D = math.lcm(*(w.denominator for w, _ in weights), *((w / n).denominator for w, n in weights))
+    dtype = _dtype("exact", D)
     code_parts, num_parts, loose_codes, loose_nums, side = [], [], [], [], {}
 
     def place(xs, num: int) -> None:
@@ -384,9 +387,9 @@ def build_measure(state: ConstructionState, mode: str = "exact") -> SparseMeasur
             place(rec.F.elements, lam)
         else:
             code_parts.append(rec.F.codes)
-            num_parts.append(np.full(n, lam, dtype=object))
+            num_parts.append(np.full(n, lam, dtype=dtype))
     code_parts.append(np.array(loose_codes, dtype=np.uint64))
-    num_parts.append(np.array(loose_nums, dtype=object))
+    num_parts.append(np.array(loose_nums, dtype=dtype))
     codes, nums = _dedup(np.concatenate(code_parts), np.concatenate(num_parts))
     lost = state.alpha.tail(state.stage)
     if mode == "exact":

@@ -9,9 +9,18 @@ lies within ``value +- bracket``.
 
 Two arithmetic modes, never mixed:
 
-* ``"exact"`` - Python-int numerators over one per-measure denominator
+* ``"exact"`` - integer numerators over one per-measure denominator
   `_den`, bit-exact results; masses come back as Fractions;
 * ``"float"`` - float64 masses.
+
+Exact numerators are int64 whenever a bound on every value and every
+partial sum that the operation making them forms is below 2^63, and Python
+ints in an object array otherwise; `_dtype` alone decides, from that bound:
+the numerator sum for `from_items`, D for `build_measure`, mu's numerator
+sum times nu's for a convolution, twice the sum for `tv_left_translate` and
+the cross-scaled sums for `tv_distance`. Integer sums are exact in any
+order, so the dtype never changes a result, and every mass leaves as a
+Fraction of Python ints.
 
 Every measure has one storage layout, the same in both modes: a packed
 pool of sorted uint64 codes (see `groupwalk.codecs`) with their weights,
@@ -52,8 +61,8 @@ before allocating it. The sort route prices its accumulator and pending
 rows; the window route prices its plan before the plan's broadcast `mul`
 (`_plan_words`), then its live set (`_live_rows`): the running set, of at
 most 2 * budget atoms or every window slot without a budget, one slice's
-scratch and the plan's arrays. An exact row is priced with its numerator,
-at the size of the product's denominator.
+scratch and the plan's arrays. An int64 numerator fits in its row; a
+Python-int numerator is priced at the size of the product's denominator.
 
 Atom order everywhere is the group's spiral order (word length, then the
 family's lexicographic rank); all tie-breaks reduce to it.
@@ -76,12 +85,19 @@ _FLUSH_ROWS = 1 << 22  # the most pending rows `_products` holds before a dedup 
 _BLOCK_ROWS = 1 << 12  # the rows one sort-route `mul` call makes, unless mu's pool is larger
 _PAIR_LIMIT = 6 * 10**9  # refuse convolutions beyond this many pairs
 _ACC_BYTES = 1 << 31  # refuse a convolution whose working set would pass this
-_ROW_BYTES = 16  # one uint64 code and one float64 mass, or a pointer to a numerator
+_ROW_BYTES = 16  # one uint64 code and one float64 mass, int64 numerator or pointer to one
 _SLICE_SLOTS = 1 << 17  # the window slots `_stream_windows` sums at once, unless one window is longer
 _PLAN_WORDS = 12  # the most words `_window_plan` holds a cell of its broadcast shape; see `_plan_words`
 
-# the weight dtype of each mode: float64 masses, or Python-int numerators
-_DTYPE = {"float": np.float64, "exact": object}
+
+def _dtype(mode: str, bound=0):
+    """The weight dtype of an operation in `mode`: float64 masses, or exact
+    numerators as int64 when `bound`, a Python int at least every value and
+    every partial sum the operation forms, is below 2^63, and as Python ints
+    in an object array otherwise. Float mode ignores `bound`."""
+    if mode == "float":
+        return np.float64
+    return np.int64 if bound < 1 << 63 else object
 
 
 def _zero(mode: str):
@@ -109,15 +125,15 @@ def _coerce_mass(m, mode: str):
     raise SpecMismatchError(f"float mode needs float weights, got {type(m).__name__}")
 
 
-def _place(codec, atoms: dict, mode: str) -> tuple[np.ndarray, np.ndarray]:
+def _place(codec, atoms: dict, dtype) -> tuple[np.ndarray, np.ndarray]:
     """The placement rule: pop every atom of `atoms` that the codec encodes.
 
-    Returns their codes and weights in `atoms`' order, unsorted; every other
+    Returns their codes and weights, as `dtype`, in `atoms`' order, unsorted; every other
     atom (all of them without a codec) stays in `atoms`, the side dict.
     """
     codes = {} if codec is None else {x: c for x in atoms if (c := codec.encode_one(x)) is not None}
     weights = [atoms.pop(x) for x in codes]
-    return np.array(list(codes.values()), dtype=np.uint64), np.array(weights, dtype=_DTYPE[mode])
+    return np.array(list(codes.values()), dtype=np.uint64), np.array(weights, dtype=dtype)
 
 
 class SparseMeasure:
@@ -128,8 +144,9 @@ class SparseMeasure:
     One placement rule serves both modes: an atom the group's codec can
     encode lives in the pool, every other atom in `_side`, and no element is
     ever in both. Float weights are the masses (float64). Exact weights are
-    Python-int numerators over one denominator `_den` (an object-dtype
-    `_masses` and int values in `_side`); `as_dict` gives them as Fractions.
+    integer numerators over one denominator `_den`: `_masses` is int64, or
+    an object array of Python ints past `_dtype`'s bound, and `_side` holds
+    Python ints; `as_dict` gives them as Fractions.
     """
 
     __slots__ = ("group", "mode", "lost_mass", "_codes", "_masses", "_side", "_den")
@@ -143,7 +160,7 @@ class SparseMeasure:
         if not 0 <= self.lost_mass < math.inf:
             raise SpecMismatchError(f"lost_mass {self.lost_mass} is not finite and >= 0")
         self._codes: np.ndarray = np.zeros(0, dtype=np.uint64)
-        self._masses: np.ndarray = np.zeros(0, dtype=_DTYPE[mode])
+        self._masses: np.ndarray = np.zeros(0, dtype=_dtype(mode))
         self._side: dict = {}
         self._den = 1
 
@@ -167,7 +184,7 @@ class SparseMeasure:
         if mode == "exact":
             mu._den = math.lcm(*(m.denominator for m in data.values()))
             data = {x: m.numerator * (mu._den // m.denominator) for x, m in data.items()}
-        codes, masses = _place(group.codec(), data, mode)
+        codes, masses = _place(group.codec(), data, _dtype(mode, sum(data.values())))
         order = np.argsort(codes, kind="stable")
         mu._codes = codes[order]
         mu._masses = masses[order]
@@ -197,13 +214,17 @@ class SparseMeasure:
         return len(self._codes) + len(self._side)
 
     def _mass(self, w):
-        """A sum of stored weights as a mass: a float, or a Fraction over `_den`."""
-        return Fraction(w, self._den) if self.mode == "exact" else float(w)
+        """A sum of stored weights as a mass: a float, or a Fraction of Python ints over `_den`."""
+        return Fraction(int(w), self._den) if self.mode == "exact" else float(w)
+
+    def _weight_sum(self):
+        """The sum of the stored weights: a Python int in exact mode."""
+        if self.mode == "exact":
+            return int(np.sum(self._masses)) + sum(self._side.values())
+        return float(np.sum(self._masses)) + math.fsum(self._side.values())
 
     def total_mass(self):
-        if self.mode == "exact":
-            return self._mass(sum(self._masses.tolist()) + sum(self._side.values()))
-        return float(np.sum(self._masses)) + math.fsum(self._side.values())
+        return self._mass(self._weight_sum())
 
     def _atoms(self) -> dict:
         """Every atom with its stored weight (a numerator over `_den` in exact mode)."""
@@ -353,7 +374,7 @@ def _select_top(group: Group, codes, masses, side: dict, budget: int, mode: str,
     """
     total = len(codes) + len(side)
     side_items = _spiral(group, side.items())
-    side_masses = np.array([m for _, m in side_items], dtype=_DTYPE[mode])
+    side_masses = np.array([m for _, m in side_items], dtype=masses.dtype)
     all_masses = np.concatenate([masses, side_masses]) if side_items else masses
     cutoff = np.partition(all_masses, total - budget)[total - budget]
 
@@ -405,8 +426,8 @@ def _dedup(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     The sort is stable, so each code's weights are summed in input order
     whatever the flush schedule, and timsort merges the already-sorted runs
     the kernel produces instead of re-sorting them. Float weights are summed
-    by `np.bincount`; exact numerators (object dtype, set by the mode where
-    the rows are made) by `np.add.reduceat`, which keeps them Python ints.
+    by `np.bincount`; exact numerators, int64 or Python ints, by
+    `np.add.reduceat`, which keeps their dtype (`np.bincount` sums in float64).
     """
     if not len(codes):
         return codes, weights  # np.bincount would give int64 weights here
@@ -415,7 +436,7 @@ def _dedup(codes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarr
     first = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=first[1:])
     uniq = codes[first]
-    if weights.dtype == object:
+    if weights.dtype != np.float64:
         return uniq, np.add.reduceat(weights[order], np.flatnonzero(first))
     return uniq, np.bincount(np.cumsum(first) - 1, weights=weights[order], minlength=len(uniq))
 
@@ -505,7 +526,7 @@ def _window_plan(mu: SparseMeasure, nu: SparseMeasure) -> _Plan | None:
     lo_first = rel[starts]  # each fiber's first field value
     rel -= np.repeat(lo_first, counts)  # now each atom's place in its fiber's run
     blocks = rel[starts + counts - 1] + K
-    kernel = np.zeros(K, dtype=_DTYPE[nu.mode])
+    kernel = np.zeros(K, dtype=nu._masses.dtype)
     kernel[z - z_min] = nu._masses[lo:hi]
     rest = np.r_[0:lo, hi : len(nu._codes)]
     rest = np.array(
@@ -629,7 +650,7 @@ def _sum_slice(mu: SparseMeasure, p: _Plan, runs, base: int, n: int, firsts, off
     Right multiplication by one y is injective, so no slot gains two rows
     from one y.
     """
-    dtype = _DTYPE[mu.mode]
+    dtype = mu._masses.dtype
     K, n_rows = len(p.kernel), len(p.start)
     acc = np.zeros(n, dtype=dtype)
     row, fiber = np.divmod(runs, len(p.counts))
@@ -697,7 +718,7 @@ def _stream_windows(mu: SparseMeasure, p: _Plan, budget: int | None, row_bytes: 
     offsets = np.cumsum(p.blocks) - p.blocks  # each fiber's block in the zero-padded layout
     last = {u: j for j, u in enumerate(p.part.tolist())}  # each upper part's last other atom
     held_codes = [np.zeros(0, dtype=np.uint64)]
-    held_masses = [np.zeros(0, dtype=_DTYPE[mu.mode])]
+    held_masses = [np.zeros(0, dtype=mu._masses.dtype)]
     held, total, cutoff = 0, 0, None
     for w0, w1 in zip(bounds, bounds[1:]):
         base = int(ends[w0] - p.wlen[w0])
@@ -749,7 +770,8 @@ def _products(mu: SparseMeasure, nu: SparseMeasure, budget: int | None):
     kept atoms, every atom placed by the placement rule and of positive
     weight, and the pruned weight (0 when nothing is pruned); the weights
     are masses in float mode and numerators over mu._den * nu._den in exact
-    mode.
+    mode, as the `_dtype` of mu's numerator sum times nu's, to which both
+    operands' weights are cast first.
 
     When `_window_plan` holds, the product is streamed through fiber windows
     (`_stream_windows`) and has no side atoms. Otherwise nu's atoms take the
@@ -768,17 +790,24 @@ def _products(mu: SparseMeasure, nu: SparseMeasure, budget: int | None):
     """
     g = mu.group
     codec = g.codec()
+    dtype = _dtype(mu.mode, mu._weight_sum() * nu._weight_sum())
+    mu, nu = (
+        SparseMeasure._from_pool(
+            g, p._codes, p._masses.astype(dtype, copy=False), p._side, p.lost_mass, p.mode, p._den
+        )
+        for p in (mu, nu)
+    )
     mu_codes, mu_masses = mu._codes, mu._masses
-    # an exact row also points to a Python-int numerator, priced at the
-    # size of the product's denominator
-    row_bytes = _ROW_BYTES + (sys.getsizeof(mu._den * nu._den) if mu.mode == "exact" else 0)
+    # a row of Python ints also points to a numerator, priced at the size
+    # of the product's denominator
+    row_bytes = _ROW_BYTES + (sys.getsizeof(mu._den * nu._den) if dtype is object else 0)
     window = _window_plan(mu, nu)
     if window is not None:
         codes, masses, pruned = _stream_windows(mu, window, budget, row_bytes)
         return codes, masses, {}, pruned
 
     acc_codes = np.zeros(0, dtype=np.uint64)
-    acc_masses = np.zeros(0, dtype=_DTYPE[mu.mode])
+    acc_masses = np.zeros(0, dtype=dtype)
     pend_codes: list[np.ndarray] = [acc_codes]
     pend_masses: list[np.ndarray] = [acc_masses]
     pend_rows = 0
@@ -843,7 +872,7 @@ def _products(mu: SparseMeasure, nu: SparseMeasure, budget: int | None):
     # an atom the codec cannot hold times y can land back in codec range;
     # the placement rule sends those products to the packed pool, so no
     # element is split across both pools when the budget ranks atoms
-    placed = _place(codec, side, mu.mode)
+    placed = _place(codec, side, dtype)
     _check_rows(len(acc_codes) + pend_rows + len(placed[0]), row_bytes)
     add(*placed)
     flush()
@@ -866,7 +895,7 @@ def _convolve_exact(mu: SparseMeasure, nu: SparseMeasure, budget: int | None) ->
     """The exact ledger over `_products`: numerators over mu._den * nu._den."""
     den = mu._den * nu._den
     codes, nums, side, pruned = _products(mu, nu, budget)
-    lost = _propagated_lost(mu, nu) + Fraction(pruned, den)  # the pruned weight, exactly
+    lost = _propagated_lost(mu, nu) + Fraction(int(pruned), den)  # the pruned weight, exactly
     return SparseMeasure._from_pool(mu.group, codes, nums, side, lost, "exact", den)
 
 
@@ -922,9 +951,12 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     """
     grp = mu.group
     codec = grp.codec()
+    # the L1 sums at most twice mu's weight
+    dtype = _dtype(mu.mode, 2 * mu._weight_sum())
+    stored = mu._masses.astype(dtype, copy=False)
     # left multiplication is a bijection, so no two atoms land on one element
     moved = {grp.mul(t, x): m for x, m in mu._side.items()}
-    codes, masses = mu._codes, mu._masses  # both empty without a codec
+    codes, masses = mu._codes, stored  # both empty without a codec
     if codec is not None:
         t_code = codec.encode_one(t)
         if t_code is None:
@@ -933,10 +965,10 @@ def tv_left_translate(mu: SparseMeasure, t) -> tuple:
             shifted, ok = codec.mul(np.array([t_code], dtype=np.uint64), mu._codes)
         for c, m in zip(mu._codes[~ok].tolist(), mu._masses[~ok].tolist()):
             moved[grp.mul(t, codec.decode_one(c))] = m
-        back, weights = _place(codec, moved, mu.mode)
+        back, weights = _place(codec, moved, dtype)
         codes = np.concatenate([shifted[ok], back])
-        masses = np.concatenate([mu._masses[ok], weights])
-    value = _pool_l1(codes, masses, mu._codes, mu._masses) + _dict_l1(moved, mu._side, mu.mode)
+        masses = np.concatenate([stored[ok], weights])
+    value = _pool_l1(codes, masses, mu._codes, stored) + _dict_l1(moved, mu._side, mu.mode)
     return mu._mass(value), mu.lost_mass + mu.lost_mass
 
 
@@ -950,8 +982,12 @@ def tv_distance(mu: SparseMeasure, nu: SparseMeasure):
     # stored weights brought over the one denominator mu._den * nu._den
     # (both 1 in float mode)
     a, b = nu._den, mu._den
+    # the L1 sums at most the two cross-scaled weights, and the scales are
+    # operands too (one can pass 2^63 when the other measure has no atoms)
+    dtype = _dtype(mu.mode, max(a, b, mu._weight_sum() * a + nu._weight_sum() * b))
     scaled = [{x: m * k for x, m in p._side.items()} for p, k in ((mu, a), (nu, b))]
     value = _dict_l1(*scaled, mu.mode)
-    value += _pool_l1(mu._codes, mu._masses * a, nu._codes, nu._masses * b)
-    value = Fraction(value, a * b) if mu.mode == "exact" else float(value)
+    pools = [p._masses.astype(dtype, copy=False) * k for p, k in ((mu, a), (nu, b))]
+    value += _pool_l1(mu._codes, pools[0], nu._codes, pools[1])
+    value = Fraction(int(value), a * b) if mu.mode == "exact" else float(value)
     return value, mu.lost_mass + nu.lost_mass

@@ -108,10 +108,13 @@ lamp_shifts = st.sampled_from([((0,), 0), ((-24, 2), 3)])
 z7_elements = st.tuples(*[st.integers(-2, 2)] * 7)
 
 
-def assert_placed(mu):
+def assert_placed(mu, bound=None):
     """The placement rule, the same in both modes: every atom the codec
-    encodes is in the sorted pool, every other atom in the side dict. Weights
-    have the mode's dtype; exact weights are Python-int numerators."""
+    encodes is in the sorted pool, every other atom in the side dict. Float
+    weights are float64; exact pool weights have the dtype `_dtype` gives
+    for `bound`, the bound of the operation that made them (by default
+    their sum, which is `from_items`' bound and an unpruned product's), and
+    read out as Python ints, as do the side weights."""
     codec = mu.group.codec()
     codes = mu._codes.tolist()
     assert all(a < b for a, b in zip(codes, codes[1:]))
@@ -121,7 +124,8 @@ def assert_placed(mu):
         mu.group.validate(x)
         assert codec.encode_one(x) == c
     assert codec is None or all(codec.encode_one(x) is None for x in mu._side)
-    assert mu._masses.dtype == measures._DTYPE[mu.mode]
+    want = mu._weight_sum() if bound is None else bound
+    assert mu._masses.dtype == measures._dtype(mu.mode, want)
     if mu.mode == "exact":
         assert all(type(w) is int for w in [*mu._masses.tolist(), *mu._side.values(), mu._den])
 
@@ -175,8 +179,9 @@ def test_exact_convolve_with_side_atoms_matches_reference(group, elements):
             assert got.lost_mass == want.lost_mass
             # got's denominator is mu._den * nu._den, want's the reduced one
             assert tv_distance(got, want) == (0, got.lost_mass + want.lost_mass)
-            for m in (mu, nu, got):
+            for m in (mu, nu):
                 assert_placed(m)
+            assert_placed(got, mu._weight_sum() * nu._weight_sum())
 
     check()
 
@@ -197,7 +202,7 @@ def test_exact_budget_breaks_a_tie_across_pool_and_side_in_spiral_order():
         assert got.total_mass() + got.lost_mass == mu.total_mass()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, object], ids=["float", "exact"])
+@pytest.mark.parametrize("dtype", [np.float64, object, np.int64], ids=["float", "exact", "int64"])
 def test_dedup_of_no_rows_keeps_the_weight_dtype(dtype):
     codes, sums = measures._dedup(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=dtype))
     assert len(codes) == len(sums) == 0
@@ -209,6 +214,16 @@ def test_dedup_sums_exact_numerators_as_python_ints():
     codes, sums = measures._dedup(codes, np.array([10**30, 2, 1], dtype=object))
     assert codes.tolist() == [1, 3] and sums.tolist() == [2, 10**30 + 1]
     assert all(type(w) is int for w in sums.tolist())
+
+
+def test_dedup_sums_int64_numerators_exactly_past_2_53():
+    # float64 holds integers exactly only up to 2^53: a sum in float64 would
+    # round 2^54 + 3 to 2^54 + 4
+    codes = np.array([5, 2, 5, 5], dtype=np.uint64)
+    weights = np.array([2**53 + 1, 7, 2**53 + 1, 1], dtype=np.int64)
+    codes, sums = measures._dedup(codes, weights)
+    assert sums.dtype == np.int64
+    assert codes.tolist() == [2, 5] and sums.tolist() == [7, 2**54 + 3]
 
 
 @given(f2_measures, f2_measures, f2_measures)
@@ -572,6 +587,21 @@ def _exact(mu):
     )
 
 
+def _sixty_fourths(mu):
+    """mu with each float mass rounded to a positive multiple of 1/64, exactly:
+    small numerators, so products of two such measures are int64."""
+    return SparseMeasure.from_items(
+        mu.group, [(x, Fraction(max(1, round(m * 64)), 64)) for x, m in mu.as_dict().items()], "exact"
+    )
+
+
+def _row_bytes(a, b):
+    """The price of one row of a * b: a Python-int numerator adds the size
+    of the product's denominator, an int64 one fits in the row."""
+    dtype = measures._dtype(a.mode, a._weight_sum() * b._weight_sum())
+    return measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if dtype is object else 0)
+
+
 @given(line_pairs(), st.integers(1, 40))
 @settings(max_examples=30, deadline=None)
 def test_exact_dense_route_matches_reference(pair, budget):
@@ -582,7 +612,7 @@ def test_exact_dense_route_matches_reference(pair, budget):
     for b in (None, budget):
         got, want = convolve(mu, nu, budget=b), convolve_reference(mu, nu, budget=b)
         assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
-        assert_placed(got)
+        assert_placed(got, mu._weight_sum() * nu._weight_sum())
 
 
 def _convolve_on_route(monkeypatch, mu, nu, route):
@@ -711,12 +741,15 @@ def test_window_route_prices_its_windows_before_allocating(monkeypatch):
     # without a budget the running set may hold every window slot: a cap one
     # byte under its price (`_live_rows`) is refused before a window is
     # seeded, and the price itself is enough
-    for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
+    # a float pair, an exact pair of Python ints and an exact int64 pair
+    pairs = [(mu, nu), (_exact(mu), _exact(nu)), (_sixty_fourths(mu), _sixty_fourths(nu))]
+    assert [_row_bytes(a, b) > measures._ROW_BYTES for a, b in pairs] == [False, True, False]
+    for a, b in pairs:
         plan = _window_plan(a, b)
         assert plan is not None
         rows = measures._live_rows(plan, measures._slices(plan.wlen), None)
         assert rows > int(plan.wlen.sum())
-        row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
+        row_bytes = _row_bytes(a, b)
         with monkeypatch.context() as mp:
             mp.setattr(measures, "_ACC_BYTES", rows * row_bytes - 1)
             mp.setattr(measures.np, "convolve", allocated)
@@ -744,13 +777,15 @@ def test_budgeted_window_route_prices_its_live_set_before_allocating(monkeypatch
     def allocated(*args):
         raise AssertionError("a dense block was made before the live set was priced")
 
-    for a, b in ((mu, nu), (_exact(mu), _exact(nu))):
+    pairs = [(mu, nu), (_exact(mu), _exact(nu)), (_sixty_fourths(mu), _sixty_fourths(nu))]
+    assert [_row_bytes(a, b) > measures._ROW_BYTES for a, b in pairs] == [False, True, False]
+    for a, b in pairs:
         plan = _window_plan(a, b)
         bounds = measures._slices(plan.wlen)
         rows = measures._live_rows(plan, bounds, budget)
         L = int(plan.wlen.sum())
         assert len(bounds) > 3 and rows < L < measures._live_rows(plan, bounds, None)
-        row_bytes = measures._ROW_BYTES + (sys.getsizeof(a._den * b._den) if a.mode == "exact" else 0)
+        row_bytes = _row_bytes(a, b)
         with monkeypatch.context() as mp:
             mp.setattr(measures, "_ACC_BYTES", rows * row_bytes - 1)
             mp.setattr(measures.np, "convolve", allocated)
@@ -804,7 +839,7 @@ def test_window_slices_keep_every_sum_and_the_tie_rule(monkeypatch, slots, unifo
     for b in (None, budget):
         got, want = convolve(mu, nu, budget=b), convolve_reference(mu, nu, budget=b)
         assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
-        assert_placed(got)
+        assert_placed(got, mu._weight_sum() * nu._weight_sum())
     for b, ref in zip((None, budget), default):
         got = convolve(*floats, budget=b)
         assert np.array_equal(got._codes, ref._codes)
@@ -1101,11 +1136,13 @@ def test_mode_mixing_rejected():
     ids=["sort-route", "dense-route"],
 )
 def test_exact_rows_are_priced_with_their_numerators(group, atoms, monkeypatch):
-    # weights over 2^400, as deep exact curves carry: the product's
-    # denominator is 2^800, so an exact row is priced at 16 bytes plus that
-    # int's size, and a cap of four float rows per pair lies between the
-    # prices (the window route's holds its set, a slice's scratch and its plan)
-    exact = SparseMeasure.from_items(group, {x: Fraction(1, 2**400) for x in atoms}, "exact")
+    # numerators past 2^63 over 2^400, as deep exact curves carry: they stay
+    # Python ints, the product's denominator is 2^800, so an exact row is
+    # priced at 16 bytes plus that int's size, and a cap of four float rows
+    # per pair lies between the prices (the window route's holds its set, a
+    # slice's scratch and its plan)
+    exact = SparseMeasure.from_items(group, {x: Fraction(2**398 + 1, 2**400) for x in atoms}, "exact")
+    assert exact._masses.dtype == object
     flt = SparseMeasure.from_items(group, {x: 2.0**-400 for x in atoms}, "float")
     assert (_window_plan(flt, flt) is not None) == (group is F2xZ)
     monkeypatch.setattr(measures, "_ACC_BYTES", 4 * measures._ROW_BYTES * len(atoms) ** 2)
@@ -1146,3 +1183,117 @@ def test_lamplighter_sort_route_is_exact():
     nu = SparseMeasure.from_items(LAMP, mu.items_canonical()[:40], "exact")
     got, want = convolve(mu, nu), convolve_reference(mu, nu)
     assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
+
+
+# -- int64 numerators ----------------------------------------------------------
+
+
+def _on_python_ints(monkeypatch, f, *args):
+    """f(*args) with every exact numerator made a Python int, the object path."""
+    with monkeypatch.context() as mp:
+        mp.setattr(measures, "_dtype", lambda mode, bound=0: np.float64 if mode == "float" else object)
+        return f(*args)
+
+
+def _pool(mu):
+    return mu._codes.tolist(), mu._masses.tolist(), mu._side, mu._den, mu.lost_mass
+
+
+# measures over denominators near 2^31 with totals from 1/2 to 12: a product's
+# bound, mu's numerator sum times nu's, is about t_mu * t_nu * 2^62 for totals
+# t, so it falls on both sides of 2^63; line shifts let the window route run,
+# and long words and far coordinates put atoms in the side dict
+near_2_31 = st.sampled_from([2**31 - 1, 2**31 + 11, 3 * 2**29 + 1])
+line_shifts = st.tuples(st.just(()), st.tuples(st.integers(-3, 3)))
+
+
+@st.composite
+def near_2_31_measures(draw):
+    d = draw(near_2_31)
+    # each atom weighs between 1/2 and 2
+    atoms = st.tuples(st.one_of(line_shifts, f2xz_elements), st.integers(d // 2, 2 * d))
+    items = [(x, Fraction(n, d)) for x, n in draw(st.lists(atoms, min_size=1, max_size=6))]
+    return SparseMeasure.from_items(F2xZ, items, "exact", lost_mass=Fraction(1, d))
+
+
+def test_int64_numerators_equal_the_reference_and_the_object_path(monkeypatch):
+    sides = []
+
+    @given(near_2_31_measures(), near_2_31_measures(), st.integers(1, 12), f2xz_elements)
+    @settings(max_examples=80, deadline=None)
+    def check(mu, nu, budget, t):
+        bound = mu._weight_sum() * nu._weight_sum()
+        sides.append(bound < 1 << 63)
+        for m in (mu, nu):
+            assert_placed(m)
+        for b in (None, budget):
+            got = convolve(mu, nu, budget=b)
+            want = convolve_reference(mu, nu, budget=b)
+            assert got._masses.dtype == (np.int64 if bound < 1 << 63 else object)
+            assert_placed(got, bound)
+            assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
+            assert _pool(got) == _pool(_on_python_ints(monkeypatch, convolve, mu, nu, b))
+        # got's numerator sum is about 2^62 t_mu t_nu, so twice it, the
+        # translate's bound, straddles 2^63 as well
+        for m in (mu, nu, got):
+            tv = tv_left_translate(m, t)
+            assert tv == tv_distance(_translate(t, m), m)
+            assert tv == _on_python_ints(monkeypatch, tv_left_translate, m, t)
+        tv = tv_distance(mu, nu)
+        a, b = mu.as_dict(), nu.as_dict()
+        want = sum(abs(a.get(x, 0) - b.get(x, 0)) for x in a.keys() | b.keys())
+        assert tv == (want, mu.lost_mass + nu.lost_mass)
+        assert tv == _on_python_ints(monkeypatch, tv_distance, mu, nu)
+
+    check()
+    assert set(sides) == {True, False}, sides
+
+
+def test_an_exact_f2xz_step_takes_the_window_route_on_int64(monkeypatch):
+    # nu_4 has a 12-bit denominator, so nu_4 * nu_4 has a bound of 2^24
+    from groupwalk.construction import build_measure
+    from groupwalk.presets import preset_state
+
+    nu = build_measure(preset_state("f2xz", seed=20260813, stages=4), mode="exact")
+    assert nu._den < 1 << 12 and nu._masses.dtype == np.int64
+    ran = []
+    real = measures._stream_windows
+    monkeypatch.setattr(measures, "_stream_windows", lambda *a: ran.append(a[0]._masses.dtype) or real(*a))
+    got = convolve(nu, nu)
+    assert ran == [np.int64] and got._masses.dtype == np.int64
+    want = convolve_reference(nu, nu)
+    assert got.as_dict() == want.as_dict() and got.lost_mass == want.lost_mass
+
+
+def test_the_50_stage_amenable_measure_stays_on_python_ints(z_state):
+    # its 143-bit denominator bounds its numerators' sum past 2^63
+    from groupwalk.construction import build_measure
+
+    nu = build_measure(z_state, mode="exact")
+    assert nu._den.bit_length() == 143 and nu._masses.dtype == object
+    assert convolve(nu, nu)._masses.dtype == object
+    assert all(type(w) is int for w in nu._masses.tolist())
+
+
+def test_no_numpy_int_leaves_the_int64_path():
+    # every mass read out is a Fraction of Python ints: as_dict values,
+    # lost_mass (with pruned weight in it), total_mass and both TV values
+    from groupwalk.construction import build_measure
+    from groupwalk.presets import preset_state
+
+    nu = build_measure(preset_state("f2xz", seed=20260813, stages=4), mode="exact")
+    rho = convolve(convolve(nu, nu, budget=40), nu, budget=60)
+    assert rho._masses.dtype == np.int64 and rho.lost_mass > nu.lost_mass
+    t = F2xZ.element_from_text("(e|(1))")
+    masses = [*rho.as_dict().values(), rho.lost_mass, rho.total_mass()]
+    masses += [*tv_left_translate(rho, t), *tv_distance(rho, nu)]
+    for m in masses:
+        assert type(m) is Fraction and type(m.numerator) is int and type(m.denominator) is int
+
+
+def test_tv_distance_scales_an_empty_measure_by_a_denominator_past_2_63():
+    # the cross-scaled sums are 0 * 2^70 + 1 * 1, but the scale 2^70 itself
+    # does not fit an int64
+    empty = SparseMeasure.from_items(F2, [], "exact")
+    nu = SparseMeasure.from_items(F2, [((1,), Fraction(1, 2**70))], "exact")
+    assert tv_distance(empty, nu) == tv_distance(nu, empty) == (Fraction(1, 2**70), 0)
