@@ -56,6 +56,12 @@ rule sends those that encode to the pool at the end. Both routes keep the
 top `budget` atoms by one rule, `_select_top`'s, and neither keeps an atom
 whose weight sums to 0.
 
+A translate's TV, `tv_left_translate`, sums a line shift t (`(e|(1))` on
+F2 x Z, `(1,)` on Z) of a measure without side atoms in one pass over the
+sorted pool (`_line_shift_l1`), and every other t (the free control's `a`)
+by a codec `mul`, the group law and `_dedup`. Both form the same a - b for
+each code of the union in the same order, so they return the same bits.
+
 A convolution whose working set would pass `_ACC_BYTES` raises BudgetError
 before allocating it. The sort route prices its accumulator and pending
 rows; the window route prices its plan before the plan's broadcast `mul`
@@ -936,29 +942,66 @@ def _dict_l1(a: dict, b: dict, mode: str):
     return _mass_sum([abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()], mode)
 
 
+def _line_shift_l1(codec, t_code: int, identity: int, codes: np.ndarray, stored: np.ndarray):
+    """The pool L1 of a translate by a line shift t, from the sorted pool alone, or None.
+
+    t is a line shift when t's code equals the identity's above the codec's
+    line field and t's line value is the identity's plus z = +-1. Such a t
+    lies in an abelian direct factor, so it is central and moves each code c
+    to c + z; None when it is not one or some c's line value would leave the
+    field. For z = +1 the union of the pool and its translate is each run of
+    consecutive codes plus the code after the run, so with a zero before the
+    pool and after every run, the padded weights' left differences are the
+    union's a - b in ascending order: the floats `_dedup`'s `bincount` forms
+    (0 + a - b), in its order. For z = -1 the same |a - b| sit one code lower.
+    """
+    bits = codec.line_bits
+    if bits is None or not len(codes):
+        return None
+    mask = (1 << bits) - 1
+    z = (t_code & mask) - (identity & mask)
+    if (t_code ^ identity) >> bits or abs(z) != 1:
+        return None
+    if np.any((codes & np.uint64(mask)) == (mask if z > 0 else 0)):
+        return None
+    # each weight's slot past the leading zero: one more slot after every run end
+    slot = np.ones(len(codes), dtype=np.intp)
+    slot[1:] += codes[1:] - codes[:-1] != 1
+    np.cumsum(slot, out=slot)
+    padded = np.zeros(slot[-1] + 2, dtype=stored.dtype)
+    padded[slot] = stored
+    return np.sum(np.abs(padded[:-1] - padded[1:]))
+
+
 def tv_left_translate(mu: SparseMeasure, t) -> tuple:
     """tv_distance(t . mu, mu), where (t . mu)(A) = mu(t^-1 A), without building t . mu.
 
-    On a codec group, t is encoded once and the pool moves in one
-    vectorized pass, `mul` of t's code by every pool code. Pool atoms pushed
-    out of codec range (all of them when t does not encode) and the side
-    atoms move by the group law, and the placement rule sends those that
-    land back in range to the pool. The value is the pool L1 plus the side-dict
-    L1. A codec-less group keeps every atom in the side dict, so only the
-    dict L1 runs. Either way it sums stored weights and turns the sum into a
-    mass once. `t` is not validated here: callers check it once, at the
-    boundary.
+    On a codec group, t is encoded once. A line shift (`_line_shift_l1`) of a
+    measure without side atoms takes one pass over the sorted pool, with the
+    same bits as the route below. Any other t (the free control's `a`, say)
+    moves the pool in one vectorized pass, `mul` of t's code by every pool
+    code. Pool atoms pushed out of codec range (all of them when t does not
+    encode) and the side atoms move by the group law, and the placement rule
+    sends those that land back in range to the pool. The value is the pool
+    L1 plus the side-dict L1. A codec-less group keeps every atom in the side
+    dict, so only the dict L1 runs. Either way it sums stored weights and
+    turns the sum into a mass once. `t` is not validated here: callers check
+    it once, at the boundary.
     """
     grp = mu.group
     codec = grp.codec()
     # the L1 sums at most twice mu's weight
     dtype = _dtype(mu.mode, 2 * mu._weight_sum())
     stored = mu._masses.astype(dtype, copy=False)
+    t_code = None if codec is None else codec.encode_one(t)
+    if t_code is not None and not mu._side:
+        value = _line_shift_l1(codec, t_code, codec.encode_one(grp.identity), mu._codes, stored)
+        if value is not None:
+            return mu._mass(value), mu.lost_mass + mu.lost_mass
     # left multiplication is a bijection, so no two atoms land on one element
     moved = {grp.mul(t, x): m for x, m in mu._side.items()}
     codes, masses = mu._codes, stored  # both empty without a codec
     if codec is not None:
-        t_code = codec.encode_one(t)
         if t_code is None:
             shifted, ok = mu._codes, np.zeros(len(mu._codes), dtype=bool)
         else:

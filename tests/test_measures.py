@@ -355,11 +355,111 @@ def test_tv_left_translate_central_without_codec():
 
 def test_tv_left_translate_packed_central_path(f2xz_nu):
     # the packed route, for central and non-central t, must agree with the
-    # two-measure route
-    for t in (((), (1,)), ((1,), (0,)), ((-2, 1), (-3,))):
+    # two-measure route; the line shift (e|(1)) bit for bit
+    assert tv_left_translate(f2xz_nu, ((), (1,))) == tv_distance(_translate(((), (1,)), f2xz_nu), f2xz_nu)
+    for t in (((1,), (0,)), ((-2, 1), (-3,))):
         fast = tv_left_translate(f2xz_nu, t)
         slow = tv_distance(_translate(t, f2xz_nu), f2xz_nu)
         assert fast[0] == pytest.approx(slow[0], abs=1e-12)
+
+
+# pools on a line field, F2 x Z's 16-bit one and Z's 62-bit one: dense runs
+# with gaps in up to three fibers, some starting at a field edge or running
+# past the other one into the side dict. Each group comes with its line
+# generator, its inverse, a shift by 2 and (on F2 x Z) two t off the
+# identity above the field; (0,) is Z's identity, a shift by 0
+LINE_FIELDS = [
+    (F2xZ, lambda u, v: (((), (1,), (-2, 1))[u], (v,)), 1 << 15,
+     [((), (1,)), ((), (-1,)), ((), (2,)), ((1,), (0,)), ((1,), (1,))]),
+    (Z, lambda u, v: (v,), 1 << 61, [(1,), (-1,), (2,), (0,)]),
+]
+
+
+@st.composite
+def line_pools(draw):
+    """(mu, t) with mu's weights floats, int64 numerators over 997, or Python-int
+    numerators past 2^63 over the prime 2^89 - 1."""
+    group, element, half, shifts = draw(st.sampled_from(LINE_FIELDS))
+    starts = st.one_of(st.integers(-8, 8), st.sampled_from([-half, -half + 1, half - 4, half - 1]))
+    runs = draw(st.lists(st.tuples(st.integers(0, 2), starts, st.integers(1, 6)), min_size=1, max_size=4))
+    atoms = sorted({element(u, s + i) for u, s, n in runs for i in range(n)}, key=group.sort_key)
+    kind = draw(st.sampled_from(["float", "int64", "object"]))
+    if kind == "float":
+        weights, lost = float_masses, draw(float_lost)
+    else:
+        d = 997 if kind == "int64" else 2**89 - 1
+        weights, lost = st.integers(d // 8, d // 2).map(lambda n: Fraction(n, d)), Fraction(1, d)
+    mode = "float" if kind == "float" else "exact"
+    mu = SparseMeasure.from_items(group, [(x, draw(weights)) for x in atoms], mode, lost_mass=lost)
+    assert mu._masses.dtype == {"float": np.float64, "int64": np.int64, "object": object}[kind]
+    return mu, draw(st.sampled_from(shifts))
+
+
+def test_line_shift_translates_match_the_two_measure_path_bit_for_bit(monkeypatch):
+    one_pass = []
+    real = measures._line_shift_l1
+
+    def record(*args):
+        value = real(*args)
+        one_pass.append(value is not None)
+        return value
+
+    monkeypatch.setattr(measures, "_line_shift_l1", record)
+
+    @given(line_pools())
+    @settings(max_examples=200, deadline=None)
+    def check(case):
+        mu, t = case
+        assert tv_left_translate(mu, t) == tv_distance(_translate(t, mu), mu)
+
+    check()
+    # both the one-pass route and its fallback ran
+    assert set(one_pass) == {True, False}
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_line_shifts_of_window_outputs_run_no_mul_and_no_dedup(f2xz_nu, z_state, monkeypatch):
+    # (e|(1)), (e|(-1)) and Z's (1,), (-1,) on window-route outputs (floats on
+    # F2 x Z, Python-int numerators on Z) take the one pass; one more atom at
+    # the edge t pushes past, or past the field in the side dict, sends the
+    # same t to the sorting route
+    from groupwalk import codecs
+    from groupwalk.construction import build_measure
+
+    runs = []
+    for nu, wrap, half, ts in (
+        (f2xz_nu, lambda v: ((), (v,)), 1 << 15, [((), (1,)), ((), (-1,))]),
+        (build_measure(z_state, mode="exact"), lambda v: (v,), 1 << 61, [(1,), (-1,)]),
+    ):
+        assert _window_plan(nu, nu) is not None
+        rho = convolve(nu, nu, budget=5000)
+        atoms = rho.as_dict()
+        one = next(iter(atoms.values()))
+        for t, edge in zip(ts, (half - 1, -half)):
+            fall = [
+                SparseMeasure.from_items(rho.group, {**atoms, wrap(v): one}, rho.mode, rho.lost_mass)
+                for v in (edge, half)
+            ]
+            assert not fall[0]._side and fall[1]._side
+            runs.append((rho, t, tv_distance(_translate(t, rho), rho), fall))
+
+    def refuse(*args, **kwargs):
+        raise _Reached
+
+    for cls in (
+        codecs.FreeCodec, codecs.AbelianCodec, codecs.CyclicGroupCodec, codecs.LamplighterCodec, codecs.ProductCodec,
+    ):
+        monkeypatch.setattr(cls, "mul", refuse)
+    monkeypatch.setattr(measures, "_dedup", refuse)
+    for rho, t, want, fall in runs:
+        assert tv_left_translate(rho, t) == want
+        # a line value at the edge t pushes past, or a side atom, takes the sorting route
+        for mu in fall:
+            with pytest.raises(_Reached):
+                tv_left_translate(mu, t)
 
 
 def _edge_words(max_len):
