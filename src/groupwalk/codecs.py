@@ -28,7 +28,8 @@ off the sum.
 Lamplighter codes hold the biased marker in the low 16 bits and a 47-bit
 lamp window above it, lamp p at window bit p + 23, so lamps in [-23, 23]
 fit. `mul` XORs y's window, moved by x's marker, into x's and adds the
-markers. A product codec applies each factor's `mul` to its field.
+markers. A product codec applies each factor's `mul` to its field, and
+`join` builds the codes of a product of factor code sets field by field.
 
 `line_bits` is the width of a codec's lowest field when that field is one
 biased integer coordinate, else None. Right-multiplying by any element adds
@@ -303,7 +304,7 @@ class ProductCodec:
             subs = [FreeCodec(f, width=flex) if s is None else s for f, s in zip(group.factors, subs)]
         elif fixed > 63:
             raise SpecMismatchError("product codec exceeds 63 bits")
-        self._subs = subs
+        self.subs = subs
         self._shifts = []
         acc = sum(s.width for s in subs)
         for s in subs:
@@ -314,7 +315,7 @@ class ProductCodec:
 
     def encode_one(self, x) -> int | None:
         code = 0
-        for sub, sh, xi in zip(self._subs, self._shifts, x):
+        for sub, sh, xi in zip(self.subs, self._shifts, x):
             c = sub.encode_one(xi)
             if c is None:
                 return None
@@ -324,14 +325,23 @@ class ProductCodec:
     def decode_one(self, code: int):
         return tuple(
             sub.decode_one((code >> sh) & int(m))
-            for sub, sh, m in zip(self._subs, self._shifts, self._masks)
+            for sub, sh, m in zip(self.subs, self._shifts, self._masks)
         )
+
+    def join(self, parts) -> np.ndarray:
+        """The codes of every tuple of elements whose factor j's code is in
+        parts[j], factor 0 slowest: ascending when every part is, since
+        factor 0 holds the high bits."""
+        codes = np.zeros(1, dtype=U64)
+        for part, sh in zip(parts, self._shifts):
+            codes = (codes[:, None] | (part << _u(sh))).ravel()
+        return codes
 
     def mul(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         shape = np.broadcast_shapes(xs.shape, ys.shape)
         ok = np.ones(shape, dtype=bool)
         out = np.zeros(shape, dtype=U64)
-        for sub, sh, m in zip(self._subs, self._shifts, self._masks):
+        for sub, sh, m in zip(self.subs, self._shifts, self._masks):
             field, o = sub.mul((xs >> _u(sh)) & m, (ys >> _u(sh)) & m)
             ok &= o
             field <<= _u(sh)

@@ -13,9 +13,11 @@ truncated measure
 is assembled exactly; its missing tail sum_{i>k} alpha_i goes to the
 lost_mass ledger, never into renormalization. `build_measure` assembles it
 on packed codes: every weight is an integer numerator over one denominator,
-each F_i's codes come from `GSet.codes` (encoded once, by the Folner search
-that found F_i), and one `_dedup` sums every record's codes. The result has
-the bytes that adding the masses as Fractions gives, in both modes.
+each F_i's codes come from `GSet.codes` (built from F_i's family by the
+Folner search that found it, so F_i is never encoded, or encoded once where
+the family has no codes), and one `_dedup` sums every record's codes. The
+result has the bytes that adding the masses as Fractions gives, in both
+modes.
 
 Elements of R_i that are central in the ambient group skip the
 conjugation stage entirely (their conjugate set is themselves), which

@@ -555,18 +555,27 @@ class GSet:
 
     @cached_property
     def codes(self) -> np.ndarray | None:
-        """The elements' packed codes in `elements` order (read-only), or None
-        when the group has no codec or some element does not encode.
+        """The elements' packed codes, ascending (read-only), or None when the
+        group has no codec or some element does not encode.
 
         Computed on first use and kept, so every reader of one set (a Folner
-        search's count, a later re-check, `build_measure`) shares one encoding.
+        search's count, a later re-check, `build_measure`) shares one
+        encoding; a set made by `with_codes` is never encoded.
         """
         codec = self.group.codec()
         codes = None if codec is None else [codec.encode_one(x) for x in self.elements]
         if codes is None or None in codes:
             return None
-        out = np.array(codes, dtype=np.uint64)
+        out = np.sort(np.array(codes, dtype=np.uint64))
         out.flags.writeable = False
+        return out
+
+    def with_codes(self, codes: np.ndarray) -> "GSet":
+        """This set carrying `codes` as its `codes`, which are then never
+        encoded: `codes` must be the elements' codes, ascending."""
+        out = GSet(self.group, self.elements, self.truncated)
+        codes.flags.writeable = False
+        out.__dict__["codes"] = codes  # the cached_property's slot
         return out
 
     def is_symmetric(self) -> bool:

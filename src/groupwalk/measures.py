@@ -638,6 +638,29 @@ def _live_rows(plan: _Plan, bounds: list, budget: int | None) -> int:
     return held * 3 // 2 + scratch + -(-plan_bytes // _ROW_BYTES)
 
 
+def _convolve_ints(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`np.convolve(a, v)` of two non-empty arrays of nonnegative integers,
+    as an object array of Python ints, from one big-int product.
+
+    Each array is packed little-endian into one int, a slot of w bytes an
+    entry (Kronecker substitution). Every output is a sum of at most
+    min(len) products below max(a) * max(v), so it fits in the w * 8 bits
+    sized from their bit lengths, no slot carries into the next, and the
+    product's slots are the outputs.
+    """
+    bits = int(a.max()).bit_length() + int(v.max()).bit_length() + min(len(a), len(v)).bit_length()
+    w = -(-bits // 8)
+
+    def pack(x) -> int:
+        return int.from_bytes(b"".join(int(c).to_bytes(w, "little") for c in x), "little")
+
+    n = len(a) + len(v) - 1
+    raw = (pack(a) * pack(v)).to_bytes(n * w, "little")
+    out = np.empty(n, dtype=object)
+    out[:] = [int.from_bytes(raw[i : i + w], "little") for i in range(0, n * w, w)]
+    return out
+
+
 def _sum_slice(mu: SparseMeasure, p: _Plan, runs, base: int, n: int, firsts, offsets, last) -> np.ndarray:
     """The n window slots from slot `base` of mu * nu, fed by the runs
     `runs` (a stretch of `p.order`), summed without sorting a row.
@@ -645,7 +668,8 @@ def _sum_slice(mu: SparseMeasure, p: _Plan, runs, base: int, n: int, firsts, off
     Sorted stably by row, the runs of each row come in window order, so
     their slots ascend. The fibers whose own window lies in the slice are a
     contiguous range of mu's fibers, and their dense blocks are one
-    `np.convolve` of the kernel over that stretch of the fibers laid end to
+    `np.convolve` of the kernel (`_convolve_ints` on Python-int numerators,
+    the same integers) over that stretch of the fibers laid end to
     end in zero-padded blocks (`offsets`), with the K - 1 zeros before it
     (none before fiber 0): each output is the same dot product as in one
     `np.convolve` over every fiber, so bit for bit the same, and no mass
@@ -670,7 +694,7 @@ def _sum_slice(mu: SparseMeasure, p: _Plan, runs, base: int, n: int, firsts, off
         off = offsets[f0:f1] - offsets[f0]
         dense = np.zeros(lead + int(off[-1] + p.blocks[f1 - 1]), dtype=dtype)
         dense[lead + np.repeat(off, p.counts[f0:f1]) + p.rel[a0:a1]] = mu._masses[a0:a1]
-        dense = np.convolve(dense, p.kernel)[lead : len(dense)]
+        dense = (_convolve_ints if dtype == object else np.convolve)(dense, p.kernel)[lead : len(dense)]
         # each block's slots, as steps of 1 from its first slot
         at = np.ones(len(dense), dtype=np.intp)
         at[off] = p.start[0, f0:f1] - base

@@ -26,6 +26,8 @@ from groupwalk import (
 )
 from groupwalk import amenable
 from groupwalk.amenable import folner_search, invariance_defect
+from groupwalk.codecs import AbelianCodec, LamplighterCodec
+from groupwalk.errors import BudgetError
 from groupwalk.construction import VisibilityCatalogue, catalogue_from_texts
 from groupwalk.cli import main
 
@@ -121,6 +123,9 @@ class _SpyCodec:
 
     def encode_one(self, x):
         return self.codec.encode_one(x)
+
+    def decode_one(self, code):
+        return self.codec.decode_one(code)
 
     def mul(self, xs, ys):
         out, ok = self.codec.mul(xs, ys)
@@ -340,6 +345,156 @@ def test_the_search_symmetrizes_the_lamplighter_whole_family():
     assert x in H.folner_member(1).elements and LAMP.inv(x) not in H.folner_member(1).elements
     F, m, _ = folner_search(H, GSet(LAMP, frozenset([((), 1)])), Fraction(1, 2))
     assert F.is_symmetric() and F.elements > H.folner_member(m).elements
+
+
+class _NarrowLamps(LamplighterCodec):
+    """The lamplighter codec with a lamp window of [-3, 3], so member 3 of a
+    family sits at the window's edge and member 4 leaves it; the real window
+    edge, lamp +-23, lies far past the cap (2^47 lamp patterns)."""
+
+    lamp_lo, lamp_hi = -3, 3
+
+
+# (group, codec or None for the group's own, the members checked beyond 0..3):
+# members at a field's edge and the last ones under the cap
+_CODE_GROUPS = [
+    ("free-abelian(1)", None, (124_999, 125_000)),  # 250k elements, then past the cap
+    ("free-abelian(1)", lambda g: AbelianCodec(g, coord_width=10), (511, 512)),  # bias 512
+    ("free-abelian(2)", None, (249, 250)),
+    ("free-abelian(3)", None, (30, 31)),
+    ("free(1)", None, (57, 58)),  # words of 57 letters fill the codec
+    ("free(2)", None, ()),
+    ("lamplighter(2)", None, (6, 7, 8, 9)),  # whole passes the cap at 7, lamps at 9
+    ("lamplighter(2)", lambda g: _NarrowLamps(g), (3, 4)),
+    ("cyclic(5)", None, ()),
+    ("product(free(2), free-abelian(1))", None, (32767, 32768)),  # the 16-bit Z field
+    ("product(free-abelian(1), cyclic(3))", None, (40, 41)),
+    ("product(free(1), free-abelian(2))", None, (3, 4)),
+    ("product(lamplighter(2), free-abelian(1))", None, ()),  # no codec
+]
+
+
+def _codes_by_elements(g, kind, m):
+    """The sorted encodes of `_family`'s member m, None when one does not
+    encode, or "cap" past the cap."""
+    els = amenable._family(g, kind, m)
+    if els is None:
+        return "cap"
+    codec = g.codec()
+    codes = None if codec is None else [codec.encode_one(x) for x in els]
+    return None if codes is None or None in codes else sorted(codes)
+
+
+@pytest.mark.parametrize(
+    "text, codec, edges", _CODE_GROUPS, ids=[f"{t}-{i}" for i, (t, *_) in enumerate(_CODE_GROUPS)]
+)
+def test_family_codes_are_the_sorted_encodes_of_the_family(text, codec, edges, monkeypatch):
+    g = parse_group(text)
+    if codec is not None:
+        narrow = codec(g)
+        monkeypatch.setattr(g, "codec", lambda: narrow)
+    admitted = 0
+    for kind in _FAMILY_KINDS:
+        try:
+            AmenableSubgroup(g, kind)
+        except SpecMismatchError:
+            continue
+        admitted += 1
+        for m in (0, 1, 2, 3) + edges:
+            want = _codes_by_elements(g, kind, m)
+            if want == "cap":
+                with pytest.raises(BudgetError):
+                    amenable._family_codes(g, kind, m)
+                continue
+            got = amenable._family_codes(g, kind, m)
+            assert (None if got is None else got.tolist()) == want, (kind, m)
+    assert admitted
+
+
+def test_the_code_families_reach_every_edge():
+    # the edges above are edges: the first member encodes, the second does not
+    for text, codec, kind, m in [
+        ("free-abelian(1)", lambda g: AbelianCodec(g, coord_width=10), "whole", 511),
+        ("free(1)", None, "whole", 57),
+        ("lamplighter(2)", lambda g: _NarrowLamps(g), "lamps", 3),
+        ("product(free(2), free-abelian(1))", None, "center", 32767),
+    ]:
+        g = parse_group(text)
+        if codec is not None:
+            narrow = codec(g)
+            g.codec = lambda: narrow
+        assert amenable._family_codes(g, kind, m) is not None, text
+        assert amenable._family_codes(g, kind, m + 1) is None, text
+    # and the last members under the cap are the last ones
+    cap, size = amenable._MEMBER_SIZE_CAP, amenable._member_size
+    last = [(Z, "whole", 124_999), (LAMP, "whole", 6), (LAMP, "lamps", 8), (F2xZ, "center", 124_999)]
+    for g, kind, m in last:
+        assert size(g, kind, m) <= cap < size(g, kind, m + 1)
+
+
+def _search_by_elements(H, B, eps):
+    """folner_search's (F, m, defect), from the elements and the group law."""
+    g, m = H.ambient, 0
+    while True:
+        F = H.folner_member(m)
+        F = F if amenable._symmetric(g, H.embedding) else F.symmetrized()
+        defect = _defect_by_group_law(g, B, F)
+        if defect * eps.denominator < eps.numerator * len(F):
+            return F, m, defect
+        m += 1
+
+
+_SEARCH_CASES = _WARM_CASES + [
+    ("free-abelian(3)", "whole", 1, 3),
+    ("free(1)", "whole", 3, 10),
+    ("cyclic(5)", "whole", 2, 4),
+    ("product(free(2), free-abelian(1))", "factor:1", 3, 10),
+    ("product(free(1), free-abelian(2))", "whole", 1, 3),
+]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_search_on_codes_is_the_search_on_elements(data):
+    text, embedding, radius, denom = data.draw(st.sampled_from(_SEARCH_CASES))
+    g = parse_group(text)
+    H = AmenableSubgroup(g, embedding)
+    pool = sorted(
+        (x for r in range(radius + 1) for x in g.shell(r) if H.contains(x)), key=g.sort_key
+    )
+    B = GSet(g, frozenset(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))))
+    eps = Fraction(1, data.draw(st.integers(1, denom)))
+    F, m, defect = folner_search(H, B, eps)
+    assert (F, m, defect) == _search_by_elements(H, B, eps)
+    # the codes a member carries from its family are the ones its elements encode to
+    codec = g.codec()
+    assert F.codes.tolist() == sorted(codec.encode_one(x) for x in F.elements)
+
+
+def test_the_search_encodes_only_b():
+    # F2 x Z's center member 300 has 601 elements; the search counts members
+    # 0..300 on codes and returns member 300 carrying its codes, so the
+    # search and a read of F's codes encode B alone
+    calls = []
+    codec = F2xZ.codec()
+
+    class Counting:
+        def encode_one(self, x):
+            calls.append(x)
+            return codec.encode_one(x)
+
+        def __getattr__(self, name):
+            return getattr(codec, name)
+
+    g = DirectProduct((FreeGroup(2), FreeAbelian(1)))
+    g.codec = lambda: Counting()
+    H = AmenableSubgroup(g, "center")
+    B = GSet(g, frozenset([((), (1,)), ((), (-1,))]))
+    F, m, defect = folner_search(H, B, Fraction(1, 300))
+    assert (len(F), m, defect) == (601, 300, 2)
+    assert not F.codes.flags.writeable
+    assert len(calls) < 50
+    assert F.codes.tolist() == sorted(codec.encode_one(x) for x in F.elements)
 
 
 def test_embedding_validation():

@@ -171,7 +171,7 @@ def test_product_codec_mul_right(raw_ws, k):
             assert c.decode_one(int(o)) == g.mul(x, y)
 
 
-F2xZ_FREE_MAX_LEN = codec_for(F2xZ)._subs[0].max_len
+F2xZ_FREE_MAX_LEN = codec_for(F2xZ).subs[0].max_len
 F2xC5 = DirectProduct((FreeGroup(2), CyclicGroup(5)))
 
 
@@ -189,7 +189,7 @@ def test_product_codec_mul_left_matches_group(xs, t):
 
 
 @given(
-    st.lists(st.tuples(reduced_words(codec_for(F2xC5)._subs[0].max_len), st.integers(0, 4)), min_size=1, max_size=12),
+    st.lists(st.tuples(reduced_words(codec_for(F2xC5).subs[0].max_len), st.integers(0, 4)), min_size=1, max_size=12),
     st.tuples(reduced_words(4), st.integers(0, 4)),
 )
 @settings(max_examples=60)
@@ -391,7 +391,7 @@ CODE_ELEMENTS = {
     "cyclic(7)": (CyclicGroup(7), st.integers(0, 6)),
     "lamplighter(2)": (LAMP, lamp_rows),
     "F2xZ": (F2xZ, st.tuples(reduced_words(F2xZ_FREE_MAX_LEN), st.tuples(_coords(2**15)))),
-    "F2xC5": (F2xC5, st.tuples(reduced_words(codec_for(F2xC5)._subs[0].max_len), st.integers(0, 4))),
+    "F2xC5": (F2xC5, st.tuples(reduced_words(codec_for(F2xC5).subs[0].max_len), st.integers(0, 4))),
 }
 
 

@@ -270,10 +270,10 @@ def test_symmetrized_gset(data):
     assert A.symmetrized().elements == A.elements
 
 
-def test_gset_codes_are_encoded_once_in_elements_order():
+def test_gset_codes_are_encoded_once_ascending():
     A = ball(LAMP, 3)
     codec = LAMP.codec()
-    assert A.codes.tolist() == [codec.encode_one(x) for x in A.elements]
+    assert A.codes.tolist() == sorted(codec.encode_one(x) for x in A.elements)
     assert A.codes is A.codes and not A.codes.flags.writeable
     # one element past the window, or no codec at all, gives None
     assert GSet(LAMP, A.elements | {((24,), 0)}).codes is None

@@ -485,7 +485,7 @@ def _edge_words(max_len):
 )
 def test_tv_left_translate_moves_side_atoms_back_into_the_pool(group, t, wrap, mode):
     codec = group.codec()
-    free = codec if group is F2 else codec._subs[0]
+    free = codec if group is F2 else codec.subs[0]
     atoms = [wrap(x, i) for i, x in enumerate(_edge_words(free.max_len))]
     weight = (lambda i: Fraction(i + 1, 97)) if mode == "exact" else (lambda i: (i + 1) / 97)
     mu = SparseMeasure.from_items(group, [(x, weight(i)) for i, x in enumerate(atoms)], mode)
@@ -1397,3 +1397,22 @@ def test_tv_distance_scales_an_empty_measure_by_a_denominator_past_2_63():
     empty = SparseMeasure.from_items(F2, [], "exact")
     nu = SparseMeasure.from_items(F2, [((1,), Fraction(1, 2**70))], "exact")
     assert tv_distance(empty, nu) == tv_distance(nu, empty) == (Fraction(1, 2**70), 0)
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(0, 1 << 70)), min_size=1, max_size=20),
+    st.lists(st.one_of(st.just(0), st.integers(0, 1 << 70)), min_size=1, max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_big_int_convolution_is_np_convolve_on_python_ints(a, v):
+    a, v = np.array(a, dtype=object), np.array(v, dtype=object)
+    got = measures._convolve_ints(a, v)
+    assert got.dtype == object and all(type(x) is int for x in got)
+    assert got.tolist() == np.convolve(a, v).tolist()
+
+
+def test_the_big_int_convolution_at_its_edges():
+    big = (1 << 64) + 3  # past 2^63
+    for a, v in [([0], [0]), ([5], [7]), ([0, 0, 0], [0]), ([big], [big, 0, big]), ([1] * 9, [big] * 9)]:
+        a, v = np.array(a, dtype=object), np.array(v, dtype=object)
+        assert measures._convolve_ints(a, v).tolist() == np.convolve(a, v).tolist()
